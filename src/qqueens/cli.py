@@ -123,7 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--period-max", type=int, default=2,
                        help="largest period the fit search tries (default 2)")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="node budget for the enumeration search")
+                       help="node budget of the enumeration search, per board size; "
+                            "a node is a placement of 1 to q-1 nonattacking pieces, "
+                            "one of them marked as the first")
         p.add_argument("--cache", default=None,
                        help=f"count cache path (default:  ${ENV_VAR} if set)")
         p.add_argument("--format", dest="fmt", default="text",
@@ -184,11 +186,8 @@ def cmd_count(config: RunConfig, out) -> int:
                            budget=config.budget, cache=config.cache())
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
-        done = err.last_completed_n
-        if done is not None and done >= config.n_lo:
-            partial = sequence(moves, config.q, config.n_lo, done,
-                               budget=config.budget, cache=config.cache())
-            rows = [(r.n, r.count, "partial") for r in partial]
+        if err.completed:
+            rows = [(r.n, r.count, "partial") for r in err.completed]
             print(render(("n", "count", "status"), rows, config.fmt), file=out)
         return EXIT_BUDGET
     rows = [(r.n, r.count) for r in records]

@@ -1,10 +1,23 @@
 """The ground-truth oracle: exhaustive placement and lattice-point counters.
 
-Everything here is exact integer counting.  ``count_unlabelled`` enumerates
-squares in a fixed total order and only extends with higher-indexed squares,
-pruning with per-square attack bitsets; the last piece is counted with a
-popcount instead of a loop.  That combination is what makes q = 4 boards in
-the high teens feasible.
+Everything here is exact integer counting.  ``count_unlabelled`` rests on two
+identities.
+
+* Line occupancy.  Two distinct squares lie on at most one common attack
+  line, so the nonattacking pairs inside a set S number
+  C(|S|, 2) - sum over lines L of C(|S & L|, 2).  That is one popcount per
+  board line (about 6n for the queen) in place of a loop over S, so the last
+  two pieces cost one leaf evaluation, and q = 2 is read off the full board.
+* Board symmetry.  Each nonattacking q-set is counted once from each of its
+  squares, so u(q) = (1/q) sum_s N_{q-1}(T_s), where T_s holds the squares
+  that s does not attack and N_k counts nonattacking k-subsets.  A symmetry
+  of the board that maps the move set to itself maps T_s onto T_{g(s)}, so
+  one square per orbit, weighted by the orbit's size, stands for the orbit.
+  The subgroup of the dihedral group that qualifies is computed from the
+  moves.
+
+Between the first piece and the last two, squares are taken in increasing
+index order and pruned with per-square attack bitsets.
 """
 
 from __future__ import annotations
@@ -19,49 +32,111 @@ DEFAULT_BUDGET = 10**9
 
 
 class BudgetExceededError(Exception):
-    """Search budget exhausted; carries partial progress for reporting."""
+    """A search visited more nodes than its budget allows.
 
-    def __init__(self, nodes: int, budget: int, partial: Optional[int] = None,
-                 last_completed_n: Optional[int] = None):
+    The budget applies to each board size on its own (one call of
+    ``count_unlabelled``), never to a run over several sizes.  A node is a
+    partial placement the search stands for: a nonattacking set of 1 to q - 1
+    pieces with one of them marked as the first, so counting q pieces on the
+    n x n board takes sum_{j<q} j * u(j; n) nodes.  ``completed`` holds the
+    records ``sequence`` finished before the budget ran out.
+    """
+
+    def __init__(self, nodes: int, budget: int, completed: tuple[CountRecord, ...] = ()):
         self.nodes = nodes
         self.budget = budget
-        self.partial = partial
-        self.last_completed_n = last_completed_n
-        detail = f"visited {nodes} partial placements (budget {budget})"
-        if last_completed_n is not None:
-            detail += f"; last completed board size n={last_completed_n}"
+        self.completed = completed
+        detail = f"visited {nodes} partial placements (budget {budget} per board size)"
+        if completed:
+            detail += f"; last completed board size n={completed[-1].n}"
         super().__init__(detail)
+
+    @property
+    def last_completed_n(self) -> Optional[int]:
+        return self.completed[-1].n if self.completed else None
 
 
 @dataclass(frozen=True)
 class AttackTable:
-    """Per-square bitsets over the n*n squares marking attacked squares (self included)."""
+    """The attack lines of the n x n board and, per square, the bitset of the
+    squares it attacks (itself included).  Square (x, y) has bit (y-1)*n + (x-1).
+
+    ``lines`` holds each maximal line of two or more squares along a move;
+    ``masks[i]`` is square i together with the union of the lines through it.
+    """
 
     board_size: int
     masks: tuple[int, ...]
+    lines: tuple[int, ...]
 
     @classmethod
     def build(cls, moves: MoveSet, n: int) -> "AttackTable":
-        masks = [0] * (n * n)
-        for y in range(1, n + 1):
-            for x in range(1, n + 1):
-                idx = (y - 1) * n + (x - 1)
-                mask = 1 << idx
-                for m in moves:
-                    for sign in (1, -1):
-                        t = sign
-                        while True:
-                            tx, ty = x + t * m.c, y + t * m.d
-                            if not (1 <= tx <= n and 1 <= ty <= n):
-                                break
-                            mask |= 1 << ((ty - 1) * n + (tx - 1))
-                            t += sign
-                masks[idx] = mask
-        return cls(n, tuple(masks))
+        masks = [1 << i for i in range(n * n)]
+        lines = []
+        for m in moves:
+            for squares in _board_lines(m, n):
+                if len(squares) > 1:
+                    line = sum(1 << i for i in squares)
+                    lines.append(line)
+                    for i in squares:
+                        masks[i] |= line
+        return cls(n, tuple(masks), tuple(lines))
+
+
+def _board_lines(slope: Move, n: int) -> Iterator[list[int]]:
+    """The maximal lines of the given slope on the n x n board, each as the
+    indices (y-1)*n + (x-1) of its squares."""
+    for y0 in range(n):
+        for x0 in range(n):
+            if 0 <= x0 - slope.c < n and 0 <= y0 - slope.d < n:
+                continue  # not the first square of its line
+            x, y, squares = x0, y0, []
+            while 0 <= x < n and 0 <= y < n:
+                squares.append(y * n + x)
+                x, y = x + slope.c, y + slope.d
+            yield squares
+
+
+# The eight symmetries of the square board as signed 2x2 matrices (a, b, c, d),
+# acting as (u, v) -> (a*u + b*v, c*u + d*v) about the board's centre.
+D4 = (
+    (1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
+    (1, 0, 0, -1), (-1, 0, 0, 1), (0, 1, 1, 0), (0, -1, -1, 0),
+)
+
+
+def symmetry_group(moves: MoveSet) -> tuple[tuple[int, int, int, int], ...]:
+    """The elements of D4 that map the move set onto itself, slope for slope."""
+    return tuple(
+        (a, b, c, d) for a, b, c, d in D4
+        if all(Move.from_vector(a * m.c + b * m.d, c * m.c + d * m.d) in moves for m in moves)
+    )
+
+
+def _orbits(group: tuple[tuple[int, int, int, int], ...], n: int) -> list[tuple[int, int]]:
+    """(lowest square, orbit size) for each orbit of the group on the n x n board."""
+    seen: set[int] = set()
+    out = []
+    for i in range(n * n):
+        if i in seen:
+            continue
+        y, x = divmod(i, n)
+        u, v = 2 * x - n + 1, 2 * y - n + 1  # twice the offset from the centre
+        orbit = {
+            (c * u + d * v + n - 1) // 2 * n + (a * u + b * v + n - 1) // 2
+            for a, b, c, d in group
+        }
+        seen |= orbit
+        out.append((i, len(orbit)))
+    return out
 
 
 def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Number of q-subsets of distinct squares of the n x n board, pairwise nonattacking."""
+    """Number of q-subsets of distinct squares of the n x n board, pairwise nonattacking.
+
+    Raises ``BudgetExceededError`` once the search passes ``budget`` nodes
+    (see there for what a node is).
+    """
     if q < 1:
         raise ValueError("q must be >= 1")
     if n == 0:
@@ -72,38 +147,59 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
     full = (1 << size) - 1
     table = AttackTable.build(moves, n)
     # ok[i]: higher-indexed squares neither equal to nor attacked by square i
-    ok = [(~table.masks[i] & full) & ~((1 << (i + 1)) - 1) for i in range(size)]
-
-    total = 0
+    ok = [~table.masks[i] & (full >> (i + 1) << (i + 1)) for i in range(size)]
+    # Lines in order of their highest square, so the lines that can meet a set
+    # whose lowest square is i are lines[start[i]:].
+    lines = sorted(table.lines, key=int.bit_length)
+    start, j = [], 0
+    for i in range(size):
+        while j < len(lines) and lines[j].bit_length() <= i:
+            j += 1
+        start.append(j)
+    twice_c2 = [j * (j - 1) for j in range(n + 1)]  # 2 * C(j, 2); no line is longer than n
     nodes = 0
+    weight = 1  # size of the first square's orbit: every node found stands for this many
 
-    def extend(allowed: int, depth: int) -> None:
-        nonlocal total, nodes
-        if depth == q - 2:
-            m = allowed
-            while m:
-                lsb = m & -m
-                i = lsb.bit_length() - 1
-                m ^= lsb
-                nodes += 1
-                total += (allowed & ok[i]).bit_count()
-            if nodes > budget:
-                raise BudgetExceededError(nodes, budget, partial=total)
-            return
+    def pairs(allowed: int) -> int:
+        """Nonattacking 2-subsets of ``allowed``, by line occupancy."""
+        nonlocal nodes
+        k = allowed.bit_count()
+        nodes += weight * k  # the second pieces a loop over ``allowed`` would place
+        if nodes > budget:
+            raise BudgetExceededError(nodes, budget)
+        if k < 2:
+            return 0
+        low = (allowed & -allowed).bit_length() - 1
+        on_lines = map(int.bit_count, map(allowed.__and__, lines[start[low]:]))
+        return (k * (k - 1) - sum(map(twice_c2.__getitem__, on_lines))) // 2
+
+    def subsets(allowed: int, k: int) -> int:
+        """Nonattacking k-subsets of ``allowed`` (k >= 2), lowest square first."""
+        nonlocal nodes
+        if k == 2:
+            return pairs(allowed)
+        total = 0
         m = allowed
         while m:
             lsb = m & -m
-            i = lsb.bit_length() - 1
             m ^= lsb
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(nodes, budget, partial=total)
-            nxt = allowed & ok[i]
-            if nxt:
-                extend(nxt, depth + 1)
+            nodes += weight
+            rest = m & ok[lsb.bit_length() - 1]
+            if rest:
+                total += subsets(rest, k - 1)
+        return total
 
-    extend(full, 0)
-    return total
+    if q == 2:
+        return pairs(full)
+    total = 0
+    for s, weight in _orbits(symmetry_group(moves), n):
+        nodes += weight
+        total += weight * subsets(full & ~table.masks[s], q - 1)
+    if total % q:
+        raise RuntimeError(
+            f"orbit-weighted sum {total} for q={q}, n={n} is not divisible by q"
+        )
+    return total // q
 
 
 def count_labelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -111,29 +207,12 @@ def count_labelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGET)
     return math.factorial(q) * count_unlabelled(moves, q, n, budget=budget)
 
 
-def _line_runs(slope: Move, n: int) -> Iterator[int]:
-    """Lengths of the maximal board lines of the given slope."""
-    starts = []
-    for y in range(1, n + 1):
-        for x in range(1, n + 1):
-            px, py = x - slope.c, y - slope.d
-            if not (1 <= px <= n and 1 <= py <= n):
-                starts.append((x, y))
-    for x, y in starts:
-        length = 0
-        while 1 <= x <= n and 1 <= y <= n:
-            length += 1
-            x += slope.c
-            y += slope.d
-        yield length
-
-
 def alpha_pairs(slope: Move, n: int) -> int:
     """Ordered pairs of squares that attack each other along one slope
     (coincident pairs included): the sum of squared line lengths."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return sum(length * length for length in _line_runs(slope, n))
+    return sum(len(line) ** 2 for line in _board_lines(slope, n))
 
 
 def beta_triples(slope: Move, n: int) -> int:
@@ -141,7 +220,7 @@ def beta_triples(slope: Move, n: int) -> int:
     allowed): the sum of cubed line lengths."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return sum(length**3 for length in _line_runs(slope, n))
+    return sum(len(line) ** 3 for line in _board_lines(slope, n))
 
 
 @dataclass(frozen=True)
@@ -352,12 +431,11 @@ def sequence(
 ) -> list[CountRecord]:
     """Oracle counts for each n in [n_lo, n_hi], cache-aware and deterministic.
 
-    Budget errors propagate with the last completed board size attached.
+    A budget error propagates with the records completed before it attached.
     """
     if n_lo > n_hi:
         raise ValueError("empty range")
     records = []
-    last_completed = None
     for n in range(n_lo, n_hi + 1):
         cached = cache.get(moves, q, n) if cache is not None else None
         if cached is not None:
@@ -366,12 +444,8 @@ def sequence(
             try:
                 value = count_unlabelled(moves, q, n, budget=budget)
             except BudgetExceededError as err:
-                raise BudgetExceededError(
-                    err.nodes, err.budget, partial=err.partial,
-                    last_completed_n=last_completed,
-                ) from err
+                raise BudgetExceededError(err.nodes, err.budget, tuple(records)) from err
             if cache is not None:
                 cache.put(CountRecord(moves, q, n, value))
         records.append(CountRecord(moves, q, n, value))
-        last_completed = n
     return records

@@ -46,6 +46,36 @@ def test_count_budget_exceeded_flags_partial(capsys):
     assert "partial" in out
 
 
+def test_count_budget_partial_rows_are_computed_once(capsys, monkeypatch):
+    from qqueens import enumerator
+    from qqueens.core import PartialQueenSpec, partial_queen
+
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    computed = []
+    real = enumerator.count_unlabelled
+
+    def counting(moves, q, n, budget=enumerator.DEFAULT_BUDGET):
+        computed.append(n)
+        return real(moves, q, n, budget=budget)
+
+    monkeypatch.setattr(enumerator, "count_unlabelled", counting)
+    code, out, err = run_cli(
+        capsys, "count", "--piece", "2,2", "--q", "3", "--n", "2..12",
+        "--budget", "4000", "--format", "json",
+    )
+    assert code == 3
+    rows = json.loads(out)
+    last = int(rows[-1]["n"])
+    assert f"last completed board size n={last}" in err
+    queen = partial_queen(PartialQueenSpec(2, 2))
+    assert rows == [
+        {"n": str(n), "count": str(real(queen, 3, n)), "status": "partial"}
+        for n in range(2, last + 1)
+    ]
+    # each size is searched once; the size that ran out of budget is the last
+    assert computed == list(range(2, last + 2))
+
+
 def test_fit_queen_three_pieces_json(capsys):
     code, out, _ = run_cli(
         capsys, "fit", "--piece", "2,2", "--q", "3", "--n", "1..17", "--format", "json"

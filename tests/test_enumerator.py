@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from qqueens.enumerator import (
     count_unlabelled,
     pattern,
     sequence,
+    symmetry_group,
 )
 
 QUEEN = partial_queen(PartialQueenSpec(2, 2))
@@ -53,9 +56,49 @@ def test_count_examples():
 def test_counts_match_naive_oracle():
     for spec in ALL_PIECE_SPECS:
         moves = partial_queen(spec)
-        for q in (2, 3):
-            for n in (1, 2, 3, 4):
+        for q in (2, 3, 4):
+            for n in (1, 2, 3, 4, 5):
                 assert count_unlabelled(moves, q, n) == naive_count_unlabelled(moves, q, n)
+
+
+NIGHTRIDER = MoveSet.from_pairs([(1, 2), (2, 1), (1, -2), (2, -1)])
+LOPSIDED_RIDERS = (MoveSet.from_pairs([(1, 2)]), MoveSet.from_pairs([(1, 0), (1, 2)]))
+
+
+def test_symmetry_group_computed_from_moves():
+    orders = {spec: len(symmetry_group(partial_queen(spec))) for spec in ALL_PIECE_SPECS}
+    assert orders == {
+        PartialQueenSpec(2, 2): 8, PartialQueenSpec(2, 0): 8, PartialQueenSpec(0, 2): 8,
+        PartialQueenSpec(1, 0): 4, PartialQueenSpec(0, 1): 4,
+        PartialQueenSpec(2, 1): 4, PartialQueenSpec(1, 2): 4,
+        PartialQueenSpec(1, 1): 2,
+    }
+    assert len(symmetry_group(NIGHTRIDER)) == 8
+    assert [len(symmetry_group(m)) for m in LOPSIDED_RIDERS] == [2, 2]
+
+
+def test_count_non_unit_slope_piece():
+    for moves in (NIGHTRIDER, *LOPSIDED_RIDERS):
+        for q in (2, 3, 4):
+            for n in (1, 2, 3, 4, 5):
+                assert count_unlabelled(moves, q, n) == naive_count_unlabelled(moves, q, n)
+
+
+# every basic move with |c|, |d| <= 3, once per slope
+CANONICAL_MOVES = [
+    Move(c, d) for c in range(4) for d in range(-3, 4)
+    if math.gcd(c, d) == 1 and (c > 0 or d == 1)
+]
+
+
+@given(
+    st.lists(st.sampled_from(CANONICAL_MOVES), min_size=1, max_size=3, unique=True),
+    st.integers(2, 3),
+    st.integers(1, 4),
+)
+def test_random_rider_counts_match_naive_oracle(moves, q, n):
+    rider = MoveSet(tuple(moves))
+    assert count_unlabelled(rider, q, n) == naive_count_unlabelled(rider, q, n)
 
 
 def test_count_labelled_matches_naive_permutation_count():
@@ -66,17 +109,24 @@ def test_count_labelled_matches_naive_permutation_count():
             assert count_labelled(moves, 3, n) == naive_count_labelled(moves, 3, n)
 
 
-def test_count_non_unit_slope_piece():
-    nightrider = MoveSet.from_pairs([(1, 2), (2, 1), (1, -2), (2, -1)])
-    for n in (3, 4):
-        assert count_unlabelled(nightrider, 2, n) == naive_count_unlabelled(nightrider, 2, n)
-
-
 def test_monotone_in_board_size():
     for spec in ALL_PIECE_SPECS:
         moves = partial_queen(spec)
         values = [count_unlabelled(moves, 3, n) for n in range(0, 9)]
         assert values == sorted(values)
+
+
+def test_budget_applies_per_board_size():
+    # a complete count of 3 pieces visits n^2 first squares and 2 u(2; n) marked pairs
+    nodes = {n: n * n + 2 * count_unlabelled(QUEEN, 2, n) for n in range(1, 13)}
+    largest = max(nodes.values())
+    assert largest == nodes[12] < sum(nodes.values())
+    records = sequence(QUEEN, 3, 1, 12, budget=largest)
+    assert [r.n for r in records] == list(range(1, 13))
+    with pytest.raises(BudgetExceededError) as exc:
+        sequence(QUEEN, 3, 1, 12, budget=largest - 1)
+    assert exc.value.last_completed_n == 11
+    assert exc.value.completed == tuple(records[:11])
 
 
 def test_budget_error_carries_progress():
