@@ -12,10 +12,8 @@ from .core import (
     Move,
     MoveSet,
     PartialQueenSpec,
-    Placement,
     Square,
     attacks,
-    chat_dhat,
     partial_queen,
 )
 from .enumerator import (
@@ -46,5 +44,3 @@ from .quasipoly import (
     fit,
 )
 from .cache import CountCache
-
-__all__ = [name for name in dir() if not name.startswith("_")]

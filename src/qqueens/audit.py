@@ -38,6 +38,7 @@ from .enumerator import (
     ConstraintPattern,
     Equal,
     count_pattern,
+    pattern,
     sequence,
 )
 from .formulas import alpha_closed, beta_closed, falling, table2_row
@@ -144,10 +145,6 @@ def _col(i: int, j: int, m: Move) -> Collinear:
     return Collinear(i, j, m)
 
 
-def _pat(kappa: int, *constraints) -> ConstraintPattern:
-    return ConstraintPattern(kappa, tuple(constraints))
-
-
 def _slope_label(m: Move) -> str:
     return f"{m.d}/{m.c}"
 
@@ -161,7 +158,7 @@ def _build_u2_1(h: int, k: int) -> tuple[Subcase, ...]:
     return tuple(
         Subcase(
             f"slope {_slope_label(m)}",
-            (_pat(2, _col(1, 2, m)),),
+            (pattern(2, _col(1, 2, m)),),
             _alpha_qp(m),
         )
         for m in piece_moves(h, k)
@@ -169,14 +166,14 @@ def _build_u2_1(h: int, k: int) -> tuple[Subcase, ...]:
 
 
 def _build_u2_2(h: int, k: int) -> tuple[Subcase, ...]:
-    return (Subcase("coincident pair", (_pat(2, Equal(1, 2)),), _qp([0, 0, 1])),)
+    return (Subcase("coincident pair", (pattern(2, Equal(1, 2)),), _qp([0, 0, 1])),)
 
 
 def _build_u3a_2(h: int, k: int) -> tuple[Subcase, ...]:
     return tuple(
         Subcase(
             f"slope {_slope_label(m)}",
-            (_pat(3, _col(1, 2, m), _col(2, 3, m)),),
+            (pattern(3, _col(1, 2, m), _col(2, 3, m)),),
             beta_closed(m),
         )
         for m in piece_moves(h, k)
@@ -189,16 +186,16 @@ def _u3b2_pair_subcase(a: Move, b: Move, pieces: tuple[int, int, int], kappa: in
     orths = (H, V)
     a_orth, b_orth = a in orths, b in orths
     if a_orth and b_orth:
-        return Subcase("VH", (_pat(kappa, _col(i, j, V), _col(j, l, H)),), _qp([0, 0, 0, 0, 1]))
+        return Subcase("VH", (pattern(kappa, _col(i, j, V), _col(j, l, H)),), _qp([0, 0, 0, 0, 1]))
     if a_orth != b_orth:
         d = b if a_orth else a
         o = a if a_orth else b
         return Subcase(
             f"DV {_slope_label(d)},{_slope_label(o)}",
-            (_pat(kappa, _col(i, j, d), _col(j, l, o)),),
+            (pattern(kappa, _col(i, j, d), _col(j, l, o)),),
             _DV3,
         )
-    return Subcase("DD", (_pat(kappa, _col(i, j, DU), _col(j, l, DD)),), _DD3)
+    return Subcase("DD", (pattern(kappa, _col(i, j, DU), _col(j, l, DD)),), _DD3)
 
 
 def _build_u3b_2(h: int, k: int) -> tuple[Subcase, ...]:
@@ -214,7 +211,7 @@ def _build_u4star_2(h: int, k: int) -> tuple[Subcase, ...]:
     return tuple(
         Subcase(
             f"slopes {_slope_label(a)},{_slope_label(b)}",
-            (_pat(4, _col(1, 2, a), _col(3, 4, b)),),
+            (pattern(4, _col(1, 2, a), _col(3, 4, b)),),
             _alpha_qp(a) * _alpha_qp(b),
         )
         for a, b in itertools.product(moves, moves)
@@ -230,8 +227,8 @@ def _build_u3a_3(h: int, k: int) -> tuple[Subcase, ...]:
                 Subcase(
                     f"tri1 {_slope_label(d)}",
                     (
-                        _pat(3, _col(1, 2, d), _col(1, 3, V), _col(2, 3, H)),
-                        _pat(3, _col(1, 2, d), _col(1, 3, H), _col(2, 3, V)),
+                        pattern(3, _col(1, 2, d), _col(1, 3, V), _col(2, 3, H)),
+                        pattern(3, _col(1, 2, d), _col(1, 3, H), _col(2, 3, V)),
                     ),
                     _qp([0, F(2, 3), 0, F(4, 3)]),
                 )
@@ -243,8 +240,8 @@ def _build_u3a_3(h: int, k: int) -> tuple[Subcase, ...]:
                 Subcase(
                     f"tri2 {_slope_label(o)}",
                     (
-                        _pat(3, _col(1, 2, o), _col(1, 3, DU), _col(2, 3, DD)),
-                        _pat(3, _col(1, 2, o), _col(1, 3, DD), _col(2, 3, DU)),
+                        pattern(3, _col(1, 2, o), _col(1, 3, DU), _col(2, 3, DD)),
+                        pattern(3, _col(1, 2, o), _col(1, 3, DD), _col(2, 3, DU)),
                     ),
                     _qp_parity([0, F(11, 12), 0, F(5, 6)], [0, F(-1, 4)]),
                 )
@@ -256,7 +253,7 @@ def _build_u3b_3(h: int, k: int) -> tuple[Subcase, ...]:
     return tuple(
         Subcase(
             f"slope {_slope_label(m)}",
-            (_pat(3, Equal(1, 2), _col(2, 3, m)),),
+            (pattern(3, Equal(1, 2), _col(2, 3, m)),),
             _alpha_qp(m),
         )
         for m in piece_moves(h, k)
@@ -273,7 +270,7 @@ def _build_u4a_3(h: int, k: int) -> tuple[Subcase, ...]:
         out.append(
             Subcase(
                 f"slope {_slope_label(m)}",
-                (_pat(4, _col(1, 2, m), _col(2, 3, m), _col(3, 4, m)),),
+                (pattern(4, _col(1, 2, m), _col(2, 3, m), _col(3, 4, m)),),
                 closed,
             )
         )
@@ -287,8 +284,8 @@ def _build_u4b_3(h: int, k: int) -> tuple[Subcase, ...]:
             Subcase(
                 "VH",
                 (
-                    _pat(4, _col(1, 2, V), _col(2, 3, V), _col(3, 4, H)),
-                    _pat(4, _col(1, 2, H), _col(2, 3, H), _col(3, 4, V)),
+                    pattern(4, _col(1, 2, V), _col(2, 3, V), _col(3, 4, H)),
+                    pattern(4, _col(1, 2, H), _col(2, 3, H), _col(3, 4, V)),
                 ),
                 _qp([0, 0, 0, 0, 0, 2]),
             )
@@ -301,8 +298,8 @@ def _build_u4b_3(h: int, k: int) -> tuple[Subcase, ...]:
                 Subcase(
                     f"DV {_slope_label(d)},{_slope_label(o)}",
                     (
-                        _pat(4, _col(1, 2, d), _col(2, 3, d), _col(3, 4, o)),
-                        _pat(4, _col(1, 2, o), _col(2, 3, o), _col(3, 4, d)),
+                        pattern(4, _col(1, 2, d), _col(2, 3, d), _col(3, 4, o)),
+                        pattern(4, _col(1, 2, o), _col(2, 3, o), _col(3, 4, d)),
                     ),
                     _qp([0, 0, 0, F(5, 6), 0, F(7, 6)]),
                 )
@@ -313,8 +310,8 @@ def _build_u4b_3(h: int, k: int) -> tuple[Subcase, ...]:
             Subcase(
                 "DD",
                 (
-                    _pat(4, _col(1, 2, DU), _col(2, 3, DU), _col(3, 4, DD)),
-                    _pat(4, _col(1, 2, DD), _col(2, 3, DD), _col(3, 4, DU)),
+                    pattern(4, _col(1, 2, DU), _col(2, 3, DU), _col(3, 4, DD)),
+                    pattern(4, _col(1, 2, DD), _col(2, 3, DD), _col(3, 4, DU)),
                 ),
                 _qp_parity([0, F(7, 30), 0, F(2, 3), 0, F(3, 5)], [0, F(-1, 2)]),
             )
@@ -329,8 +326,8 @@ def _build_u4c_3(h: int, k: int) -> tuple[Subcase, ...]:
             Subcase(
                 "VHV",
                 (
-                    _pat(4, _col(1, 2, V), _col(2, 3, H), _col(3, 4, V)),
-                    _pat(4, _col(1, 2, H), _col(2, 3, V), _col(3, 4, H)),
+                    pattern(4, _col(1, 2, V), _col(2, 3, H), _col(3, 4, V)),
+                    pattern(4, _col(1, 2, H), _col(2, 3, V), _col(3, 4, H)),
                 ),
                 _qp([0, 0, 0, 0, 0, 2]),
             )
@@ -340,14 +337,14 @@ def _build_u4c_3(h: int, k: int) -> tuple[Subcase, ...]:
             out.append(
                 Subcase(
                     f"DHD {_slope_label(d)},{_slope_label(o)}",
-                    (_pat(4, _col(1, 2, d), _col(2, 3, o), _col(3, 4, d)),),
+                    (pattern(4, _col(1, 2, d), _col(2, 3, o), _col(3, 4, d)),),
                     _qp([0, F(2, 15), 0, F(5, 12), 0, F(9, 20)]),
                 )
             )
             out.append(
                 Subcase(
                     f"HDH {_slope_label(o)},{_slope_label(d)}",
-                    (_pat(4, _col(1, 2, o), _col(2, 3, d), _col(3, 4, o)),),
+                    (pattern(4, _col(1, 2, o), _col(2, 3, d), _col(3, 4, o)),),
                     _qp([0, 0, 0, F(1, 3), 0, F(2, 3)]),
                 )
             )
@@ -356,8 +353,8 @@ def _build_u4c_3(h: int, k: int) -> tuple[Subcase, ...]:
             Subcase(
                 "DDD",
                 (
-                    _pat(4, _col(1, 2, DU), _col(2, 3, DD), _col(3, 4, DU)),
-                    _pat(4, _col(1, 2, DD), _col(2, 3, DU), _col(3, 4, DD)),
+                    pattern(4, _col(1, 2, DU), _col(2, 3, DD), _col(3, 4, DU)),
+                    pattern(4, _col(1, 2, DD), _col(2, 3, DU), _col(3, 4, DD)),
                 ),
                 _qp([0, F(4, 5), 0, F(2, 3), 0, F(8, 15)]),
             )
@@ -372,7 +369,7 @@ def _build_u4d_3(h: int, k: int) -> tuple[Subcase, ...]:
             out.append(
                 Subcase(
                     f"HDV {_slope_label(d)}",
-                    (_pat(4, _col(1, 2, H), _col(2, 3, d), _col(3, 4, V)),),
+                    (pattern(4, _col(1, 2, H), _col(2, 3, d), _col(3, 4, V)),),
                     _qp([0, 0, 0, F(1, 3), 0, F(2, 3)]),
                 )
             )
@@ -380,8 +377,8 @@ def _build_u4d_3(h: int, k: int) -> tuple[Subcase, ...]:
                 Subcase(
                     f"VHD {_slope_label(d)}",
                     (
-                        _pat(4, _col(1, 2, V), _col(2, 3, H), _col(3, 4, d)),
-                        _pat(4, _col(1, 2, H), _col(2, 3, V), _col(3, 4, d)),
+                        pattern(4, _col(1, 2, V), _col(2, 3, H), _col(3, 4, d)),
+                        pattern(4, _col(1, 2, H), _col(2, 3, V), _col(3, 4, d)),
                     ),
                     _qp([0, 0, 0, F(2, 3), 0, F(4, 3)]),
                 )
@@ -391,7 +388,7 @@ def _build_u4d_3(h: int, k: int) -> tuple[Subcase, ...]:
             out.append(
                 Subcase(
                     f"DHD {_slope_label(o)}",
-                    (_pat(4, _col(1, 2, DU), _col(2, 3, o), _col(3, 4, DD)),),
+                    (pattern(4, _col(1, 2, DU), _col(2, 3, o), _col(3, 4, DD)),),
                     _qp([0, F(2, 15), 0, F(5, 12), 0, F(9, 20)]),
                 )
             )
@@ -399,8 +396,8 @@ def _build_u4d_3(h: int, k: int) -> tuple[Subcase, ...]:
                 Subcase(
                     f"DDV {_slope_label(o)}",
                     (
-                        _pat(4, _col(1, 2, DU), _col(2, 3, DD), _col(3, 4, o)),
-                        _pat(4, _col(1, 2, DD), _col(2, 3, DU), _col(3, 4, o)),
+                        pattern(4, _col(1, 2, DU), _col(2, 3, DD), _col(3, 4, o)),
+                        pattern(4, _col(1, 2, DD), _col(2, 3, DU), _col(3, 4, o)),
                     ),
                     _qp_parity([0, F(1, 4), 0, F(2, 3), 0, F(5, 6)], [0, F(-1, 4)]),
                 )
@@ -415,7 +412,7 @@ def _build_u4e_3(h: int, k: int) -> tuple[Subcase, ...]:
             out.append(
                 Subcase(
                     f"diagonal pair + {_slope_label(o)}",
-                    (_pat(4, _col(1, 2, DU), _col(1, 3, DD), _col(1, 4, o)),),
+                    (pattern(4, _col(1, 2, DU), _col(1, 3, DD), _col(1, 4, o)),),
                     _qp_parity([0, F(1, 8), 0, F(1, 3), 0, F(5, 12)], [0, F(-1, 8)]),
                 )
             )
@@ -424,7 +421,7 @@ def _build_u4e_3(h: int, k: int) -> tuple[Subcase, ...]:
             out.append(
                 Subcase(
                     f"orthogonal pair + {_slope_label(d)}",
-                    (_pat(4, _col(1, 2, V), _col(1, 3, H), _col(1, 4, d)),),
+                    (pattern(4, _col(1, 2, V), _col(1, 3, H), _col(1, 4, d)),),
                     _qp([0, 0, 0, F(1, 3), 0, F(2, 3)]),
                 )
             )
@@ -435,7 +432,7 @@ def _build_u4star_3(h: int, k: int) -> tuple[Subcase, ...]:
     return tuple(
         Subcase(
             f"slope {_slope_label(m)} x coincident pair",
-            (_pat(4, _col(1, 2, m), Equal(3, 4)),),
+            (pattern(4, _col(1, 2, m), Equal(3, 4)),),
             _alpha_qp(m) * _qp([0, 0, 1]),
         )
         for m in piece_moves(h, k)
@@ -447,7 +444,7 @@ def _build_u5star_a(h: int, k: int) -> tuple[Subcase, ...]:
     return tuple(
         Subcase(
             f"pair {_slope_label(s)} x triple {_slope_label(t)}",
-            (_pat(5, _col(1, 2, s), _col(3, 4, t), _col(4, 5, t)),),
+            (pattern(5, _col(1, 2, s), _col(3, 4, t), _col(4, 5, t)),),
             _alpha_qp(s) * beta_closed(t),
         )
         for s, t in itertools.product(moves, moves)
@@ -478,7 +475,7 @@ def _build_u6star(h: int, k: int) -> tuple[Subcase, ...]:
     return tuple(
         Subcase(
             f"slopes {_slope_label(a)},{_slope_label(b)},{_slope_label(c)}",
-            (_pat(6, _col(1, 2, a), _col(3, 4, b), _col(5, 6, c)),),
+            (pattern(6, _col(1, 2, a), _col(3, 4, b), _col(5, 6, c)),),
             _alpha_qp(a) * _alpha_qp(b) * _alpha_qp(c),
         )
         for a, b, c in itertools.product(moves, moves, moves)
@@ -487,7 +484,7 @@ def _build_u6star(h: int, k: int) -> tuple[Subcase, ...]:
 
 def _build_u3_4(h: int, k: int) -> tuple[Subcase, ...]:
     return (
-        Subcase("coincident triple", (_pat(3, Equal(1, 2), Equal(2, 3)),), _qp([0, 0, 1])),
+        Subcase("coincident triple", (pattern(3, Equal(1, 2), Equal(2, 3)),), _qp([0, 0, 1])),
     )
 
 

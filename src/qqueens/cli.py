@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cache import ENV_VAR, CountCache
-from .core import MoveSet, PartialQueenSpec, partial_queen
+from .core import ALL_PIECE_SPECS, MoveSet, PartialQueenSpec, partial_queen
 from .enumerator import DEFAULT_BUDGET, BudgetExceededError, sequence
 from .quasipoly import (
     InconsistentSamplesError,
@@ -34,13 +34,13 @@ from .quasipoly import (
     fit,
     format_fraction,
 )
-from . import audit as audit_mod
 from . import formulas as fm
 from .reports import (
     VERIFY_SCOPES,
     formula_bank_rows,
     render,
     run_verify,
+    suite_audit,
 )
 
 EXIT_OK = 0
@@ -254,19 +254,8 @@ def cmd_verify(config: RunConfig, n_max: Optional[int], out) -> int:
 
 
 def cmd_audit(config: RunConfig, out) -> int:
-    pieces = (config.piece,) if config.piece is not None else None
-    from .core import ALL_PIECE_SPECS
-
-    specs = pieces or ALL_PIECE_SPECS
-    n_lo = config.n_lo
-    n_hi = config.n_hi
-    records = []
-    for case in audit_mod.case_catalog():
-        for spec in specs:
-            if not case.applicable(spec.h, spec.k):
-                continue
-            for n in range(max(1, n_lo), n_hi + 1):
-                records.append(audit_mod.audit_case(case, spec.h, spec.k, n))
+    pieces = (config.piece,) if config.piece is not None else ALL_PIECE_SPECS
+    _, records = suite_audit(max(1, config.n_lo), config.n_hi, pieces)
     rows = [
         (r.case, r.h, r.k, r.n, r.brute, format_fraction(r.closed), r.match)
         for r in records

@@ -45,12 +45,6 @@ class Move:
         return cls(c, d)
 
 
-def chat_dhat(m: Move) -> tuple[int, int]:
-    """Return ``(min(|c|, |d|), max(|c|, |d|))`` for a move."""
-    a, b = abs(m.c), abs(m.d)
-    return (min(a, b), max(a, b))
-
-
 HORIZONTAL = Move(1, 0)
 VERTICAL = Move(0, 1)
 DIAGONAL_UP = Move(1, 1)
@@ -154,24 +148,6 @@ class Square(NamedTuple):
 
     x: int
     y: int
-
-    def on_board(self, n: int) -> bool:
-        return 1 <= self.x <= n and 1 <= self.y <= n
-
-
-@dataclass(frozen=True)
-class Placement:
-    """Labelled pieces on a board: square i holds piece i+1."""
-
-    squares: tuple[Square, ...]
-    board_size: int
-
-    def __post_init__(self) -> None:
-        if len(self.squares) < 1:
-            raise ValueError("placement needs at least one piece")
-        for s in self.squares:
-            if not s.on_board(self.board_size):
-                raise ValueError(f"square {s} is off the {self.board_size}x{self.board_size} board")
 
 
 def is_multiple(dx: int, dy: int, m: Move) -> bool:

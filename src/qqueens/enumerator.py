@@ -1,4 +1,6 @@
-"""The ground-truth oracle: exhaustive placement and lattice-point counters.
+"""The ground-truth counters: nonattacking placements by exhaustive search,
+and the lattice points of constraint patterns by folding per-square tables
+(see ``count_pattern``).
 
 Everything here is exact integer counting.  ``count_unlabelled`` rests on two
 identities.
@@ -23,10 +25,11 @@ index order and pruned with per-square attack bitsets.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
-from .core import Move, MoveSet, is_multiple
+from .core import Move, MoveSet
 
 DEFAULT_BUDGET = 10**9
 
@@ -276,139 +279,65 @@ def pattern(piece_count: int, *constraints: Constraint) -> ConstraintPattern:
     return ConstraintPattern(piece_count, tuple(constraints))
 
 
-def _line_count_through(x: int, y: int, slope: Move, n: int) -> int:
-    """Number of board points of the form (x, y) + t*slope, t any integer."""
-    lo, hi = None, None
-
-    def clamp(p: int, step: int) -> tuple[Optional[int], Optional[int]]:
-        if step == 0:
-            return None, None
-        a, b = 1 - p, n - p
-        if step > 0:
-            return -((-a) // step), b // step
-        return -((-b) // step), a // step
-
-    for p, step in ((x, slope.c), (y, slope.d)):
-        l, h = clamp(p, step)
-        if l is not None:
-            lo = l if lo is None else max(lo, l)
-            hi = h if hi is None else min(hi, h)
-    if lo is None:
-        raise ValueError("zero slope vector")
-    return max(0, hi - lo + 1)
-
-
-def _line_points_through(x: int, y: int, slope: Move, n: int) -> Iterator[tuple[int, int]]:
-    for sign in (1, -1):
-        t = 0 if sign == 1 else -1
-        while True:
-            px, py = x + t * slope.c, y + t * slope.d
-            if not (1 <= px <= n and 1 <= py <= n):
-                break
-            yield (px, py)
-            t += sign
-
-
 def count_pattern(pat: ConstraintPattern, n: int) -> int:
     """Exact number of ordered tuples of board squares satisfying the pattern.
 
-    Constraint components are enumerated independently and the component
-    counts multiplied; inside a component each piece after the first is
-    generated from one constraint to an already-placed piece and filtered
-    by the others, and a final single-constraint piece is counted
-    arithmetically instead of enumerated.
+    Each piece carries a table over the n^2 squares, all ones at the start:
+    the number of ways to place the pieces folded into it so far, given the
+    square it stands on.  Pieces are taken fewest constraints first.  One
+    with no constraint left multiplies the total by the sum of its table.
+    One with a single constraint left folds its table into the other piece:
+    an ``Equal`` passes the table on unchanged, a ``Collinear`` gives each
+    square the sum of the table over that square's line of the slope.  One
+    with two or more (only cycles and repeated pairs leave such a piece) is
+    fixed on each square in turn; carrying a one-hot table across each of
+    its constraints restricts its neighbours, and the rest is folded the
+    same way.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return 0
-    edges: dict[int, list[Constraint]] = {i: [] for i in range(1, pat.piece_count + 1)}
-    for c in pat.constraints:
-        edges[c.i].append(c)
-        edges[c.j].append(c)
+    lines = {
+        c.slope: list(_board_lines(c.slope, n)) for c in pat.constraints if isinstance(c, Collinear)
+    }
 
-    seen: set[int] = set()
-    total = 1
-    for root in range(1, pat.piece_count + 1):
-        if root in seen:
-            continue
-        order: list[int] = [root]
-        seen.add(root)
-        frontier = [root]
-        while frontier:
-            cur = frontier.pop(0)
-            for c in edges[cur]:
-                other = c.j if c.i == cur else c.i
-                if other not in seen:
-                    seen.add(other)
-                    order.append(other)
-                    frontier.append(other)
-        total *= _count_component(order, edges, n)
-        if total == 0:
-            return 0
-    return total
+    def carry(table: list[int], piece: int, c: Constraint, tables: dict[int, list[int]]) -> None:
+        """Multiply the table of the piece at c's other end by ``table`` carried across c."""
+        if isinstance(c, Collinear):
+            on_lines = [0] * len(table)
+            for line in lines[c.slope]:
+                on_line = sum(table[i] for i in line)
+                for i in line:
+                    on_lines[i] = on_line
+            table = on_lines
+        other = c.i + c.j - piece
+        tables[other] = list(map(operator.mul, tables[other], table))
 
-
-def _count_component(order: list[int], edges: dict[int, list[Constraint]], n: int) -> int:
-    placed_rank = {p: r for r, p in enumerate(order)}
-
-    def back_constraints(piece: int) -> list[tuple[Constraint, int]]:
-        out = []
-        for c in edges[piece]:
-            other = c.j if c.i == piece else c.i
-            if other in placed_rank and placed_rank[other] < placed_rank[piece]:
-                out.append((c, other))
-        return out
-
-    backs = {p: back_constraints(p) for p in order}
-
-    def satisfies(c: Constraint, pos_new: tuple[int, int], pos_old: tuple[int, int]) -> bool:
-        dx, dy = pos_new[0] - pos_old[0], pos_new[1] - pos_old[1]
-        if isinstance(c, Equal):
-            return (dx, dy) == (0, 0)
-        return is_multiple(dx, dy, c.slope)
-
-    count = 0
-    positions: dict[int, tuple[int, int]] = {}
-    last = order[-1]
-
-    def place(rank: int) -> None:
-        nonlocal count
-        piece = order[rank]
-        cons = backs[piece]
-        if rank == 0:
-            if len(order) == 1:
-                count += n * n
-                return
-            for x in range(1, n + 1):
-                for y in range(1, n + 1):
-                    positions[piece] = (x, y)
-                    place(1)
-            return
-        anchor_c, anchor = cons[0]
-        ax, ay = positions[anchor]
-        if piece == last and len(cons) == 1:
-            if isinstance(anchor_c, Equal):
-                count += 1
+    def fold(tables: dict[int, list[int]], constraints: list[Constraint]) -> int:
+        total = 1
+        while tables:
+            piece = min(tables, key=lambda p: sum(p in (c.i, c.j) for c in constraints))
+            own = [c for c in constraints if piece in (c.i, c.j)]
+            constraints = [c for c in constraints if piece not in (c.i, c.j)]
+            table = tables.pop(piece)
+            if not own:
+                total *= sum(table)
+            elif len(own) == 1:
+                carry(table, piece, own[0], tables)
             else:
-                count += _line_count_through(ax, ay, anchor_c.slope, n)
-            return
-        if isinstance(anchor_c, Equal):
-            candidates: Iterable[tuple[int, int]] = ((ax, ay),)
-        else:
-            candidates = _line_points_through(ax, ay, anchor_c.slope, n)
-        rest = cons[1:]
-        for pos in candidates:
-            if all(satisfies(c, pos, positions[other]) for c, other in rest):
-                positions[piece] = pos
-                if rank + 1 == len(order):
-                    count += 1
-                else:
-                    place(rank + 1)
-        return
+                fixed = 0
+                for s, ways in enumerate(table):
+                    if not ways:
+                        continue
+                    one_hot = [0] * len(table)
+                    one_hot[s] = 1
+                    rest = dict(tables)
+                    for c in own:
+                        carry(one_hot, piece, c, rest)
+                    fixed += ways * fold(rest, constraints)
+                return total * fixed
+        return total
 
-    place(0)
-    return count
+    return fold({p: [1] * (n * n) for p in range(1, pat.piece_count + 1)}, list(pat.constraints))
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,7 @@ def suite_attacklines(n_max: int = 50) -> list[ClaimResult]:
     return out
 
 
-def suite_tables(n_max: int = 8, cache=None) -> list[ClaimResult]:
+def suite_tables(n_max: int = 8) -> list[ClaimResult]:
     """Two- and three-piece closed forms vs the oracle, coefficient-table
     coherence, and type counts."""
     out = []
@@ -195,10 +195,10 @@ def suite_coeffs() -> list[ClaimResult]:
                 for i in (1, 2, 3)
             )
             out.append(ClaimResult(f"gamma1..3 equal q={q} closed-form coefficients ({h},{k})", ok))
-        total = audit_mod._qp_zero()
-        for nu in range(4):
-            total = total + fm.codim_contribution(h, k, 3, nu)
-        total = total + fm.coincident_triple_contribution(h, k, 3)
+        total = sum(
+            (fm.codim_contribution(h, k, 3, nu) for nu in range(4)),
+            fm.coincident_triple_contribution(h, k, 3),
+        )
         out.append(
             ClaimResult(
                 f"codimension contributions reassemble the three-piece form ({h},{k})",
@@ -220,8 +220,11 @@ def suite_coeffs() -> list[ClaimResult]:
     return out
 
 
-def suite_audit(n_max: int = 10, pieces=ALL_PIECE_SPECS) -> tuple[list[ClaimResult], list[audit_mod.AuditResult]]:
-    """Every catalog case against brute force for every applicable piece."""
+def suite_audit(
+    n_lo: int, n_hi: int, pieces=ALL_PIECE_SPECS
+) -> tuple[list[ClaimResult], list[audit_mod.AuditResult]]:
+    """Every catalog case against brute force for every applicable piece,
+    on each board size n_lo..n_hi (n_lo >= 1)."""
     claims = []
     records = []
     for case in audit_mod.case_catalog():
@@ -230,15 +233,15 @@ def suite_audit(n_max: int = 10, pieces=ALL_PIECE_SPECS) -> tuple[list[ClaimResu
             if not case.applicable(h, k):
                 continue
             ok = True
-            for n in range(1, n_max + 1):
+            for n in range(n_lo, n_hi + 1):
                 res = audit_mod.audit_case(case, h, k, n)
                 records.append(res)
                 ok = ok and res.match
-            claims.append(ClaimResult(f"case {case.name} ({h},{k}) n<=%d" % n_max, ok))
+            claims.append(ClaimResult(f"case {case.name} ({h},{k}) n<=%d" % n_hi, ok))
     return claims, records
 
 
-def suite_assembly(n_max: int = 8, cache=None) -> list[ClaimResult]:
+def suite_assembly(n_max: int = 8) -> list[ClaimResult]:
     """Catalog assembly equals q! times the oracle for q <= 3."""
     out = []
     for spec in ALL_PIECE_SPECS:
@@ -305,15 +308,13 @@ def run_verify(scope: str, n_max: Optional[int] = None, cache=None) -> tuple[lis
     """Dispatch a verify scope; returns claims plus any auxiliary report."""
     aux: dict = {}
     if scope == "tables":
-        return suite_tables(n_max or 8, cache=cache), aux
+        return suite_tables(n_max or 8), aux
     if scope == "coeffs":
         return suite_coeffs(), aux
     if scope == "audit":
-        claims, records = suite_audit(n_max or 10)
-        aux["records"] = records
-        return claims, aux
+        return suite_audit(1, n_max or 10)[0], aux
     if scope == "assembly":
-        return suite_assembly(n_max or 8, cache=cache), aux
+        return suite_assembly(n_max or 8), aux
     if scope == "types":
         return suite_types(n_max or 17, cache=cache), aux
     if scope == "gamma5-sign":
@@ -325,11 +326,10 @@ def run_verify(scope: str, n_max: Optional[int] = None, cache=None) -> tuple[lis
     if scope == "all":
         claims: list[ClaimResult] = []
         claims += suite_attacklines(n_max or 50)
-        claims += suite_tables(n_max or 8, cache=cache)
+        claims += suite_tables(n_max or 8)
         claims += suite_coeffs()
-        audit_claims, _ = suite_audit(n_max or 10)
-        claims += audit_claims
-        claims += suite_assembly(min(n_max or 8, 8), cache=cache)
+        claims += suite_audit(1, n_max or 10)[0]
+        claims += suite_assembly(min(n_max or 8, 8))
         claims += suite_types(cache=cache)
         sign_claims, report = suite_gamma5_sign()
         aux["report"] = report

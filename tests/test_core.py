@@ -6,10 +6,8 @@ from qqueens.core import (
     Move,
     MoveSet,
     PartialQueenSpec,
-    Placement,
     Square,
     attacks,
-    chat_dhat,
     partial_queen,
 )
 
@@ -35,12 +33,6 @@ def test_move_from_vector_canonicalizes():
     assert Move.from_vector(-1, 1) == Move(1, -1)
     assert Move.from_vector(0, -1) == Move(0, 1)
     assert Move.from_vector(1, 2) == Move(1, 2)
-
-
-def test_chat_dhat():
-    assert chat_dhat(Move(1, 0)) == (0, 1)
-    assert chat_dhat(Move(1, 1)) == (1, 1)
-    assert chat_dhat(Move(1, -2)) == (1, 2)
 
 
 def test_moveset_validation():
@@ -120,10 +112,3 @@ def test_queen_matches_classical_relation():
             for b in board:
                 assert attacks(queen, a, b) == classical_queen_attack(a, b)
 
-
-def test_placement_validation():
-    Placement((Square(1, 1), Square(2, 2)), 3)
-    with pytest.raises(ValueError):
-        Placement((), 3)
-    with pytest.raises(ValueError):
-        Placement((Square(4, 1),), 3)

@@ -192,6 +192,57 @@ def test_count_pattern_matches_naive():
             assert count_pattern(pat, n) == naive_count_pattern(pat, n)
 
 
+# The four queen slopes and two knight-like ones, for the differential tests.
+PATTERN_SLOPES = (Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1), Move(1, 2), Move(2, -1))
+
+
+@st.composite
+def constraint_patterns(draw):
+    """2 to 5 pieces under 1 to 6 constraints; cycles, repeated pairs and
+    unconstrained pieces all occur."""
+    pieces = draw(st.integers(2, 5))
+    pair = st.lists(st.integers(1, pieces), min_size=2, max_size=2, unique=True).map(sorted)
+    constraint = st.one_of(
+        pair.map(lambda ij: Equal(*ij)),
+        st.builds(lambda ij, slope: Collinear(*ij, slope), pair, st.sampled_from(PATTERN_SLOPES)),
+    )
+    return pattern(pieces, *draw(st.lists(constraint, min_size=1, max_size=6)))
+
+
+@given(constraint_patterns(), st.integers(0, 4))
+@settings(max_examples=100, deadline=None)
+def test_count_pattern_matches_naive_on_random_patterns(pat, n):
+    assert count_pattern(pat, n) == naive_count_pattern(pat, n)
+
+
+def test_count_pattern_cycles_and_repeated_pairs():
+    h, v, du, dd, knight = Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1), Move(1, 2)
+    pats = [
+        # a 4-cycle
+        pattern(4, Collinear(1, 2, h), Collinear(2, 3, du), Collinear(3, 4, v), Collinear(1, 4, dd)),
+        # K4: every pair of four pieces constrained
+        pattern(
+            4, Collinear(1, 2, h), Collinear(1, 3, v), Collinear(1, 4, du),
+            Collinear(2, 3, dd), Collinear(2, 4, knight), Collinear(3, 4, h),
+        ),
+        # one pair both horizontal and vertical: forced to coincide
+        pattern(2, Collinear(1, 2, h), Collinear(1, 2, v)),
+        # one pair both equal and collinear
+        pattern(3, Equal(1, 2), Collinear(1, 2, du), Collinear(2, 3, knight)),
+    ]
+    for pat in pats:
+        for n in range(5):
+            assert count_pattern(pat, n) == naive_count_pattern(pat, n)
+    assert count_pattern(pats[2], 7) == 49
+
+
+def test_count_pattern_board_size_bounds():
+    pat = pattern(3, Collinear(1, 2, Move(1, 0)), Collinear(1, 3, Move(1, 1)), Collinear(2, 3, Move(1, -1)))
+    assert count_pattern(pat, 0) == 0
+    with pytest.raises(ValueError):
+        count_pattern(pat, -1)
+
+
 def test_count_pattern_agrees_with_specialized_counters():
     for slope in (Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1)):
         for n in range(31):
