@@ -18,9 +18,11 @@ as an audit mismatch, which is the point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -95,15 +97,6 @@ def _exact_div(a: int, b: int) -> int:
     return a // b
 
 
-def triangle_points(n: int) -> int:
-    """Lattice points of a right isoceles triangle with an n-point hypotenuse
-    and diagonal legs: (n^2 + 2n + eps)/4 with eps = 1 for odd n, else 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    eps = n % 2
-    return _exact_div(n * n + 2 * n + eps, 4)
-
-
 @dataclass(frozen=True)
 class Subcase:
     """One orientation class inside a catalog type: its patterns and their combined count."""
@@ -111,6 +104,9 @@ class Subcase:
     label: str
     patterns: tuple[ConstraintPattern, ...]
     closed_form: QuasiPolynomial
+
+
+SubcaseBuilder = Callable[[int, int], tuple[Subcase, ...]]
 
 
 @dataclass(frozen=True)
@@ -123,7 +119,7 @@ class SubspaceCase:
     doc: str
     moebius: Callable[[int, int], int]
     multiplicity: Callable[[int], int]
-    subcase_builder: Callable[[int, int], tuple[Subcase, ...]]
+    subcase_builder: SubcaseBuilder
 
     def subcases(self, h: int, k: int) -> tuple[Subcase, ...]:
         return self.subcase_builder(h, k)
@@ -180,41 +176,28 @@ def _build_u3a_2(h: int, k: int) -> tuple[Subcase, ...]:
     )
 
 
-def _u3b2_pair_subcase(a: Move, b: Move, pieces: tuple[int, int, int], kappa: int) -> Subcase:
+def _u3b2_pair_subcase(a: Move, b: Move) -> Subcase:
     """Two hyperplanes of distinct slopes sharing the middle piece."""
-    i, j, l = pieces
     orths = (H, V)
     a_orth, b_orth = a in orths, b in orths
     if a_orth and b_orth:
-        return Subcase("VH", (pattern(kappa, _col(i, j, V), _col(j, l, H)),), _qp([0, 0, 0, 0, 1]))
+        return Subcase("VH", (pattern(3, _col(1, 2, V), _col(2, 3, H)),), _qp([0, 0, 0, 0, 1]))
     if a_orth != b_orth:
         d = b if a_orth else a
         o = a if a_orth else b
         return Subcase(
             f"DV {_slope_label(d)},{_slope_label(o)}",
-            (pattern(kappa, _col(i, j, d), _col(j, l, o)),),
+            (pattern(3, _col(1, 2, d), _col(2, 3, o)),),
             _DV3,
         )
-    return Subcase("DD", (pattern(kappa, _col(i, j, DU), _col(j, l, DD)),), _DD3)
+    return Subcase("DD", (pattern(3, _col(1, 2, DU), _col(2, 3, DD)),), _DD3)
 
 
 def _build_u3b_2(h: int, k: int) -> tuple[Subcase, ...]:
     moves = piece_moves(h, k)
     return tuple(
-        _u3b2_pair_subcase(a, b, (1, 2, 3), 3)
+        _u3b2_pair_subcase(a, b)
         for a, b in itertools.combinations(moves, 2)
-    )
-
-
-def _build_u4star_2(h: int, k: int) -> tuple[Subcase, ...]:
-    moves = piece_moves(h, k)
-    return tuple(
-        Subcase(
-            f"slopes {_slope_label(a)},{_slope_label(b)}",
-            (pattern(4, _col(1, 2, a), _col(3, 4, b)),),
-            _alpha_qp(a) * _alpha_qp(b),
-        )
-        for a, b in itertools.product(moves, moves)
     )
 
 
@@ -428,58 +411,31 @@ def _build_u4e_3(h: int, k: int) -> tuple[Subcase, ...]:
     return tuple(out)
 
 
-def _build_u4star_3(h: int, k: int) -> tuple[Subcase, ...]:
-    return tuple(
-        Subcase(
-            f"slope {_slope_label(m)} x coincident pair",
-            (pattern(4, _col(1, 2, m), Equal(3, 4)),),
-            _alpha_qp(m) * _qp([0, 0, 1]),
-        )
-        for m in piece_moves(h, k)
-    )
+def _product(*factors: SubcaseBuilder) -> SubcaseBuilder:
+    """Subspaces on disjoint pieces, one factor subspace on each block: one
+    subcase per choice of a subcase of every factor, with the factors'
+    patterns side by side (each later factor's pieces renumbered after the
+    earlier ones) and the product of their closed forms."""
 
+    def side_by_side(patterns: tuple[ConstraintPattern, ...]) -> ConstraintPattern:
+        constraints: list = []
+        off = 0
+        for p in patterns:
+            constraints += [replace(c, i=c.i + off, j=c.j + off) for c in p.constraints]
+            off += p.piece_count
+        return ConstraintPattern(off, tuple(constraints))
 
-def _build_u5star_a(h: int, k: int) -> tuple[Subcase, ...]:
-    moves = piece_moves(h, k)
-    return tuple(
-        Subcase(
-            f"pair {_slope_label(s)} x triple {_slope_label(t)}",
-            (pattern(5, _col(1, 2, s), _col(3, 4, t), _col(4, 5, t)),),
-            _alpha_qp(s) * beta_closed(t),
-        )
-        for s, t in itertools.product(moves, moves)
-    )
-
-
-def _build_u5star_b(h: int, k: int) -> tuple[Subcase, ...]:
-    moves = piece_moves(h, k)
-    out = []
-    for s in moves:
-        for a, b in itertools.combinations(moves, 2):
-            inner = _u3b2_pair_subcase(a, b, (3, 4, 5), 5)
-            merged = tuple(
-                ConstraintPattern(5, (_col(1, 2, s),) + p.constraints) for p in inner.patterns
+    def build(h: int, k: int) -> tuple[Subcase, ...]:
+        return tuple(
+            Subcase(
+                " x ".join(sc.label for sc in choice),
+                tuple(side_by_side(ps) for ps in itertools.product(*(sc.patterns for sc in choice))),
+                functools.reduce(operator.mul, (sc.closed_form for sc in choice)),
             )
-            out.append(
-                Subcase(
-                    f"pair {_slope_label(s)} x {inner.label}",
-                    merged,
-                    _alpha_qp(s) * inner.closed_form,
-                )
-            )
-    return tuple(out)
-
-
-def _build_u6star(h: int, k: int) -> tuple[Subcase, ...]:
-    moves = piece_moves(h, k)
-    return tuple(
-        Subcase(
-            f"slopes {_slope_label(a)},{_slope_label(b)},{_slope_label(c)}",
-            (pattern(6, _col(1, 2, a), _col(3, 4, b), _col(5, 6, c)),),
-            _alpha_qp(a) * _alpha_qp(b) * _alpha_qp(c),
+            for choice in itertools.product(*(factor(h, k) for factor in factors))
         )
-        for a, b, c in itertools.product(moves, moves, moves)
-    )
+
+    return build
 
 
 def _build_u3_4(h: int, k: int) -> tuple[Subcase, ...]:
@@ -517,7 +473,7 @@ def _catalog() -> tuple[SubspaceCase, ...]:
             "U4*^2", 4, 2,
             "two independent attacking pairs; family ranges over ordered slope pairs, "
             "multiplicity (q)_4/8 halves the double-counted unordered pair of pairs",
-            lambda h, k: 1, lambda q: _exact_div(falling(q, 4), 8), _build_u4star_2,
+            lambda h, k: 1, lambda q: _exact_div(falling(q, 4), 8), _product(_build_u2_1, _build_u2_1),
         ),
         SubspaceCase(
             "U3a^3", 3, 3,
@@ -563,23 +519,23 @@ def _catalog() -> tuple[SubspaceCase, ...]:
             "U4*^3", 4, 3,
             "an attacking pair plus a coincident pair; mu is the product "
             "(-1)(h+k-1) = 1-|M|",
-            lambda h, k: 1 - (h + k), lambda q: _exact_div(falling(q, 4), 4), _build_u4star_3,
+            lambda h, k: 1 - (h + k), lambda q: _exact_div(falling(q, 4), 4), _product(_build_u2_1, _build_u2_2),
         ),
         SubspaceCase(
             "U5*a^3", 5, 3,
             "an attacking pair plus a collinear triple on disjoint pieces",
-            lambda h, k: -2, lambda q: _exact_div(falling(q, 5), 12), _build_u5star_a,
+            lambda h, k: -2, lambda q: _exact_div(falling(q, 5), 12), _product(_build_u2_1, _build_u3a_2),
         ),
         SubspaceCase(
             "U5*b^3", 5, 3,
             "an attacking pair plus a two-slope middle-piece triple on disjoint pieces",
-            lambda h, k: -1, lambda q: _exact_div(falling(q, 5), 2), _build_u5star_b,
+            lambda h, k: -1, lambda q: _exact_div(falling(q, 5), 2), _product(_build_u2_1, _build_u3b_2),
         ),
         SubspaceCase(
             "U6*^3", 6, 3,
             "three independent attacking pairs; family ranges over ordered slope "
             "triples, multiplicity (q)_6/48 undoes the 3! orderings of the pairs",
-            lambda h, k: -1, lambda q: _exact_div(falling(q, 6), 48), _build_u6star,
+            lambda h, k: -1, lambda q: _exact_div(falling(q, 6), 48), _product(_build_u2_1, _build_u2_1, _build_u2_1),
         ),
         SubspaceCase(
             "U3^4", 3, 4,

@@ -1,16 +1,20 @@
 """Command-line front end.
 
-Grammar::
+Grammar, one line per command::
 
-    qqueens <count|fit|verify|audit|types|formulas>
-            [--piece h,k | --moves JSON] [--q INT] [--n LO..HI]
-            [--period-max INT] [--budget INT] [--cache PATH]
-            [--format json|csv|latex|text]
+    qqueens count    (--piece H,K | --moves JSON) [--q INT] [--n LO..HI] [--budget INT] [--cache PATH]
+    qqueens fit      (--piece H,K | --moves JSON) [--q INT] [--n LO..HI] [--period-max INT] [--budget INT] [--cache PATH]
+    qqueens verify   [--scope SCOPE] [--n-max INT] [--cache PATH]
+    qqueens audit    [--piece H,K] [--n LO..HI] [--report FORMAT]
+    qqueens types    (--piece H,K | --moves JSON) [--q INT] [--n LO..HI] [--period-max INT] [--budget INT] [--cache PATH]
+    qqueens formulas --piece H,K [--q INT]
 
-Counts and coefficients are printed exactly (integers and fraction
-strings); reports are deterministic given the configuration and cache
-state.  Exit status: 0 all checks passed, 1 a check or fit failed,
-2 usage error, 3 search budget exceeded (partial output flagged).
+Every command also takes ``--format json|csv|latex|text``.  ``verify``
+takes ``--n-max``, not ``--n``.  Counts and coefficients are printed
+exactly (integers and fraction strings); reports are deterministic given
+the arguments and cache state.  Exit status: 0 all checks passed, 1 a check
+or fit failed (under every command), 2 usage error, 3 search budget
+exceeded (partial output flagged).
 """
 
 from __future__ import annotations
@@ -19,62 +23,29 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .cache import ENV_VAR, CountCache
 from .core import ALL_PIECE_SPECS, MoveSet, PartialQueenSpec, partial_queen
 from .enumerator import DEFAULT_BUDGET, BudgetExceededError, sequence
 from .quasipoly import (
-    InconsistentSamplesError,
-    InsufficientSamplesError,
-    PeriodNotFoundError,
+    FitError,
+    QuasiPolynomial,
     detect_period,
     eval_at_minus_one,
     fit,
     format_fraction,
 )
 from . import formulas as fm
-from .reports import (
-    VERIFY_SCOPES,
-    formula_bank_rows,
-    render,
-    run_verify,
-    suite_audit,
-)
+from .reports import VERIFY_SCOPES, formula_bank_rows, qp_str, render, run_verify, suite_audit
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-
-@dataclass
-class RunConfig:
-    """Validated invocation: which command, which piece, and the knobs."""
-
-    command: str
-    piece: Optional[PartialQueenSpec]
-    moves: Optional[MoveSet]
-    q: int
-    n_lo: int
-    n_hi: int
-    period_max: int
-    budget: int
-    cache_path: Optional[str]
-    fmt: str
-    scope: str = "all"
-    n_given: bool = True
-
-    def move_set(self) -> MoveSet:
-        if self.moves is not None:
-            return self.moves
-        if self.piece is not None:
-            return partial_queen(self.piece)
-        raise ValueError("a piece (--piece or --moves) is required for this command")
-
-    def cache(self) -> Optional[CountCache]:
-        return CountCache(self.cache_path) if self.cache_path else None
+FORMATS = ("json", "csv", "latex", "text")
 
 
 def _parse_piece(text: str) -> PartialQueenSpec:
@@ -103,6 +74,44 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _piece(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--piece", type=_parse_piece, metavar="H,K",
+                   help="piece with H orthogonal and K diagonal moves, e.g. 2,2")
+
+
+def _rider(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group()
+    _piece(group)
+    group.add_argument("--moves", type=_parse_moves, metavar="JSON",
+                       help='explicit move list, e.g. "[[1,0],[1,2]]"')
+
+
+def _q(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q", type=int, default=2, help="number of pieces (default 2)")
+
+
+def _n(p: argparse.ArgumentParser, default: Optional[tuple[int, int]]) -> None:
+    p.add_argument("--n", type=_parse_range, default=default, metavar="LO..HI",
+                   help="board size range (single value allowed)")
+
+
+def _period_max(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--period-max", type=int, default=2,
+                   help="largest period the fit search tries (default 2)")
+
+
+def _budget(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="node budget of the enumeration search, per board size; "
+                        "a node is a placement of 1 to q-1 nonattacking pieces, "
+                        "one of them marked as the first")
+
+
+def _cache_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cache", default=os.environ.get(ENV_VAR) or None,
+                   help=f"count cache path (default: ${ENV_VAR} if set)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qqueens",
@@ -110,133 +119,94 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, need_n=True) -> None:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--piece", type=_parse_piece, metavar="H,K",
-                           help="piece with H orthogonal and K diagonal moves, e.g. 2,2")
-        group.add_argument("--moves", type=_parse_moves, metavar="JSON",
-                           help='explicit move list, e.g. "[[1,0],[1,2]]"')
-        p.add_argument("--q", type=int, default=2, help="number of pieces (default 2)")
-        if need_n:
-            p.add_argument("--n", type=_parse_range, default=None, metavar="LO..HI",
-                           help="board size range (single value allowed)")
-        p.add_argument("--period-max", type=int, default=2,
-                       help="largest period the fit search tries (default 2)")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="node budget of the enumeration search, per board size; "
-                            "a node is a placement of 1 to q-1 nonattacking pieces, "
-                            "one of them marked as the first")
-        p.add_argument("--cache", default=None,
-                       help=f"count cache path (default:  ${ENV_VAR} if set)")
-        p.add_argument("--format", dest="fmt", default="text",
-                       choices=("json", "csv", "latex", "text"), help="output format")
+    def command(name: str, run, summary: str, *flags) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            flag(p)
+        p.add_argument("--format", dest="fmt", default="text", choices=FORMATS,
+                       help="output format")
+        p.set_defaults(run=run)
+        return p
 
-    p_count = sub.add_parser("count", help="oracle counts over a range of board sizes")
-    add_common(p_count)
+    n_1_8 = partial(_n, default=(1, 8))
+    n_auto = partial(_n, default=None)  # None: _fit sizes the range from the period
+    command("count", cmd_count, "oracle counts over a range of board sizes",
+            _rider, _q, n_1_8, _budget, _cache_flag)
+    command("fit", cmd_fit, "fit an exact quasipolynomial to oracle counts",
+            _rider, _q, n_auto, _period_max, _budget, _cache_flag)
 
-    p_fit = sub.add_parser("fit", help="fit an exact quasipolynomial to oracle counts")
-    add_common(p_fit)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    add_common(p_verify)
+    p_verify = command("verify", cmd_verify, "run a verification suite", _cache_flag)
     p_verify.add_argument("--scope", default="all", choices=VERIFY_SCOPES)
     p_verify.add_argument("--n-max", type=int, default=None,
                           help="board-size ceiling for oracle-backed checks")
 
-    p_audit = sub.add_parser("audit", help="brute-force every catalog case against its closed form")
-    add_common(p_audit)
-    p_audit.add_argument("--report", dest="fmt_report",
-                         choices=("json", "csv", "latex", "text"), default=None,
-                         help="alias for --format")
+    p_audit = command("audit", cmd_audit, "brute-force every catalog case against its closed form",
+                      _piece, n_1_8)
+    p_audit.add_argument("--report", dest="fmt", choices=FORMATS, help="alias for --format")
 
-    p_types = sub.add_parser("types", help="combinatorial-type counts via the value at -1")
-    add_common(p_types)
+    command("types", cmd_types, "combinatorial-type counts via the value at -1",
+            _rider, _q, n_auto, _period_max, _budget, _cache_flag)
 
-    p_formulas = sub.add_parser("formulas", help="dump the formula bank for one piece")
-    add_common(p_formulas, need_n=False)
-
+    command("formulas", cmd_formulas, "dump the formula bank for one piece", _piece, _q)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    n_given = getattr(args, "n", None) is not None
-    n_lo, n_hi = args.n if n_given else (1, 8)
-    cache_path = args.cache or os.environ.get(ENV_VAR) or None
-    fmt = getattr(args, "fmt_report", None) or args.fmt
-    return RunConfig(
-        command=args.command,
-        piece=args.piece,
-        moves=args.moves,
-        q=args.q,
-        n_lo=n_lo,
-        n_hi=n_hi,
-        period_max=args.period_max,
-        budget=args.budget,
-        cache_path=cache_path,
-        fmt=fmt,
-        scope=getattr(args, "scope", "all"),
-        n_given=n_given,
-    )
+def _moves(args: argparse.Namespace) -> MoveSet:
+    if args.moves is not None:
+        return args.moves
+    if args.piece is not None:
+        return partial_queen(args.piece)
+    raise ValueError("a piece (--piece or --moves) is required for this command")
 
 
-def cmd_count(config: RunConfig, out) -> int:
-    moves = config.move_set()
+def _cache(args: argparse.Namespace) -> Optional[CountCache]:
+    return CountCache(args.cache) if args.cache else None
+
+
+def _fit(args: argparse.Namespace, period_max: int) -> tuple[list, QuasiPolynomial]:
+    """Oracle samples over ``--n`` (default: enough per residue class at
+    ``period_max``) and the validated fit of degree 2q at the detected period."""
+    degree = 2 * args.q
+    n_lo, n_hi = args.n or (1, period_max * (degree + 2))
+    records = sequence(_moves(args), args.q, n_lo, n_hi, budget=args.budget, cache=_cache(args))
+    samples = [(r.n, r.count) for r in records]
+    return samples, fit(samples, degree, detect_period(samples, degree, period_max))
+
+
+def cmd_count(args: argparse.Namespace, out) -> int:
     try:
-        records = sequence(moves, config.q, config.n_lo, config.n_hi,
-                           budget=config.budget, cache=config.cache())
+        records = sequence(_moves(args), args.q, *args.n, budget=args.budget, cache=_cache(args))
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         if err.completed:
             rows = [(r.n, r.count, "partial") for r in err.completed]
-            print(render(("n", "count", "status"), rows, config.fmt), file=out)
+            print(render(("n", "count", "status"), rows, args.fmt), file=out)
         return EXIT_BUDGET
     rows = [(r.n, r.count) for r in records]
-    print(render(("n", "count"), rows, config.fmt), file=out)
+    print(render(("n", "count"), rows, args.fmt), file=out)
     return EXIT_OK
 
 
-def cmd_fit(config: RunConfig, out) -> int:
-    moves = config.move_set()
-    degree = 2 * config.q
-    n_hi = config.n_hi
-    if not config.n_given:
-        # enough samples per residue class at the largest period tried
-        n_hi = config.period_max * (degree + 2)
-    records = sequence(moves, config.q, config.n_lo, n_hi,
-                       budget=config.budget, cache=config.cache())
-    samples = [(r.n, r.count) for r in records]
-    try:
-        period = detect_period(samples, degree, config.period_max)
-        qp = fit(samples, degree, period)
-    except InconsistentSamplesError as err:
-        print(f"inconsistent fit: first failing n={err.n} "
-              f"(expected {err.expected}, oracle gives {err.actual})", file=sys.stderr)
-        return EXIT_FAIL
-    except (InsufficientSamplesError, PeriodNotFoundError) as err:
-        print(f"fit failed: {err}", file=sys.stderr)
-        return EXIT_FAIL
-    if config.fmt == "json":
+def cmd_fit(args: argparse.Namespace, out) -> int:
+    samples, qp = _fit(args, args.period_max)
+    if args.fmt == "json":
         print(json.dumps(qp.to_json_dict(), sort_keys=True), file=out)
     else:
-        from .reports import qp_str
-
         rows = [
-            ("period", str(period)),
+            ("period", str(qp.period)),
             ("degree", str(qp.degree)),
             ("quasipolynomial", qp_str(qp)),
             ("surplus validation", "passed on all %d samples" % len(samples)),
         ]
-        print(render(("field", "value"), rows, config.fmt), file=out)
+        print(render(("field", "value"), rows, args.fmt), file=out)
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig, n_max: Optional[int], out) -> int:
-    claims, aux = run_verify(config.scope, n_max=n_max, cache=config.cache())
-    rows = [
-        ("PASS" if c.passed else "FAIL", c.name, c.detail) for c in claims
-    ]
-    print(render(("status", "claim", "detail"), rows, config.fmt), file=out)
-    if "report" in aux and config.fmt == "text":
+def cmd_verify(args: argparse.Namespace, out) -> int:
+    claims, aux = run_verify(args.scope, n_max=args.n_max, cache=_cache(args))
+    rows = [("PASS" if c.passed else "FAIL", c.name, c.detail) for c in claims]
+    print(render(("status", "claim", "detail"), rows, args.fmt), file=out)
+    if "report" in aux and args.fmt == "text":
         report = aux["report"]
         for piece_row in report.get("pieces", []):
             print(
@@ -253,51 +223,36 @@ def cmd_verify(config: RunConfig, n_max: Optional[int], out) -> int:
     return EXIT_OK if all(c.passed for c in claims) else EXIT_FAIL
 
 
-def cmd_audit(config: RunConfig, out) -> int:
-    pieces = (config.piece,) if config.piece is not None else ALL_PIECE_SPECS
-    _, records = suite_audit(max(1, config.n_lo), config.n_hi, pieces)
-    rows = [
-        (r.case, r.h, r.k, r.n, r.brute, format_fraction(r.closed), r.match)
-        for r in records
-    ]
-    if config.fmt == "json":
-        payload = [
-            {"case": r.case, "h": r.h, "k": r.k, "n": r.n,
-             "brute": r.brute, "closed": format_fraction(r.closed), "match": r.match}
-            for r in records
-        ]
-        print(json.dumps(payload, sort_keys=True), file=out)
+def cmd_audit(args: argparse.Namespace, out) -> int:
+    pieces = (args.piece,) if args.piece is not None else ALL_PIECE_SPECS
+    n_lo, n_hi = args.n
+    _, records = suite_audit(max(1, n_lo), n_hi, pieces)
+    headers = ("case", "h", "k", "n", "brute", "closed", "match")
+    rows = [(r.case, r.h, r.k, r.n, r.brute, format_fraction(r.closed), r.match) for r in records]
+    if args.fmt == "json":
+        # keeps the JSON types of the values, where render() writes strings
+        print(json.dumps([dict(zip(headers, row)) for row in rows], sort_keys=True), file=out)
     else:
-        print(render(("case", "h", "k", "n", "brute", "closed", "match"), rows, config.fmt), file=out)
+        print(render(headers, rows, args.fmt), file=out)
     return EXIT_OK if all(r.match for r in records) else EXIT_FAIL
 
 
-def cmd_types(config: RunConfig, out) -> int:
-    q = config.q
-    degree = 2 * q
-    exploratory = config.moves is not None
-    period_max = max(config.period_max, 12) if exploratory else config.period_max
-    moves = config.move_set()
-    n_hi = config.n_hi if config.n_given else period_max * (degree + 2)
-    records = sequence(moves, q, 1, n_hi, budget=config.budget, cache=config.cache())
-    samples = [(r.n, r.count) for r in records]
-    try:
-        period = detect_period(samples, degree, period_max)
-        qp = fit(samples, degree, period)
-    except (InconsistentSamplesError, InsufficientSamplesError, PeriodNotFoundError) as err:
-        print(f"fit failed: {err}", file=sys.stderr)
-        return EXIT_FAIL
+def cmd_types(args: argparse.Namespace, out) -> int:
+    q = args.q
+    exploratory = args.moves is not None
+    _, qp = _fit(args, max(args.period_max, 12) if exploratory else args.period_max)
     value = eval_at_minus_one(qp)
-    rows = [("fitted period", str(period)), ("value at -1", format_fraction(value))]
+    rows = [("fitted period", str(qp.period)), ("value at -1", format_fraction(value))]
     ok = True
     if exploratory:
-        conj = fm.types3_conjecture(len(moves)) if q == 3 else None
+        size = len(args.moves)
+        conj = fm.types3_conjecture(size) if q == 3 else None
         rows.append(("mode", "exploratory (not acceptance-gating)"))
         if conj is not None:
-            rows.append(("conjecture value at |M|=%d" % len(moves), str(conj)))
+            rows.append(("conjecture value at |M|=%d" % size, str(conj)))
             rows.append(("matches conjecture", str(value == conj)))
     else:
-        h, k = config.piece.h, config.piece.k
+        h, k = args.piece.h, args.piece.k
         if q == 2:
             expected = h + k
             rows.append(("expected (h+k)", str(expected)))
@@ -308,44 +263,32 @@ def cmd_types(config: RunConfig, out) -> int:
             rows.append(("conjecture value", str(fm.types3_conjecture(h + k))))
             ok = value == expected
         rows.append(("match", str(ok)))
-    print(render(("field", "value"), rows, config.fmt), file=out)
+    print(render(("field", "value"), rows, args.fmt), file=out)
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_formulas(config: RunConfig, out) -> int:
-    if config.piece is None:
+def cmd_formulas(args: argparse.Namespace, out) -> int:
+    if args.piece is None:
         print("formulas needs --piece H,K", file=sys.stderr)
         return EXIT_USAGE
-    rows = formula_bank_rows(config.piece.h, config.piece.k, config.q)
-    print(render(("quantity", "value"), rows, config.fmt), file=out)
+    rows = formula_bank_rows(args.piece.h, args.piece.k, args.q)
+    print(render(("quantity", "value"), rows, args.fmt), file=out)
     return EXIT_OK
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _config_from_args(args)
-    out = sys.stdout
+    args = build_parser().parse_args(argv)
     try:
-        if config.command == "count":
-            return cmd_count(config, out)
-        if config.command == "fit":
-            return cmd_fit(config, out)
-        if config.command == "verify":
-            return cmd_verify(config, getattr(args, "n_max", None), out)
-        if config.command == "audit":
-            return cmd_audit(config, out)
-        if config.command == "types":
-            return cmd_types(config, out)
-        if config.command == "formulas":
-            return cmd_formulas(config, out)
+        return args.run(args, sys.stdout)
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return EXIT_BUDGET
+    except FitError as err:
+        print(f"fit failed: {err}", file=sys.stderr)
+        return EXIT_FAIL
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

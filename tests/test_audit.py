@@ -15,7 +15,6 @@ from qqueens.audit import (
     case_catalog,
     gamma5_sign_report,
     gamma_from_audit,
-    triangle_points,
 )
 from qqueens.core import ALL_PIECE_SPECS, PartialQueenSpec, partial_queen
 from qqueens.enumerator import Equal, count_pattern, count_unlabelled
@@ -108,15 +107,6 @@ def test_u4c_ddd_example_n2():
     case = case_by_name("U4c^3")
     rows = [r for r in audit_subcases(case, 0, 2, 2) if r[0] == "DDD"]
     assert rows == [("DDD", 24, F(24), True)]
-
-
-def test_triangle_points():
-    assert triangle_points(2) == 2
-    assert triangle_points(3) == 4
-    assert triangle_points(0) == 0
-    for n in range(2, 40):
-        eps = n % 2
-        assert triangle_points(n) + triangle_points(n - 2) == (n * n + eps) // 2
 
 
 def test_audit_case_rejects_inapplicable():

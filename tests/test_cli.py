@@ -244,3 +244,46 @@ def test_verify_exit_nonzero_on_failure(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "coeffs")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_fit_failure_exits_1(capsys):
+    # n <= 12 leaves too few three-piece samples per residue class to fit
+    code, out, err = run_cli(capsys, "verify", "--scope", "types", "--n-max", "12")
+    assert code == 1
+    assert "fit failed" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--moves", "[[1,0]]"],
+        ["verify", "--piece", "2,2"],
+        ["formulas", "--piece", "2,2", "--budget", "5"],
+        ["count", "--piece", "1,0", "--period-max", "3"],
+    ],
+)
+def test_command_rejects_flags_it_does_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_types_samples_from_the_low_end_of_n(capsys, monkeypatch):
+    from qqueens import cli
+
+    ranges = []
+    real = cli.sequence
+
+    def recording(moves, q, n_lo, n_hi, **kwargs):
+        ranges.append((n_lo, n_hi))
+        return real(moves, q, n_lo, n_hi, **kwargs)
+
+    monkeypatch.setattr(cli, "sequence", recording)
+    code, out, _ = run_cli(capsys, "types", "--piece", "2,1", "--q", "2", "--n", "3..12")
+    assert code == 0
+    assert ranges == [(3, 12)]
+    # from n = 3 class 0 mod 2 of the queen's three-piece counts has 7 samples, one short
+    code, _, err = run_cli(capsys, "types", "--piece", "2,2", "--q", "3", "--n", "3..17")
+    assert code == 1
+    assert "residue class 0 mod 2 has 7 samples" in err
