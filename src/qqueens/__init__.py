@@ -25,7 +25,6 @@ from .enumerator import (
     Equal,
     alpha_pairs,
     beta_triples,
-    count_labelled,
     count_pattern,
     count_unlabelled,
     sequence,

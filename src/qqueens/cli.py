@@ -13,8 +13,8 @@ Every command also takes ``--format json|csv|latex|text``.  ``verify``
 takes ``--n-max``, not ``--n``.  Counts and coefficients are printed
 exactly (integers and fraction strings); reports are deterministic given
 the arguments and cache state.  Exit status: 0 all checks passed, 1 a check
-or fit failed (under every command), 2 usage error, 3 search budget
-exceeded (partial output flagged).
+or fit failed (under every command) or stdout was closed early, 2 usage
+error, 3 search budget exceeded (partial output flagged).
 """
 
 from __future__ import annotations
@@ -279,7 +279,14 @@ def cmd_formulas(args: argparse.Namespace, out) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args, sys.stdout)
+        status = args.run(args, sys.stdout)
+        sys.stdout.flush()  # so a closed pipe surfaces here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader went away (``qqueens ... | head``): stop quietly.  Point
+        # stdout at devnull so the flush at shutdown cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return EXIT_BUDGET

@@ -5,11 +5,22 @@ and the lattice points of constraint patterns by folding per-square tables
 Everything here is exact integer counting.  ``count_unlabelled`` rests on two
 identities.
 
-* Line occupancy.  Two distinct squares lie on at most one common attack
-  line, so the nonattacking pairs inside a set S number
-  C(|S|, 2) - sum over lines L of C(|S & L|, 2).  That is one popcount per
-  board line (about 6n for the queen) in place of a loop over S, so the last
-  two pieces cost one leaf evaluation, and q = 2 is read off the full board.
+* The attack graph of a set S.  Two distinct squares lie on at most one
+  common attack line.  With N = |S|, c_L = |S & L| for each line L and
+  E = sum_L C(c_L, 2) attacking pairs, the nonattacking pairs in S number
+  C(N, 2) - E.  Inclusion-exclusion over the attack graph gives the
+  nonattacking triples as C(N, 3) - E (N - 2) + sum_v C(deg v, 2) minus the
+  triangles.  A triangle's sides lie on one line or on three distinct
+  slopes, and sum_v C(deg v, 2) = 3 sum_L C(c_L, 3) + X, where X sums
+  (c_L - 1)(c_L' - 1) over the pairs of lines through each square of S.
+  So the triples number C(N, 3) - E (N - 2) + 2 sum_L C(c_L, 3) + X - T,
+  where T counts the triangles on three distinct slopes.  For each triple
+  of slopes those are the scaled copies of one primitive triangle, one
+  big-integer AND of shifted copies of S per scale (see
+  ``_triangle_steps``).  The leaf reads deg v off S & (attack mask of v),
+  one popcount per square, and C(c_L, j) off one popcount per board line
+  (about 6n for the queen).  So the last three pieces cost one leaf
+  evaluation, and q = 2 and q = 3 are read off the full board.
 * Board symmetry.  Each nonattacking q-set is counted once from each of its
   squares, so u(q) = (1/q) sum_s N_{q-1}(T_s), where T_s holds the squares
   that s does not attack and N_k counts nonattacking k-subsets.  A symmetry
@@ -18,12 +29,13 @@ identities.
   The subgroup of the dihedral group that qualifies is computed from the
   moves.
 
-Between the first piece and the last two, squares are taken in increasing
-index order and pruned with per-square attack bitsets.
+For q >= 5, squares between the first piece and the last three are taken in
+increasing index order and pruned with per-square attack bitsets.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -53,10 +65,6 @@ class BudgetExceededError(Exception):
         if completed:
             detail += f"; last completed board size n={completed[-1].n}"
         super().__init__(detail)
-
-    @property
-    def last_completed_n(self) -> Optional[int]:
-        return self.completed[-1].n if self.completed else None
 
 
 @dataclass(frozen=True)
@@ -134,8 +142,51 @@ def _orbits(group: tuple[tuple[int, int, int, int], ...], n: int) -> list[tuple[
     return out
 
 
+def _triangle_steps(moves: MoveSet, n: int) -> tuple[tuple[int, int, int], ...]:
+    """One (o1, o2, mask) per triangle shape on the n x n board whose sides lie
+    on three distinct slopes of the move set.
+
+    For slopes a, b, c, with s = (b x c)/g and t = (a x c)/g (g their gcd),
+    s*a - t*b is a multiple of c, so P, P + l*s*a and P + l*t*b (l != 0) is
+    such a triangle, and each one arises from exactly one (P, l): P is the
+    vertex where its a and b sides meet.  A step anchors the shape at its
+    lowest-indexed vertex: that vertex has bit i, the others bits i + o1 and
+    i + o2, and ``mask`` keeps the squares whose column leaves all three on
+    the board, so the shifted bitsets do not wrap from one row to the next.
+    """
+    rows = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit 0 of every row
+    steps = []
+    for a, b, c in itertools.combinations(moves, 3):
+        bc, ac = b.c * c.d - b.d * c.c, a.c * c.d - a.d * c.c
+        g = math.gcd(bc, ac)
+        s, t = bc // g, ac // g
+        reach = max(abs(s * a.c), abs(s * a.d), abs(t * b.c), abs(t * b.d))
+        for scale in range(-((n - 1) // reach), (n - 1) // reach + 1):
+            if scale == 0:
+                continue
+            su, tv = scale * s, scale * t
+            (x0, y0), (x1, y1), (x2, y2) = sorted(
+                [(0, 0), (su * a.c, su * a.d), (tv * b.c, tv * b.d)],
+                key=lambda p: (p[1], p[0]),
+            )
+            lo, hi = x0 - min(x0, x1, x2), n - 1 + x0 - max(x0, x1, x2)
+            if lo > hi or max(y1, y2) - y0 >= n:
+                continue
+            o1, o2 = (y1 - y0) * n + x1 - x0, (y2 - y0) * n + x2 - x0
+            steps.append((o1, o2, ((1 << hi + 1) - (1 << lo)) * rows))
+    return tuple(steps)
+
+
 def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of q-subsets of distinct squares of the n x n board, pairwise nonattacking.
+
+    One leaf evaluation counts the nonattacking k-subsets (k <= 3) of an
+    allowed set S: C(N, 2) - E pairs, and
+    C(N, 3) - E (N - 2) + 2 sum_L C(c_L, 3) + X - T triples (the module
+    docstring defines the terms).  q = 2 and q = 3 are one leaf on the full
+    board.  For q >= 4 the first piece runs over one square per
+    board-symmetry orbit, any middle pieces run in increasing index order,
+    and the leaf counts the last three.
 
     Raises ``BudgetExceededError`` once the search passes ``budget`` nodes
     (see there for what a node is).
@@ -149,8 +200,7 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
     size = n * n
     full = (1 << size) - 1
     table = AttackTable.build(moves, n)
-    # ok[i]: higher-indexed squares neither equal to nor attacked by square i
-    ok = [~table.masks[i] & (full >> (i + 1) << (i + 1)) for i in range(size)]
+    masks = table.masks
     # Lines in order of their highest square, so the lines that can meet a set
     # whose lowest square is i are lines[start[i]:].
     lines = sorted(table.lines, key=int.bit_length)
@@ -159,55 +209,79 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
         while j < len(lines) and lines[j].bit_length() <= i:
             j += 1
         start.append(j)
-    twice_c2 = [j * (j - 1) for j in range(n + 1)]  # 2 * C(j, 2); no line is longer than n
+    # C(j, 2) and C(j, 3) for line occupancies (no line is longer than n), and
+    # C(d - 1, 2), the pairs of edges at a square whose attack mask meets the set d times.
+    c2 = [j * (j - 1) // 2 for j in range(n + 1)]
+    c3 = [j * (j - 1) * (j - 2) // 6 for j in range(n + 1)]
+    wedges_at = [(d - 1) * (d - 2) // 2 for d in range(len(moves) * (n - 1) + 2)]
+    steps = _triangle_steps(moves, n) if q >= 3 else ()
     nodes = 0
     weight = 1  # size of the first square's orbit: every node found stands for this many
 
-    def pairs(allowed: int) -> int:
-        """Nonattacking 2-subsets of ``allowed``, by line occupancy."""
+    def charge(count: int) -> None:
         nonlocal nodes
-        k = allowed.bit_count()
-        nodes += weight * k  # the second pieces a loop over ``allowed`` would place
+        nodes += count
         if nodes > budget:
             raise BudgetExceededError(nodes, budget)
-        if k < 2:
+
+    def leaf(allowed: int, k: int, pair_nodes: int) -> int:
+        """Nonattacking k-subsets of ``allowed`` (k = 2 or 3), by line occupancy.
+
+        Charges ``weight`` nodes per square of ``allowed`` and ``pair_nodes``
+        per nonattacking pair in it: the nodes a piece-by-piece search would
+        visit placing pieces into ``allowed``.
+        """
+        count = allowed.bit_count()
+        if count < 2:
+            charge(weight * count)
             return 0
         low = (allowed & -allowed).bit_length() - 1
-        on_lines = map(int.bit_count, map(allowed.__and__, lines[start[low]:]))
-        return (k * (k - 1) - sum(map(twice_c2.__getitem__, on_lines))) // 2
+        on_lines = list(map(int.bit_count, map(allowed.__and__, lines[start[low]:])))
+        attacking = sum(map(c2.__getitem__, on_lines))
+        pairs = count * (count - 1) // 2 - attacking
+        charge(weight * count + pair_nodes * pairs)
+        if k == 2:
+            return pairs
+        # wedges = sum_v C(deg v, 2) = 3 sum_L C(c_L, 3) + X, over the attack
+        # masks of the squares of ``allowed``, picked by its binary digits
+        members = itertools.compress(masks, map("1".__eq__, bin(allowed)[:1:-1]))
+        wedges = sum(map(wedges_at.__getitem__, map(int.bit_count, map(allowed.__and__, members))))
+        # the triangles: sum_L C(c_L, 3) on one line, T on three slopes
+        collinear = sum(map(c3.__getitem__, on_lines))
+        skew = sum((allowed & allowed >> o1 & allowed >> o2 & mask).bit_count() for o1, o2, mask in steps)
+        return math.comb(count, 3) - attacking * (count - 2) + wedges - collinear - skew
+
+    if q == 2:
+        return leaf(full, 2, 0)
+    if q == 3:
+        return leaf(full, 3, 2)  # each pair is a node once per choice of first piece
+    # ok[i]: higher-indexed squares neither equal to nor attacked by square i
+    ok = [~masks[i] & (full >> (i + 1) << (i + 1)) for i in range(size)] if q > 4 else []
 
     def subsets(allowed: int, k: int) -> int:
-        """Nonattacking k-subsets of ``allowed`` (k >= 2), lowest square first."""
-        nonlocal nodes
-        if k == 2:
-            return pairs(allowed)
+        """Nonattacking k-subsets of ``allowed`` (k >= 3), lowest square first."""
+        if k == 3:
+            return leaf(allowed, 3, weight)
         total = 0
         m = allowed
         while m:
             lsb = m & -m
             m ^= lsb
-            nodes += weight
+            charge(weight)
             rest = m & ok[lsb.bit_length() - 1]
             if rest:
                 total += subsets(rest, k - 1)
         return total
 
-    if q == 2:
-        return pairs(full)
     total = 0
     for s, weight in _orbits(symmetry_group(moves), n):
-        nodes += weight
-        total += weight * subsets(full & ~table.masks[s], q - 1)
+        charge(weight)
+        total += weight * subsets(full & ~masks[s], q - 1)
     if total % q:
         raise RuntimeError(
             f"orbit-weighted sum {total} for q={q}, n={n} is not divisible by q"
         )
     return total // q
-
-
-def count_labelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Number of nonattacking placements of q labelled pieces: q! times the unlabelled count."""
-    return math.factorial(q) * count_unlabelled(moves, q, n, budget=budget)
 
 
 def alpha_pairs(slope: Move, n: int) -> int:
@@ -260,19 +334,6 @@ class ConstraintPattern:
         for c in self.constraints:
             if not (1 <= c.i < c.j <= self.piece_count):
                 raise ValueError(f"constraint indices {(c.i, c.j)} out of range")
-
-    def relabelled(self, perm: dict[int, int]) -> "ConstraintPattern":
-        """Apply a piece permutation consistently to every constraint."""
-        out: list[Constraint] = []
-        for c in self.constraints:
-            i, j = perm[c.i], perm[c.j]
-            if i > j:
-                i, j = j, i
-            if isinstance(c, Collinear):
-                out.append(Collinear(i, j, c.slope))
-            else:
-                out.append(Equal(i, j))
-        return ConstraintPattern(self.piece_count, tuple(out))
 
 
 def pattern(piece_count: int, *constraints: Constraint) -> ConstraintPattern:

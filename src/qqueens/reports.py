@@ -330,8 +330,8 @@ def run_verify(scope: str, n_max: Optional[int] = None, cache=None) -> tuple[lis
         claims += suite_coeffs()
         claims += suite_audit(1, n_max or 10)[0]
         claims += suite_assembly(min(n_max or 8, 8))
-        claims += suite_types(cache=cache)
-        sign_claims, report = suite_gamma5_sign()
+        claims += suite_types(n_max or 17, cache=cache)
+        sign_claims, report = suite_gamma5_sign(n_max or 17)
         aux["report"] = report
         claims += sign_claims
         return claims, aux

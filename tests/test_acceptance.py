@@ -212,8 +212,8 @@ def test_criterion_8_periodicity_reconciliation_at_q3():
 
 
 # Recorded outputs of this package's enumeration oracle for four queens
-# (reproducible via scripts/queen_four_piece_analysis.py; entries up to
-# n=23 are recomputed live in the tests below).
+# (reproducible via scripts/queen_four_piece_analysis.py; every entry is
+# recomputed live by test_pinned_four_queen_counts_are_live_counts).
 QUEEN_Q4_COUNTS = {
     1: 0, 2: 0, 3: 0, 4: 2, 5: 82, 6: 982,
     7: 7002, 8: 34568, 9: 131248, 10: 412596, 11: 1123832, 12: 2739386,
@@ -224,6 +224,14 @@ QUEEN_Q4_COUNTS = {
     30: 13604287706, 31: 18105920006, 32: 23860611236, 33: 31156143476,
     34: 40333505448, 35: 51794268148, 36: 66009149958, 37: 83526964218,
 }
+
+
+def test_pinned_four_queen_counts_are_live_counts():
+    """Every pinned u(4; n), n = 1..37, equals the oracle's count today, so
+    the tests below that read the table rest on no trusted constant."""
+    queen = partial_queen(PartialQueenSpec(2, 2))
+    live = {n: count_unlabelled(queen, 4, n) for n in QUEEN_Q4_COUNTS}
+    assert live == QUEEN_Q4_COUNTS
 
 
 def _four_queen_operator(values: dict) -> dict:

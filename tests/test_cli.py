@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import qqueens
 
 from qqueens.cli import main
 from qqueens.cache import ENV_VAR
@@ -252,6 +258,31 @@ def test_verify_fit_failure_exits_1(capsys):
     assert code == 1
     assert "fit failed" in err
     assert out == ""
+
+
+def test_verify_all_applies_n_max_to_every_suite(capsys):
+    # --scope all runs the types suite at the same ceiling as --scope types
+    code, out, err = run_cli(capsys, "verify", "--scope", "all", "--n-max", "12")
+    _, _, types_err = run_cli(capsys, "verify", "--scope", "types", "--n-max", "12")
+    assert code == 1
+    assert "fit failed" in err
+    assert err == types_err
+    assert out == ""
+
+
+def test_closed_stdout_exits_quietly():
+    # the read end is closed before the command can start writing, as `| head -0` would
+    src = str(Path(qqueens.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qqueens.cli", "verify", "--scope", "attacklines"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from qqueens.enumerator import (
     Equal,
     alpha_pairs,
     beta_triples,
-    count_labelled,
     count_pattern,
     count_unlabelled,
     pattern,
@@ -46,11 +45,9 @@ def test_count_single_piece_is_board_size():
 def test_count_examples():
     assert count_unlabelled(QUEEN, 2, 3) == 8
     assert count_unlabelled(ROOK, 2, 2) == 2
-    assert count_labelled(QUEEN, 2, 3) == 16
     assert count_unlabelled(QUEEN, 2, 0) == 0
-    assert count_labelled(QUEEN, 1, 2) == 4
     # every three-square subset of the 2x2 board holds a bishop-attacking pair
-    assert count_labelled(BISHOP, 3, 2) == 6 * count_unlabelled(BISHOP, 3, 2) == 0
+    assert count_unlabelled(BISHOP, 3, 2) == 0
 
 
 def test_counts_match_naive_oracle():
@@ -93,12 +90,30 @@ CANONICAL_MOVES = [
 
 @given(
     st.lists(st.sampled_from(CANONICAL_MOVES), min_size=1, max_size=3, unique=True),
-    st.integers(2, 3),
-    st.integers(1, 4),
+    st.integers(2, 4),
+    st.integers(1, 5),
 )
+@settings(deadline=None)
 def test_random_rider_counts_match_naive_oracle(moves, q, n):
     rider = MoveSet(tuple(moves))
     assert count_unlabelled(rider, q, n) == naive_count_unlabelled(rider, q, n)
+
+
+# Three or more slopes, some not unit, so the leaf's count of triangles with
+# sides on three distinct slopes meets primitive shapes larger than one square.
+MANY_SLOPE_RIDERS = (
+    MoveSet.from_pairs([(1, 0), (1, 2), (2, -1)]),
+    MoveSet.from_pairs([(1, 3), (3, -1), (2, 1)]),
+    MoveSet.from_pairs([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2)]),
+)
+
+
+@pytest.mark.parametrize("rider", MANY_SLOPE_RIDERS, ids=lambda m: str(m.to_pairs()))
+def test_many_slope_riders_match_naive_oracle(rider):
+    for n in range(1, 8):
+        assert count_unlabelled(rider, 3, n) == naive_count_unlabelled(rider, 3, n)
+    for n in range(1, 6):
+        assert count_unlabelled(rider, 4, n) == naive_count_unlabelled(rider, 4, n)
 
 
 def test_count_labelled_matches_naive_permutation_count():
@@ -106,7 +121,7 @@ def test_count_labelled_matches_naive_permutation_count():
     for spec in (PartialQueenSpec(2, 2), PartialQueenSpec(1, 1)):
         moves = partial_queen(spec)
         for n in (2, 3):
-            assert count_labelled(moves, 3, n) == naive_count_labelled(moves, 3, n)
+            assert 6 * count_unlabelled(moves, 3, n) == naive_count_labelled(moves, 3, n)
 
 
 def test_monotone_in_board_size():
@@ -125,8 +140,21 @@ def test_budget_applies_per_board_size():
     assert [r.n for r in records] == list(range(1, 13))
     with pytest.raises(BudgetExceededError) as exc:
         sequence(QUEEN, 3, 1, 12, budget=largest - 1)
-    assert exc.value.last_completed_n == 11
     assert exc.value.completed == tuple(records[:11])
+
+
+def test_budget_applies_per_board_size_four_pieces():
+    # 4 pieces: n^2 first squares, 2 u(2; n) marked pairs and 3 u(3; n) marked triples
+    nodes = {
+        n: sum(j * count_unlabelled(QUEEN, j, n) for j in (1, 2, 3)) for n in range(1, 11)
+    }
+    largest = max(nodes.values())
+    assert largest == nodes[10] < sum(nodes.values())
+    records = sequence(QUEEN, 4, 1, 10, budget=largest)
+    assert [r.n for r in records] == list(range(1, 11))
+    with pytest.raises(BudgetExceededError) as exc:
+        sequence(QUEEN, 4, 1, 10, budget=largest - 1)
+    assert exc.value.completed == tuple(records[:9])
 
 
 def test_budget_error_carries_progress():
@@ -254,11 +282,20 @@ def test_count_pattern_agrees_with_specialized_counters():
             )
 
 
+def relabelled(pat: ConstraintPattern, perm: dict[int, int]) -> ConstraintPattern:
+    """The pattern with the piece permutation applied to every constraint."""
+    out = []
+    for c in pat.constraints:
+        i, j = sorted((perm[c.i], perm[c.j]))
+        out.append(Collinear(i, j, c.slope) if isinstance(c, Collinear) else Equal(i, j))
+    return ConstraintPattern(pat.piece_count, tuple(out))
+
+
 @given(st.permutations([1, 2, 3]), st.integers(1, 5))
 def test_count_pattern_relabelling_invariance(perm, n):
     pat = pattern(3, Collinear(1, 2, Move(1, 1)), Collinear(2, 3, Move(1, 0)))
     mapping = {i + 1: perm[i] for i in range(3)}
-    assert count_pattern(pat, n) == count_pattern(pat.relabelled(mapping), n)
+    assert count_pattern(pat, n) == count_pattern(relabelled(pat, mapping), n)
 
 
 @given(st.permutations([1, 2, 3, 4]), st.integers(1, 4))
@@ -268,7 +305,7 @@ def test_count_pattern_relabelling_invariance_four_pieces(perm, n):
         4, Collinear(1, 2, Move(1, 1)), Collinear(2, 3, Move(1, -1)), Equal(3, 4)
     )
     mapping = {i + 1: perm[i] for i in range(4)}
-    assert count_pattern(pat, n) == count_pattern(pat.relabelled(mapping), n)
+    assert count_pattern(pat, n) == count_pattern(relabelled(pat, mapping), n)
 
 
 def test_single_move_symmetry_horizontal_vs_vertical():
@@ -310,5 +347,5 @@ def test_sequence_examples():
 def test_sequence_budget_reports_last_completed():
     with pytest.raises(BudgetExceededError) as exc:
         sequence(QUEEN, 3, 1, 9, budget=2000)
-    assert exc.value.last_completed_n is not None
-    assert exc.value.last_completed_n >= 1
+    assert exc.value.completed
+    assert [r.n for r in exc.value.completed] == list(range(1, len(exc.value.completed) + 1))
