@@ -22,7 +22,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -99,11 +99,15 @@ def _exact_div(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class Subcase:
-    """One orientation class inside a catalog type: its patterns and their combined count."""
+    """One orientation class inside a catalog type: its patterns and their combined count.
+
+    Only the label is hashed, so a tuple of subcases is a cheap memo key
+    (see ``_summed_closed_form``); equality still compares every field.
+    """
 
     label: str
-    patterns: tuple[ConstraintPattern, ...]
-    closed_form: QuasiPolynomial
+    patterns: tuple[ConstraintPattern, ...] = field(hash=False)
+    closed_form: QuasiPolynomial = field(hash=False)
 
 
 SubcaseBuilder = Callable[[int, int], tuple[Subcase, ...]]
@@ -122,7 +126,7 @@ class SubspaceCase:
     subcase_builder: SubcaseBuilder
 
     def subcases(self, h: int, k: int) -> tuple[Subcase, ...]:
-        return self.subcase_builder(h, k)
+        return _built_subcases(self.subcase_builder, h, k)
 
     def applicable(self, h: int, k: int) -> bool:
         return bool(self.subcases(h, k))
@@ -131,10 +135,22 @@ class SubspaceCase:
         return tuple(p for sc in self.subcases(h, k) for p in sc.patterns)
 
     def closed_form(self, h: int, k: int) -> QuasiPolynomial:
-        total = _qp_zero()
-        for sc in self.subcases(h, k):
-            total = total + sc.closed_form
-        return total
+        return _summed_closed_form(self.subcases(h, k))
+
+
+@functools.cache
+def _built_subcases(builder: SubcaseBuilder, h: int, k: int) -> tuple[Subcase, ...]:
+    """Each (builder, h, k) is built once per process; the audit and the
+    assembly ask for the same subcases thousands of times."""
+    return builder(h, k)
+
+
+@functools.cache
+def _summed_closed_form(subcases: tuple[Subcase, ...]) -> QuasiPolynomial:
+    total = _qp_zero()
+    for sc in subcases:
+        total = total + sc.closed_form
+    return total
 
 
 def _col(i: int, j: int, m: Move) -> Collinear:
@@ -554,13 +570,6 @@ def case_catalog() -> tuple[SubspaceCase, ...]:
     return _CATALOG
 
 
-def case_by_name(name: str) -> SubspaceCase:
-    for case in _CATALOG:
-        if case.name == name:
-            return case
-    raise KeyError(name)
-
-
 @dataclass(frozen=True)
 class AuditResult:
     case: str
@@ -581,18 +590,6 @@ def audit_case(case: SubspaceCase, h: int, k: int, n: int) -> AuditResult:
     brute = sum(count_pattern(p, n) for p in case.pattern_family(h, k))
     closed = evaluate(case.closed_form(h, k), n)
     return AuditResult(case.name, h, k, n, brute, closed, F(brute) == closed)
-
-
-def audit_subcases(case: SubspaceCase, h: int, k: int, n: int) -> list[tuple[str, int, Fraction, bool]]:
-    """Per-orientation-class audit rows (finer than the per-case report)."""
-    if not case.applicable(h, k):
-        raise InapplicableCaseError(f"{case.name} has no subspaces for (h, k) = {(h, k)}")
-    rows = []
-    for sc in case.subcases(h, k):
-        brute = sum(count_pattern(p, n) for p in sc.patterns)
-        closed = evaluate(sc.closed_form, n)
-        rows.append((sc.label, brute, closed, F(brute) == closed))
-    return rows
 
 
 def assemble_labelled_count(h: int, k: int, q: int, n: int) -> int:

@@ -3,7 +3,9 @@
 One record per line: ``{"moves": [[c,d], ...], "q": int, "n": int,
 "count": "decimal-string"}``.  Counts are decimal strings so no reader
 needs to assume an integer width.  Corrupt lines are skipped with a
-warning, never trusted.
+warning, never trusted.  A key repeated with the same count is accepted;
+a key repeated with a different count raises ``CacheConflictError``, since
+neither record can be trusted over the other.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ ENV_VAR = "QQUEENS_CACHE"
 Key = tuple[tuple[tuple[int, int], ...], int, int]
 
 
+class CacheConflictError(Exception):
+    """Two records of the cache file give one key different counts."""
+
+
 class CountCache:
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
@@ -30,6 +36,7 @@ class CountCache:
     def _load(self) -> None:
         if not self.path.exists():
             return
+        first_line: dict[Key, int] = {}
         with self.path.open("r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -48,7 +55,14 @@ class CountCache:
                         file=sys.stderr,
                     )
                     continue
-                self._entries[key] = count
+                known = self._entries.setdefault(key, count)
+                first = first_line.setdefault(key, lineno)
+                if known != count:
+                    cached_moves, q, n = key
+                    raise CacheConflictError(
+                        f"{self.path}: moves {[list(cd) for cd in cached_moves]}, q={q}, n={n} "
+                        f"has count {known} on line {first} and {count} on line {lineno}"
+                    )
 
     def get(self, moves: MoveSet, q: int, n: int) -> Optional[int]:
         return self._entries.get((moves.canonical_key(), q, n))

@@ -13,8 +13,9 @@ Every command also takes ``--format json|csv|latex|text``.  ``verify``
 takes ``--n-max``, not ``--n``.  Counts and coefficients are printed
 exactly (integers and fraction strings); reports are deterministic given
 the arguments and cache state.  Exit status: 0 all checks passed, 1 a check
-or fit failed (under every command) or stdout was closed early, 2 usage
-error, 3 search budget exceeded (partial output flagged).
+or fit failed (under every command), the cache file holds two counts for
+one key, or stdout was closed early, 2 usage error, 3 search budget exceeded
+(partial output flagged).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 from functools import partial
 from typing import Optional
 
-from .cache import ENV_VAR, CountCache
+from .cache import ENV_VAR, CacheConflictError, CountCache
 from .core import ALL_PIECE_SPECS, MoveSet, PartialQueenSpec, partial_queen
 from .enumerator import DEFAULT_BUDGET, BudgetExceededError, sequence
 from .quasipoly import (
@@ -292,6 +293,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_BUDGET
     except FitError as err:
         print(f"fit failed: {err}", file=sys.stderr)
+        return EXIT_FAIL
+    except CacheConflictError as err:
+        print(f"cache conflict: {err}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

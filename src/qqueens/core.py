@@ -83,9 +83,6 @@ class MoveSet:
         """Order-independent key; cache entries and reports use it."""
         return tuple(sorted((m.c, m.d) for m in self.moves))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_pairs())
-
     @classmethod
     def from_json(cls, text: str) -> "MoveSet":
         pairs = json.loads(text)
@@ -104,18 +101,6 @@ class PartialQueenSpec:
             raise ValueError("h and k must each be 0, 1, or 2")
         if self.h + self.k < 1:
             raise ValueError("h + k must be at least 1")
-
-    @property
-    def move_count(self) -> int:
-        return self.h + self.k
-
-    def to_json(self) -> str:
-        return json.dumps({"h": self.h, "k": self.k})
-
-    @classmethod
-    def from_json(cls, text: str) -> "PartialQueenSpec":
-        obj = json.loads(text)
-        return cls(int(obj["h"]), int(obj["k"]))
 
 
 def partial_queen(spec: PartialQueenSpec) -> MoveSet:

@@ -35,6 +35,7 @@ increasing index order and pruned with per-square attack bitsets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -357,9 +358,22 @@ def count_pattern(pat: ConstraintPattern, n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    lines = {
-        c.slope: list(_board_lines(c.slope, n)) for c in pat.constraints if isinstance(c, Collinear)
-    }
+    return _folded_count(pat, n)
+
+
+@functools.cache
+def _slope_lines(slope: Move, n: int) -> tuple[tuple[int, ...], ...]:
+    """``_board_lines(slope, n)``, built once per (slope, n) for the pattern
+    counter, which carries tables across the same few slopes at every n."""
+    return tuple(tuple(line) for line in _board_lines(slope, n))
+
+
+@functools.cache
+def _folded_count(pat: ConstraintPattern, n: int) -> int:
+    """``count_pattern`` for n >= 0, once per (pattern, n) in a process: the
+    catalog audit and the assembly count the same families at the same sizes.
+    Patterns are frozen, so equal keys hold the same constraints."""
+    lines = {c.slope: _slope_lines(c.slope, n) for c in pat.constraints if isinstance(c, Collinear)}
 
     def carry(table: list[int], piece: int, c: Constraint, tables: dict[int, list[int]]) -> None:
         """Multiply the table of the piece at c's other end by ``table`` carried across c."""

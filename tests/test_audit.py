@@ -10,8 +10,6 @@ from qqueens.audit import (
     assemble_labelled_count,
     assemble_symbolic,
     audit_case,
-    audit_subcases,
-    case_by_name,
     case_catalog,
     gamma5_sign_report,
     gamma_from_audit,
@@ -22,6 +20,21 @@ from qqueens.formulas import gamma1, gamma2, gamma3, gamma5_periodic, table2_row
 from qqueens.quasipoly import QuasiPolynomial, evaluate
 
 ALL_HK = [(s.h, s.k) for s in ALL_PIECE_SPECS]
+
+
+def case_by_name(name: str):
+    (case,) = (c for c in case_catalog() if c.name == name)
+    return case
+
+
+def audit_subcases(case, h: int, k: int, n: int) -> list[tuple[str, int, F, bool]]:
+    """Per-orientation-class audit rows: label, brute count, closed form, match."""
+    rows = []
+    for sc in case.subcases(h, k):
+        brute = sum(count_pattern(p, n) for p in sc.patterns)
+        closed = evaluate(sc.closed_form, n)
+        rows.append((sc.label, brute, closed, F(brute) == closed))
+    return rows
 
 # Moebius values per type, exactly as the catalog must carry them.
 EXPECTED_MOEBIUS = {
@@ -115,6 +128,26 @@ def test_audit_case_rejects_inapplicable():
         audit_case(case, 1, 0, 3)
     dd_missing = case_by_name("U4c^3")
     assert all(sc.label != "DDD" for sc in dd_missing.subcases(1, 1))
+
+
+def test_subcases_are_built_once_per_case_and_piece():
+    for case in case_catalog():
+        for h, k in ALL_HK:
+            built = case.subcases(h, k)
+            assert case.subcases(h, k) is built
+            assert built == case.subcase_builder(h, k), (case.name, h, k)
+
+
+def test_closed_form_is_the_sum_of_freshly_built_subcase_forms():
+    from qqueens.quasipoly import Polynomial
+
+    for case in case_catalog():
+        for h, k in ALL_HK:
+            total = QuasiPolynomial.constant_poly(Polynomial.zero())
+            for sc in case.subcase_builder(h, k):
+                total = total + sc.closed_form
+            assert case.closed_form(h, k) == total, (case.name, h, k)
+            assert case.closed_form(h, k) == total  # the second call reads the memo
 
 
 def test_every_case_against_brute_force_small_boards():

@@ -227,6 +227,34 @@ def test_cache_corrupt_lines_skipped(tmp_path, capsys):
     assert json.loads(out) == [{"n": "2", "count": "999"}]
 
 
+def test_cache_conflict_exits_1_naming_both_records(tmp_path, capsys):
+    cache_file = tmp_path / "counts.jsonl"
+    cache_file.write_text(
+        '{"moves": [[1, 0]], "q": 2, "n": 2, "count": "4"}\n'
+        '{"moves": [[1, 0]], "q": 2, "n": 3, "count": "18"}\n'
+        '{"moves": [[1, 0]], "q": 2, "n": 2, "count": "5"}\n'
+    )
+    code, out, err = run_cli(
+        capsys, "count", "--moves", "[[1,0]]", "--q", "2", "--n", "2", "--cache", str(cache_file)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("cache conflict: ")
+    assert "moves [[1, 0]], q=2, n=2 has count 4 on line 1 and 5 on line 3" in err
+
+
+def test_cache_identical_duplicate_records_accepted(tmp_path, capsys):
+    cache_file = tmp_path / "counts.jsonl"
+    record = '{"moves": [[1, 0]], "q": 2, "n": 2, "count": "999"}\n'
+    cache_file.write_text(record + record)
+    code, out, err = run_cli(
+        capsys, "count", "--moves", "[[1,0]]", "--q", "2", "--n", "2", "--cache", str(cache_file), "--format", "json"
+    )
+    assert code == 0
+    assert err == ""
+    assert json.loads(out) == [{"n": "2", "count": "999"}]
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache_file = tmp_path / "env_cache.jsonl"
     monkeypatch.setenv(ENV_VAR, str(cache_file))
@@ -268,6 +296,15 @@ def test_verify_all_applies_n_max_to_every_suite(capsys):
     assert "fit failed" in err
     assert err == types_err
     assert out == ""
+
+
+def test_verify_all_stdout_is_the_reference_report(capsys, monkeypatch):
+    # the benchmark's reference output, read only; a stale memo would change a row
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify_all.txt"
+    code, out, _ = run_cli(capsys, "verify", "--scope", "all")
+    assert code == 0
+    assert out.encode("utf-8") == reference.read_bytes()
 
 
 def test_closed_stdout_exits_quietly():

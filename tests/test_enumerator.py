@@ -271,6 +271,26 @@ def test_count_pattern_board_size_bounds():
         count_pattern(pat, -1)
 
 
+def test_count_pattern_rejects_negative_n_after_counting_the_pattern():
+    pat = pattern(2, Collinear(1, 2, Move(1, 2)), Equal(1, 2))
+    assert count_pattern(pat, 3) == 9
+    with pytest.raises(ValueError):
+        count_pattern(pat, -1)
+
+
+def test_equal_patterns_built_apart_share_one_count():
+    def build(down: Move) -> ConstraintPattern:
+        return pattern(3, Collinear(1, 2, Move(1, 1)), Collinear(2, 3, down))
+
+    for n in range(5):
+        first, second = build(Move(1, -1)), build(Move(1, -1))
+        assert first is not second and first == second
+        assert count_pattern(first, n) == count_pattern(second, n) == naive_count_pattern(second, n)
+        # a pattern differing only in one slope is a different key
+        other = build(Move(1, 0))
+        assert count_pattern(other, n) == naive_count_pattern(other, n)
+
+
 def test_count_pattern_agrees_with_specialized_counters():
     for slope in (Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1)):
         for n in range(31):
