@@ -204,23 +204,13 @@ def cmd_fit(args: argparse.Namespace, out) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
-    claims, aux = run_verify(args.scope, n_max=args.n_max, cache=_cache(args))
+    claims = run_verify(args.scope, n_max=args.n_max, cache=_cache(args))
     rows = [("PASS" if c.passed else "FAIL", c.name, c.detail) for c in claims]
     print(render(("status", "claim", "detail"), rows, args.fmt), file=out)
-    if "report" in aux and args.fmt == "text":
-        report = aux["report"]
-        for piece_row in report.get("pieces", []):
-            print(
-                "piece ({h},{k}): fitted alternating n-coefficient {v}"
-                " | periodic-part-formula {t} | three-piece-table {w}".format(
-                    h=piece_row["h"], k=piece_row["k"],
-                    v=format_fraction(piece_row["fitted_alternating_n_coefficient"]),
-                    t=format_fraction(piece_row["periodic_part_formula_value"]),
-                    w=format_fraction(piece_row["three_piece_table_value"]),
-                ),
-                file=out,
-            )
-        print(f"conclusion: {report['conclusion']}", file=out)
+    if args.fmt == "text":
+        for c in claims:
+            for note in c.notes:
+                print(note, file=out)
     return EXIT_OK if all(c.passed for c in claims) else EXIT_FAIL
 
 

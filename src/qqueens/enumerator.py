@@ -77,7 +77,6 @@ class AttackTable:
     ``masks[i]`` is square i together with the union of the lines through it.
     """
 
-    board_size: int
     masks: tuple[int, ...]
     lines: tuple[int, ...]
 
@@ -92,7 +91,7 @@ class AttackTable:
                     lines.append(line)
                     for i in squares:
                         masks[i] |= line
-        return cls(n, tuple(masks), tuple(lines))
+        return cls(tuple(masks), tuple(lines))
 
 
 def _board_lines(slope: Move, n: int) -> Iterator[list[int]]:

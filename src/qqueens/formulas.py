@@ -57,32 +57,20 @@ def _check_hk(h: int, k: int) -> None:
 
 @dataclass(frozen=True)
 class GammaExpr:
-    """A coefficient gamma_i in normal form numerator(q) / (denom * (q - shift)!).
-
-    ``alternating`` marks expressions that multiply (-1)^n (the periodic
-    parts of gamma5 and gamma6).
-    """
+    """A coefficient gamma_i in normal form numerator(q) / (denom * (q - 2)!)."""
 
     index: int
     numerator: Polynomial
     denominator_constant: int
-    factorial_shift: int = 2
-    alternating: bool = False
 
     def value(self, q: int) -> Fraction:
-        if q < self.factorial_shift:
-            raise ValueError(
-                f"gamma{self.index} needs q >= {self.factorial_shift}, got {q}"
-            )
-        return self.numerator(q) / (
-            self.denominator_constant * math.factorial(q - self.factorial_shift)
-        )
+        if q < 2:
+            raise ValueError(f"gamma{self.index} needs q >= 2, got {q}")
+        return self.numerator(q) / (self.denominator_constant * math.factorial(q - 2))
 
     def times_q_factorial(self) -> Polynomial:
         """q! * gamma as a polynomial in q (factorial quotient becomes a falling factorial)."""
-        return (self.numerator * falling_poly(self.factorial_shift)).scale(
-            F(1, self.denominator_constant)
-        )
+        return (self.numerator * falling_poly(2)).scale(F(1, self.denominator_constant))
 
     def leading_q_coefficient(self) -> Fraction:
         poly = self.times_q_factorial()
@@ -92,8 +80,6 @@ class GammaExpr:
 
     def same_value(self, other: "GammaExpr") -> bool:
         """Equality as rational functions of q (normal forms may differ)."""
-        if self.factorial_shift != other.factorial_shift:
-            return False
         return self.numerator.scale(other.denominator_constant) == other.numerator.scale(
             self.denominator_constant
         )

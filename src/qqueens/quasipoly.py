@@ -256,12 +256,12 @@ class CoeffDecomposition:
 def coefficient(qp: QuasiPolynomial, power: int) -> CoeffDecomposition:
     """Parity split of the coefficient of n**power; requires period 1 or 2.
 
-    For larger periods the split is not canonical; use
-    :func:`residue_coefficient` instead.
+    For larger periods the split is not canonical; read the coefficient of
+    each constituent instead.
     """
     if qp.period > 2:
         raise PeriodTooLargeError(
-            f"period {qp.period} > 2; use residue_coefficient for per-residue values"
+            f"period {qp.period} > 2; read each constituent's coefficient instead"
         )
     even = qp.constituents[0].coefficient(power)
     odd = qp.constituents[-1].coefficient(power)
@@ -270,11 +270,6 @@ def coefficient(qp: QuasiPolynomial, power: int) -> CoeffDecomposition:
         constant=(even + odd) / 2,
         alternating=(even - odd) / 2,
     )
-
-
-def residue_coefficient(qp: QuasiPolynomial, power: int, residue: int) -> Fraction:
-    """Coefficient of n**power in the constituent for the given residue class."""
-    return qp.constituents[residue % qp.period].coefficient(power)
 
 
 def lagrange(points: Sequence[tuple[int, Fraction]]) -> Polynomial:
@@ -345,7 +340,6 @@ def detect_period(
     samples: Sequence[tuple[int, int]],
     degree: int,
     max_period: int,
-    surplus: int = 1,
 ) -> int:
     """Smallest period <= ``max_period`` whose fit validates on every sample.
 
@@ -353,7 +347,7 @@ def detect_period(
     """
     for p in range(1, max_period + 1):
         try:
-            fit(samples, degree, p, surplus=surplus)
+            fit(samples, degree, p)
         except InconsistentSamplesError:
             continue
         return p

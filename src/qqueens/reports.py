@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import ALL_PIECE_SPECS, PartialQueenSpec, partial_queen
 from .enumerator import alpha_pairs, beta_triples, count_unlabelled, sequence
@@ -37,6 +37,7 @@ class ClaimResult:
     name: str
     passed: bool
     detail: str = ""
+    notes: tuple[str, ...] = ()  # lines the text report prints after the table
 
 
 def poly_str(poly: Polynomial, var: str = "n") -> str:
@@ -112,7 +113,7 @@ def _oracle_samples(spec: PartialQueenSpec, q: int, n_max: int, cache=None) -> l
     return [(r.n, r.count) for r in sequence(moves, q, 1, n_max, cache=cache)]
 
 
-def suite_attacklines(n_max: int = 50) -> list[ClaimResult]:
+def suite_attacklines(n_max: int) -> list[ClaimResult]:
     """Closed forms for attacking pairs and collinear triples along each slope."""
     out = []
     for slope in fm.SUPPORTED_SLOPES:
@@ -126,7 +127,7 @@ def suite_attacklines(n_max: int = 50) -> list[ClaimResult]:
     return out
 
 
-def suite_tables(n_max: int = 8) -> list[ClaimResult]:
+def suite_tables(n_max: int) -> list[ClaimResult]:
     """Two- and three-piece closed forms vs the oracle, coefficient-table
     coherence, and type counts."""
     out = []
@@ -241,7 +242,7 @@ def suite_audit(
     return claims, records
 
 
-def suite_assembly(n_max: int = 8) -> list[ClaimResult]:
+def suite_assembly(n_max: int) -> list[ClaimResult]:
     """Catalog assembly equals q! times the oracle for q <= 3."""
     out = []
     for spec in ALL_PIECE_SPECS:
@@ -257,7 +258,7 @@ def suite_assembly(n_max: int = 8) -> list[ClaimResult]:
     return out
 
 
-def suite_types(n_max: int = 17, cache=None) -> list[ClaimResult]:
+def suite_types(n_max: int, cache=None) -> list[ClaimResult]:
     """Type counts via the value at -1 of fitted quasipolynomials."""
     out = []
     for spec in ALL_PIECE_SPECS:
@@ -289,53 +290,49 @@ def suite_types(n_max: int = 17, cache=None) -> list[ClaimResult]:
     return out
 
 
-def suite_gamma5_sign(n_max: int = 17) -> tuple[list[ClaimResult], dict]:
+def suite_gamma5_sign(n_max: int) -> list[ClaimResult]:
+    """Which printed sign of the periodic n-coefficient the oracle confirms;
+    each piece's fitted value and the conclusion ride along as notes."""
     report = audit_mod.gamma5_sign_report(n_max)
-    claims = [
+    notes = tuple(
+        f"piece ({row['h']},{row['k']}): fitted alternating n-coefficient "
+        f"{format_fraction(row['fitted_alternating_n_coefficient'])}"
+        f" | periodic-part-formula {format_fraction(row['periodic_part_formula_value'])}"
+        f" | three-piece-table {format_fraction(row['three_piece_table_value'])}"
+        for row in report["pieces"]
+    )
+    return [
         ClaimResult(
             "exactly one printed sign for the periodic n-coefficient matches the oracle",
             report["exactly_one_route_matches"],
             report["conclusion"],
+            notes + (f"conclusion: {report['conclusion']}",),
         )
     ]
-    return claims, report
 
 
-VERIFY_SCOPES = ("tables", "coeffs", "audit", "assembly", "types", "gamma5-sign", "attacklines", "all")
+# Every verify scope's suite, in the order ``--scope all`` runs them, called
+# as (n_max, cache); a missing n_max means the suite's own default ceiling.
+# Each entry looks its suite up when called, so a patched suite is the one run.
+SUITES: dict[str, Callable[[Optional[int], object], list[ClaimResult]]] = {
+    "attacklines": lambda n_max, cache: suite_attacklines(n_max or 50),
+    "tables": lambda n_max, cache: suite_tables(n_max or 8),
+    "coeffs": lambda n_max, cache: suite_coeffs(),
+    "audit": lambda n_max, cache: suite_audit(1, n_max or 10)[0],
+    "assembly": lambda n_max, cache: suite_assembly(n_max or 8),
+    "types": lambda n_max, cache: suite_types(n_max or 17, cache=cache),
+    "gamma5-sign": lambda n_max, cache: suite_gamma5_sign(n_max or 17),
+}
+
+VERIFY_SCOPES = (*SUITES, "all")
 
 
-def run_verify(scope: str, n_max: Optional[int] = None, cache=None) -> tuple[list[ClaimResult], dict]:
-    """Dispatch a verify scope; returns claims plus any auxiliary report."""
-    aux: dict = {}
-    if scope == "tables":
-        return suite_tables(n_max or 8), aux
-    if scope == "coeffs":
-        return suite_coeffs(), aux
-    if scope == "audit":
-        return suite_audit(1, n_max or 10)[0], aux
-    if scope == "assembly":
-        return suite_assembly(n_max or 8), aux
-    if scope == "types":
-        return suite_types(n_max or 17, cache=cache), aux
-    if scope == "gamma5-sign":
-        claims, report = suite_gamma5_sign(n_max or 17)
-        aux["report"] = report
-        return claims, aux
-    if scope == "attacklines":
-        return suite_attacklines(n_max or 50), aux
-    if scope == "all":
-        claims: list[ClaimResult] = []
-        claims += suite_attacklines(n_max or 50)
-        claims += suite_tables(n_max or 8)
-        claims += suite_coeffs()
-        claims += suite_audit(1, n_max or 10)[0]
-        claims += suite_assembly(min(n_max or 8, 8))
-        claims += suite_types(n_max or 17, cache=cache)
-        sign_claims, report = suite_gamma5_sign(n_max or 17)
-        aux["report"] = report
-        claims += sign_claims
-        return claims, aux
-    raise ValueError(f"unknown scope {scope!r}; choose from {VERIFY_SCOPES}")
+def run_verify(scope: str, n_max: Optional[int] = None, cache=None) -> list[ClaimResult]:
+    """The claims of one scope's suite, or of every suite in turn for ``all``."""
+    if scope not in VERIFY_SCOPES:
+        raise ValueError(f"unknown scope {scope!r}; choose from {VERIFY_SCOPES}")
+    names = SUITES if scope == "all" else (scope,)
+    return [claim for name in names for claim in SUITES[name](n_max, cache)]
 
 
 def formula_bank_rows(h: int, k: int, q: int) -> list[tuple[str, str]]:

@@ -134,7 +134,15 @@ def test_verify_tables_scope_small(capsys):
 def test_verify_gamma5_sign_scope(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "gamma5-sign")
     assert code == 0
-    assert "three-piece table carries the correct sign" in out
+    # the notes follow the table in text format only
+    *table, piece_a, piece_b, conclusion = out.splitlines()
+    assert len(table) == 2  # header and the one claim
+    assert [line.split(":")[0] for line in (piece_a, piece_b)] == ["piece (1,2)", "piece (2,2)"]
+    assert conclusion == "conclusion: three-piece table carries the correct sign"
+    code, out, _ = run_cli(capsys, "verify", "--scope", "gamma5-sign", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)) == 1
+    assert "conclusion:" not in out
 
 
 def test_audit_report_json(capsys):
@@ -278,6 +286,30 @@ def test_verify_exit_nonzero_on_failure(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "coeffs")
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("n_max", [None, 11])
+def test_verify_all_gives_each_suite_its_own_scope_ceiling(monkeypatch, n_max):
+    import qqueens.reports as reports
+
+    calls = []
+
+    def recorder(name):
+        def suite(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return ([], []) if name == "suite_audit" else []
+        return suite
+
+    for name in ("suite_attacklines", "suite_tables", "suite_coeffs", "suite_audit",
+                 "suite_assembly", "suite_types", "suite_gamma5_sign"):
+        monkeypatch.setattr(reports, name, recorder(name))
+    for scope in reports.SUITES:
+        reports.run_verify(scope, n_max)
+    one_by_one = calls[:]
+    calls.clear()
+    assert reports.run_verify("all", n_max) == []
+    assert calls == one_by_one
+    assert len(calls) == len(reports.SUITES) == 7
 
 
 def test_verify_fit_failure_exits_1(capsys):

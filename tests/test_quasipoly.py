@@ -18,7 +18,6 @@ from qqueens.quasipoly import (
     fit,
     format_fraction,
     lagrange,
-    residue_coefficient,
 )
 
 
@@ -96,12 +95,10 @@ def test_coefficient_period_one_has_zero_alternating():
     assert dec == CoeffDecomposition(2, F(2), F(0))
 
 
-def test_coefficient_rejects_large_period_with_sibling_accessor():
+def test_coefficient_rejects_large_period():
     qp = QuasiPolynomial(3, (P(1), P(2), P(3)))
     with pytest.raises(PeriodTooLargeError):
         coefficient(qp, 0)
-    assert residue_coefficient(qp, 0, 1) == 2
-    assert residue_coefficient(qp, 0, 4) == 2
 
 
 def test_lagrange_exactness():
