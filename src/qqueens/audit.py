@@ -26,33 +26,16 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import (
-    DIAGONAL_DOWN,
-    DIAGONAL_UP,
-    HORIZONTAL,
-    VERTICAL,
-    Move,
-    PartialQueenSpec,
-    partial_queen,
-)
+from .core import DIAGONAL_DOWN, DIAGONAL_UP, HORIZONTAL, VERTICAL, Move
 from .enumerator import (
     Collinear,
     ConstraintPattern,
     Equal,
     count_pattern,
     pattern,
-    sequence,
 )
-from .formulas import alpha_closed, beta_closed, falling, table2_row
-from .quasipoly import (
-    CoeffDecomposition,
-    Polynomial,
-    QuasiPolynomial,
-    coefficient,
-    detect_period,
-    evaluate,
-    fit,
-)
+from .formulas import alpha_closed, beta_closed, falling
+from .quasipoly import Polynomial, QuasiPolynomial, evaluate
 
 F = Fraction
 
@@ -166,30 +149,38 @@ _DV3 = _qp([0, 0, F(1, 3), 0, F(2, 3)])  # diagonal pair plus an orthogonal thir
 _DD3 = _qp_parity([F(1, 8), 0, F(1, 3), 0, F(5, 12)], [F(-1, 8)])  # middle piece on both diagonals
 
 
-def _build_u2_1(h: int, k: int) -> tuple[Subcase, ...]:
-    return tuple(
-        Subcase(
-            f"slope {_slope_label(m)}",
-            (pattern(2, _col(1, 2, m)),),
-            _alpha_qp(m),
+def _per_move(
+    piece_count: int,
+    path: Callable[[Move], tuple],
+    closed: Callable[[Move], QuasiPolynomial],
+) -> SubcaseBuilder:
+    """One subcase per move m of the piece: the pattern on ``piece_count``
+    pieces with the constraints ``path(m)``, and its count ``closed(m)``."""
+
+    def build(h: int, k: int) -> tuple[Subcase, ...]:
+        return tuple(
+            Subcase(f"slope {_slope_label(m)}", (pattern(piece_count, *path(m)),), closed(m))
+            for m in piece_moves(h, k)
         )
-        for m in piece_moves(h, k)
-    )
+
+    return build
+
+
+def _u4a_closed(m: Move) -> QuasiPolynomial:
+    if m in (H, V):
+        return _qp([0, 0, 0, 0, 0, 1])
+    return _qp([0, F(-1, 15), 0, F(2, 3), 0, F(2, 5)])
+
+
+_build_u2_1 = _per_move(2, lambda m: (_col(1, 2, m),), _alpha_qp)
+# a lambda, so beta_closed is looked up per call and a rebinding (perfbench's tracer) reaches it
+_build_u3a_2 = _per_move(3, lambda m: (_col(1, 2, m), _col(2, 3, m)), lambda m: beta_closed(m))
+_build_u3b_3 = _per_move(3, lambda m: (Equal(1, 2), _col(2, 3, m)), _alpha_qp)
+_build_u4a_3 = _per_move(4, lambda m: (_col(1, 2, m), _col(2, 3, m), _col(3, 4, m)), _u4a_closed)
 
 
 def _build_u2_2(h: int, k: int) -> tuple[Subcase, ...]:
     return (Subcase("coincident pair", (pattern(2, Equal(1, 2)),), _qp([0, 0, 1])),)
-
-
-def _build_u3a_2(h: int, k: int) -> tuple[Subcase, ...]:
-    return tuple(
-        Subcase(
-            f"slope {_slope_label(m)}",
-            (pattern(3, _col(1, 2, m), _col(2, 3, m)),),
-            beta_closed(m),
-        )
-        for m in piece_moves(h, k)
-    )
 
 
 def _u3b2_pair_subcase(a: Move, b: Move) -> Subcase:
@@ -245,34 +236,6 @@ def _build_u3a_3(h: int, k: int) -> tuple[Subcase, ...]:
                     _qp_parity([0, F(11, 12), 0, F(5, 6)], [0, F(-1, 4)]),
                 )
             )
-    return tuple(out)
-
-
-def _build_u3b_3(h: int, k: int) -> tuple[Subcase, ...]:
-    return tuple(
-        Subcase(
-            f"slope {_slope_label(m)}",
-            (pattern(3, Equal(1, 2), _col(2, 3, m)),),
-            _alpha_qp(m),
-        )
-        for m in piece_moves(h, k)
-    )
-
-
-def _build_u4a_3(h: int, k: int) -> tuple[Subcase, ...]:
-    out = []
-    for m in piece_moves(h, k):
-        if m in (H, V):
-            closed = _qp([0, 0, 0, 0, 0, 1])
-        else:
-            closed = _qp([0, F(-1, 15), 0, F(2, 3), 0, F(2, 5)])
-        out.append(
-            Subcase(
-                f"slope {_slope_label(m)}",
-                (pattern(4, _col(1, 2, m), _col(2, 3, m), _col(3, 4, m)),),
-                closed,
-            )
-        )
     return tuple(out)
 
 
@@ -641,69 +604,3 @@ def assemble_symbolic(h: int, k: int, q: int) -> QuasiPolynomial:
         )
         total = total + shifted.scale(mult * mu)
     return total.scale(F(1, math.factorial(q)))
-
-
-def gamma_from_audit(h: int, k: int, q: int, i: int) -> CoeffDecomposition:
-    """Coefficient of n^(2q-i) assembled from the codimension contributions.
-
-    Only i <= 3 is available: higher-codimension types are not cataloged
-    beyond what q <= 3 needs.
-    """
-    from .formulas import codim_contribution
-
-    if i > 3 or i < 0:
-        raise ValueError("only coefficients with i <= 3 are assembled")
-    total = _qp_zero()
-    for nu in range(4):
-        total = total + codim_contribution(h, k, q, nu)
-    return coefficient(total, 2 * q - i)
-
-
-GAMMA5_SIGN_PIECES = ((1, 2), (2, 2))
-
-
-def gamma5_sign_report(n_max: int = 17) -> dict:
-    """Fit the three-piece counts for the two pieces with a periodic linear
-    coefficient and name which printed sign the oracle confirms.
-
-    The standalone periodic-part formula and the three-piece table print opposite signs
-    for the alternating part of the n-coefficient; both cannot hold.  The
-    fitted value decides.
-    """
-    from .formulas import gamma5_periodic
-
-    rows = []
-    for h, k in GAMMA5_SIGN_PIECES:
-        moves = partial_queen(PartialQueenSpec(h, k))
-        samples = [(r.n, r.count) for r in sequence(moves, 3, 1, n_max)]
-        period = detect_period(samples, 6, 2)
-        fitted = fit(samples, 6, period)
-        fitted_alt = coefficient(fitted, 1).alternating
-        theorem_alt = gamma5_periodic(h, k, 3)
-        table_alt = coefficient(table2_row(h, k), 1).alternating
-        rows.append(
-            {
-                "h": h,
-                "k": k,
-                "fitted_alternating_n_coefficient": fitted_alt,
-                "periodic_part_formula_value": theorem_alt,
-                "three_piece_table_value": table_alt,
-                "matches_periodic_part_formula": fitted_alt == theorem_alt,
-                "matches_three_piece_table": fitted_alt == table_alt,
-            }
-        )
-    theorem_ok = all(r["matches_periodic_part_formula"] for r in rows)
-    table_ok = all(r["matches_three_piece_table"] for r in rows)
-    if table_ok and not theorem_ok:
-        conclusion = "three-piece table carries the correct sign"
-    elif theorem_ok and not table_ok:
-        conclusion = "periodic-part formula carries the correct sign"
-    elif theorem_ok and table_ok:
-        conclusion = "both match (unexpected: the printed signs differ)"
-    else:
-        conclusion = "neither printed sign matches the oracle"
-    return {
-        "pieces": rows,
-        "exactly_one_route_matches": table_ok != theorem_ok,
-        "conclusion": conclusion,
-    }

@@ -30,16 +30,17 @@ from typing import Optional
 from .cache import ENV_VAR, CacheConflictError, CountCache
 from .core import ALL_PIECE_SPECS, MoveSet, PartialQueenSpec, partial_queen
 from .enumerator import DEFAULT_BUDGET, BudgetExceededError, sequence
-from .quasipoly import (
-    FitError,
-    QuasiPolynomial,
-    detect_period,
-    eval_at_minus_one,
-    fit,
-    format_fraction,
-)
+from .quasipoly import FitError, QuasiPolynomial, eval_at_minus_one, format_fraction
 from . import formulas as fm
-from .reports import VERIFY_SCOPES, formula_bank_rows, qp_str, render, run_verify, suite_audit
+from .reports import (
+    VERIFY_SCOPES,
+    fitted_counts,
+    formula_bank_rows,
+    qp_str,
+    render,
+    run_verify,
+    suite_audit,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -165,13 +166,11 @@ def _cache(args: argparse.Namespace) -> Optional[CountCache]:
 
 
 def _fit(args: argparse.Namespace, period_max: int) -> tuple[list, QuasiPolynomial]:
-    """Oracle samples over ``--n`` (default: enough per residue class at
-    ``period_max``) and the validated fit of degree 2q at the detected period."""
-    degree = 2 * args.q
-    n_lo, n_hi = args.n or (1, period_max * (degree + 2))
-    records = sequence(_moves(args), args.q, n_lo, n_hi, budget=args.budget, cache=_cache(args))
-    samples = [(r.n, r.count) for r in records]
-    return samples, fit(samples, degree, detect_period(samples, degree, period_max))
+    """``fitted_counts`` over ``--n``, by default enough samples per residue
+    class at ``period_max``."""
+    n_lo, n_hi = args.n or (1, period_max * (2 * args.q + 2))
+    return fitted_counts(_moves(args), args.q, n_lo, n_hi, period_max,
+                         budget=args.budget, cache=_cache(args))
 
 
 def cmd_count(args: argparse.Namespace, out) -> int:

@@ -76,9 +76,6 @@ class MoveSet:
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "MoveSet":
         return cls(tuple(Move.from_vector(c, d) for c, d in pairs))
 
-    def to_pairs(self) -> list[list[int]]:
-        return [[m.c, m.d] for m in self.moves]
-
     def canonical_key(self) -> tuple[tuple[int, int], ...]:
         """Order-independent key; cache entries and reports use it."""
         return tuple(sorted((m.c, m.d) for m in self.moves))

@@ -16,7 +16,6 @@ from qqueens.audit import (
     assemble_labelled_count,
     audit_case,
     case_catalog,
-    gamma5_sign_report,
 )
 from qqueens.core import ALL_PIECE_SPECS, PartialQueenSpec, partial_queen
 from qqueens.enumerator import count_unlabelled, sequence
@@ -51,6 +50,7 @@ from qqueens.quasipoly import (
     fit,
     lagrange,
 )
+from qqueens.reports import suite_gamma5_sign
 
 ALL_HK = [(s.h, s.k) for s in ALL_PIECE_SPECS]
 
@@ -203,9 +203,9 @@ def test_criterion_8_periodicity_reconciliation_at_q3():
             ok = ok and fitted_alt == table_value
         else:
             ok = ok and (fitted_alt == table_value) != (fitted_alt == theorem_value)
-    report = gamma5_sign_report(16)
-    ok = ok and report["exactly_one_route_matches"]
-    named = report["conclusion"]
+    (claim,) = suite_gamma5_sign(16)
+    ok = ok and claim.passed
+    named = claim.detail
     ok = ok and named == "three-piece table carries the correct sign"
     _line(8, ok, "fitted parity structure at q=3; periodic-sign arbitration", named)
     assert ok

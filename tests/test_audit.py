@@ -11,13 +11,12 @@ from qqueens.audit import (
     assemble_symbolic,
     audit_case,
     case_catalog,
-    gamma5_sign_report,
-    gamma_from_audit,
 )
 from qqueens.core import ALL_PIECE_SPECS, PartialQueenSpec, partial_queen
 from qqueens.enumerator import Equal, count_pattern, count_unlabelled
-from qqueens.formulas import gamma1, gamma2, gamma3, gamma5_periodic, table2_row, u2_closed
-from qqueens.quasipoly import QuasiPolynomial, evaluate
+from qqueens.formulas import codim_contribution, gamma1, gamma2, gamma3, table2_row, u2_closed
+from qqueens.quasipoly import QuasiPolynomial, coefficient, evaluate
+from qqueens.reports import suite_gamma5_sign
 
 ALL_HK = [(s.h, s.k) for s in ALL_PIECE_SPECS]
 
@@ -219,6 +218,12 @@ def test_symbolic_assembly_reproduces_three_piece_form():
         assert assemble_symbolic(h, k, 3) == u3_closed(h, k), (h, k)
 
 
+def gamma_from_audit(h: int, k: int, q: int, i: int):
+    """Coefficient of n^(2q-i) in the sum of the codimension 0..3 contributions."""
+    total = sum((codim_contribution(h, k, q, nu) for nu in (1, 2, 3)), codim_contribution(h, k, q, 0))
+    return coefficient(total, 2 * q - i)
+
+
 def test_gamma_from_audit_examples():
     dec = gamma_from_audit(1, 1, 3, 2)
     assert dec.constant == F(5, 3) and dec.alternating == 0
@@ -226,8 +231,6 @@ def test_gamma_from_audit_examples():
     assert dec0.constant == F(1, 6)
     dec1 = gamma_from_audit(2, 2, 2, 1)
     assert dec1.constant == gamma1(2, 2, 2) == F(-5, 3)
-    with pytest.raises(ValueError):
-        gamma_from_audit(2, 2, 3, 4)
 
 
 def test_gamma_from_audit_matches_gammas_at_small_q():
@@ -240,15 +243,17 @@ def test_gamma_from_audit_matches_gammas_at_small_q():
 
 
 def test_gamma5_sign_report_names_the_table():
-    report = gamma5_sign_report(n_max=16)
-    assert report["exactly_one_route_matches"]
-    assert report["conclusion"] == "three-piece table carries the correct sign"
-    for row in report["pieces"]:
-        h = row["h"]
-        assert row["fitted_alternating_n_coefficient"] == F(h, 8)
-        assert row["periodic_part_formula_value"] == gamma5_periodic(h, 2, 3) == -F(h, 8)
-        assert row["matches_three_piece_table"]
-        assert not row["matches_periodic_part_formula"]
+    (claim,) = suite_gamma5_sign(16)
+    assert claim.passed
+    assert claim.detail == "three-piece table carries the correct sign"
+    # fitted h/8, the periodic-part formula's -h/8 and the table's h/8
+    assert claim.notes == (
+        "piece (1,2): fitted alternating n-coefficient 1/8 | periodic-part-formula -1/8"
+        " | three-piece-table 1/8",
+        "piece (2,2): fitted alternating n-coefficient 1/4 | periodic-part-formula -1/4"
+        " | three-piece-table 1/4",
+        "conclusion: three-piece table carries the correct sign",
+    )
 
 
 def _type_route_codim3(h: int, k: int, q: int) -> QuasiPolynomial:
@@ -276,7 +281,7 @@ def test_codim3_type_route_reconciles_with_printed_total():
     (q)_4 level; pinning the difference validates every kappa >= 4
     multiplicity and every (q)_5/(q)_6 bracket, which the q <= 3 assembly
     cannot exercise."""
-    from qqueens.formulas import codim_contribution, delta, falling
+    from qqueens.formulas import delta, falling
     from qqueens.quasipoly import Polynomial
 
     q = 6  # all falling factorials through (q)_6 are active

@@ -370,16 +370,16 @@ def test_command_rejects_flags_it_does_not_read(argv):
 
 
 def test_types_samples_from_the_low_end_of_n(capsys, monkeypatch):
-    from qqueens import cli
+    from qqueens import reports
 
     ranges = []
-    real = cli.sequence
+    real = reports.sequence
 
     def recording(moves, q, n_lo, n_hi, **kwargs):
         ranges.append((n_lo, n_hi))
         return real(moves, q, n_lo, n_hi, **kwargs)
 
-    monkeypatch.setattr(cli, "sequence", recording)
+    monkeypatch.setattr(reports, "sequence", recording)
     code, out, _ = run_cli(capsys, "types", "--piece", "2,1", "--q", "2", "--n", "3..12")
     assert code == 0
     assert ranges == [(3, 12)]
@@ -387,3 +387,38 @@ def test_types_samples_from_the_low_end_of_n(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "types", "--piece", "2,2", "--q", "3", "--n", "3..17")
     assert code == 1
     assert "residue class 0 mod 2 has 7 samples" in err
+
+
+def test_verify_all_warm_cache_counts_nothing(tmp_path, capsys, monkeypatch):
+    from qqueens import enumerator
+
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    cache_file = tmp_path / "counts.jsonl"
+    code, cold, _ = run_cli(capsys, "verify", "--scope", "all", "--cache", str(cache_file))
+    assert code == 0
+    # every distinct (piece, q, n) that any suite counts
+    assert len(cache_file.read_text().splitlines()) == 264
+
+    def no_counting(*args, **kwargs):
+        raise AssertionError("a warm verify ran the oracle")
+
+    monkeypatch.setattr(enumerator, "count_unlabelled", no_counting)
+    code, warm, _ = run_cli(capsys, "verify", "--scope", "all", "--cache", str(cache_file))
+    assert code == 0
+    assert warm == cold
+
+
+@pytest.mark.parametrize(
+    "argv, records",
+    [
+        (["--scope", "tables", "--n-max", "4"], 8 * 2 * 4),  # pieces x q in 2, 3 x n
+        (["--scope", "assembly", "--n-max", "3"], 8 * 3 * 3),  # pieces x q in 1..3 x n
+        (["--scope", "gamma5-sign", "--n-max", "16"], 2 * 16),  # pieces (1,2), (2,2) x n
+    ],
+)
+def test_verify_suite_writes_its_counts_to_the_cache(tmp_path, capsys, monkeypatch, argv, records):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    cache_file = tmp_path / "counts.jsonl"
+    code, _, _ = run_cli(capsys, "verify", *argv, "--cache", str(cache_file))
+    assert code == 0
+    assert len(cache_file.read_text().splitlines()) == records

@@ -46,14 +46,18 @@ def test_moveset_validation():
 
 def test_moveset_json_round_trip():
     ms = MoveSet.from_pairs([(1, 0), (-1, -1)])
-    assert ms.to_pairs() == [[1, 0], [1, 1]]
-    assert MoveSet.from_json(json.dumps(ms.to_pairs())) == ms
+    pairs = [[m.c, m.d] for m in ms]
+    assert pairs == [[1, 0], [1, 1]]
+    assert MoveSet.from_json(json.dumps(pairs)) == ms
 
 
 def test_partial_queen_canonical_sets():
-    assert partial_queen(PartialQueenSpec(2, 2)).to_pairs() == [[1, 0], [0, 1], [1, 1], [1, -1]]
-    assert partial_queen(PartialQueenSpec(0, 2)).to_pairs() == [[1, 1], [1, -1]]
-    assert partial_queen(PartialQueenSpec(1, 0)).to_pairs() == [[1, 0]]
+    def pairs(spec):
+        return [(m.c, m.d) for m in partial_queen(spec)]
+
+    assert pairs(PartialQueenSpec(2, 2)) == [(1, 0), (0, 1), (1, 1), (1, -1)]
+    assert pairs(PartialQueenSpec(0, 2)) == [(1, 1), (1, -1)]
+    assert pairs(PartialQueenSpec(1, 0)) == [(1, 0)]
 
 
 def test_partial_queen_rejects_bad_spec():

@@ -108,7 +108,7 @@ MANY_SLOPE_RIDERS = (
 )
 
 
-@pytest.mark.parametrize("rider", MANY_SLOPE_RIDERS, ids=lambda m: str(m.to_pairs()))
+@pytest.mark.parametrize("rider", MANY_SLOPE_RIDERS, ids=lambda ms: str([[m.c, m.d] for m in ms]))
 def test_many_slope_riders_match_naive_oracle(rider):
     for n in range(1, 8):
         assert count_unlabelled(rider, 3, n) == naive_count_unlabelled(rider, 3, n)
