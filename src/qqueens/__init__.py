@@ -33,7 +33,6 @@ from .quasipoly import (
     CoeffDecomposition,
     InconsistentSamplesError,
     InsufficientSamplesError,
-    PeriodNotFoundError,
     Polynomial,
     QuasiPolynomial,
     coefficient,

@@ -3,19 +3,22 @@
 Grammar, one line per command::
 
     qqueens count    (--piece H,K | --moves JSON) [--q INT] [--n LO..HI] [--budget INT] [--cache PATH]
-    qqueens fit      (--piece H,K | --moves JSON) [--q INT] [--n LO..HI] [--period-max INT] [--budget INT] [--cache PATH]
+    qqueens fit      (--piece H,K | --moves JSON) [--q INT] [--n LO..HI] [--budget INT] [--cache PATH]
     qqueens verify   [--scope SCOPE] [--n-max INT] [--cache PATH]
-    qqueens audit    [--piece H,K] [--n LO..HI] [--report FORMAT]
-    qqueens types    (--piece H,K | --moves JSON) [--q INT] [--n LO..HI] [--period-max INT] [--budget INT] [--cache PATH]
+    qqueens audit    [--piece H,K] [--n LO..HI]
+    qqueens types    (--piece H,K | --moves JSON) [--q INT] [--n LO..HI] [--budget INT] [--cache PATH]
     qqueens formulas --piece H,K [--q INT]
 
 Every command also takes ``--format json|csv|latex|text``.  ``verify``
-takes ``--n-max``, not ``--n``.  Counts and coefficients are printed
-exactly (integers and fraction strings); reports are deterministic given
-the arguments and cache state.  Exit status: 0 all checks passed, 1 a check
-or fit failed (under every command), the cache file holds two counts for
-one key, or stdout was closed early, 2 usage error, 3 search budget exceeded
-(partial output flagged).
+takes ``--n-max`` (at least 1), not ``--n``.  Without ``--n``, ``fit`` and
+``types`` count n = 1..2(2q+2) (``types --moves``: 1..12(2q+2)); the fit
+tries periods 1, 2, ... until one validates or a residue class runs short.
+Counts and coefficients are printed exactly (integers and fraction
+strings); reports are deterministic given the arguments and cache state.
+Exit status: 0 all checks passed, 1 a check or fit failed (under every
+command), the cache file holds two counts for one key, or stdout was
+closed early, 2 usage error, 3 search budget exceeded (partial output
+flagged).
 """
 
 from __future__ import annotations
@@ -76,6 +79,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_n_max(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"bad --n-max {text!r}: need an integer >= 1")
+    return int(text)
+
+
 def _piece(p: argparse.ArgumentParser) -> None:
     p.add_argument("--piece", type=_parse_piece, metavar="H,K",
                    help="piece with H orthogonal and K diagonal moves, e.g. 2,2")
@@ -95,11 +104,6 @@ def _q(p: argparse.ArgumentParser) -> None:
 def _n(p: argparse.ArgumentParser, default: Optional[tuple[int, int]]) -> None:
     p.add_argument("--n", type=_parse_range, default=default, metavar="LO..HI",
                    help="board size range (single value allowed)")
-
-
-def _period_max(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--period-max", type=int, default=2,
-                   help="largest period the fit search tries (default 2)")
 
 
 def _budget(p: argparse.ArgumentParser) -> None:
@@ -131,23 +135,22 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     n_1_8 = partial(_n, default=(1, 8))
-    n_auto = partial(_n, default=None)  # None: _fit sizes the range from the period
+    n_auto = partial(_n, default=None)  # None: _fit picks the default range
     command("count", cmd_count, "oracle counts over a range of board sizes",
             _rider, _q, n_1_8, _budget, _cache_flag)
     command("fit", cmd_fit, "fit an exact quasipolynomial to oracle counts",
-            _rider, _q, n_auto, _period_max, _budget, _cache_flag)
+            _rider, _q, n_auto, _budget, _cache_flag)
 
     p_verify = command("verify", cmd_verify, "run a verification suite", _cache_flag)
     p_verify.add_argument("--scope", default="all", choices=VERIFY_SCOPES)
-    p_verify.add_argument("--n-max", type=int, default=None,
+    p_verify.add_argument("--n-max", type=_parse_n_max, default=None,
                           help="board-size ceiling for oracle-backed checks")
 
-    p_audit = command("audit", cmd_audit, "brute-force every catalog case against its closed form",
-                      _piece, n_1_8)
-    p_audit.add_argument("--report", dest="fmt", choices=FORMATS, help="alias for --format")
+    command("audit", cmd_audit, "brute-force every catalog case against its closed form",
+            _piece, n_1_8)
 
     command("types", cmd_types, "combinatorial-type counts via the value at -1",
-            _rider, _q, n_auto, _period_max, _budget, _cache_flag)
+            _rider, _q, n_auto, _budget, _cache_flag)
 
     command("formulas", cmd_formulas, "dump the formula bank for one piece", _piece, _q)
     return parser
@@ -165,11 +168,12 @@ def _cache(args: argparse.Namespace) -> Optional[CountCache]:
     return CountCache(args.cache) if args.cache else None
 
 
-def _fit(args: argparse.Namespace, period_max: int) -> tuple[list, QuasiPolynomial]:
-    """``fitted_counts`` over ``--n``, by default enough samples per residue
-    class at ``period_max``."""
-    n_lo, n_hi = args.n or (1, period_max * (2 * args.q + 2))
-    return fitted_counts(_moves(args), args.q, n_lo, n_hi, period_max,
+def _fit(args: argparse.Namespace) -> tuple[list, QuasiPolynomial]:
+    """``fitted_counts`` over ``--n``; by default 2q+2 samples per residue
+    class mod 2, or mod 12 for ``types --moves``."""
+    classes = 12 if args.command == "types" and args.moves is not None else 2
+    n_lo, n_hi = args.n or (1, classes * (2 * args.q + 2))
+    return fitted_counts(_moves(args), args.q, n_lo, n_hi,
                          budget=args.budget, cache=_cache(args))
 
 
@@ -188,7 +192,7 @@ def cmd_count(args: argparse.Namespace, out) -> int:
 
 
 def cmd_fit(args: argparse.Namespace, out) -> int:
-    samples, qp = _fit(args, args.period_max)
+    samples, qp = _fit(args)
     if args.fmt == "json":
         print(json.dumps(qp.to_json_dict(), sort_keys=True), file=out)
     else:
@@ -229,30 +233,27 @@ def cmd_audit(args: argparse.Namespace, out) -> int:
 
 def cmd_types(args: argparse.Namespace, out) -> int:
     q = args.q
-    exploratory = args.moves is not None
-    _, qp = _fit(args, max(args.period_max, 12) if exploratory else args.period_max)
+    _, qp = _fit(args)
     value = eval_at_minus_one(qp)
     rows = [("fitted period", str(qp.period)), ("value at -1", format_fraction(value))]
     ok = True
-    if exploratory:
-        size = len(args.moves)
-        conj = fm.types3_conjecture(size) if q == 3 else None
+    if args.moves is not None:
         rows.append(("mode", "exploratory (not acceptance-gating)"))
-        if conj is not None:
-            rows.append(("conjecture value at |M|=%d" % size, str(conj)))
+        if q == 3:
+            conj = fm.types3_conjecture(len(args.moves))
+            rows.append(("conjecture value at |M|=%d" % len(args.moves), str(conj)))
             rows.append(("matches conjecture", str(value == conj)))
     else:
         h, k = args.piece.h, args.piece.k
+        expected = fm.expected_types(h, k, q)
         if q == 2:
-            expected = h + k
             rows.append(("expected (h+k)", str(expected)))
-            ok = value == expected
         elif q == 3:
-            expected = fm.TABLE3_TYPES[(h, k)]
             rows.append(("expected (type table)", str(expected)))
             rows.append(("conjecture value", str(fm.types3_conjecture(h + k))))
+        if expected is not None:
             ok = value == expected
-        rows.append(("match", str(ok)))
+            rows.append(("match", str(ok)))
     print(render(("field", "value"), rows, args.fmt), file=out)
     return EXIT_OK if ok else EXIT_FAIL
 

@@ -201,9 +201,9 @@ def gamma_leading_term(h: int, k: int, i: int) -> Fraction:
 def gamma5_periodic(h: int, k: int, q: int) -> Fraction:
     """Alternating part of gamma5 as printed in the standalone periodic-part formula.
 
-    The sign printed there disagrees with the three-piece table; the audit
-    module's arbitration report names the oracle-confirmed sign.  This
-    function reports the formula verbatim.
+    The sign printed there disagrees with the three-piece table; the sign
+    report ``reports.suite_gamma5_sign`` (``verify --scope gamma5-sign``)
+    names the oracle-confirmed sign.  This reports the formula verbatim.
     """
     _check_hk(h, k)
     if q < 3:
@@ -290,6 +290,16 @@ TABLE3_TYPES: dict[tuple[int, int], int] = {
     (2, 1): 17,
     (2, 2): 36,
 }
+
+
+def expected_types(h: int, k: int, q: int) -> int | None:
+    """Printed type count (value at -1): h + k at q = 2, the table at q = 3."""
+    if q == 2:
+        return h + k
+    if q == 3:
+        return TABLE3_TYPES[(h, k)]
+    return None
+
 
 SUPPORTED_SLOPES = (Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1))
 

@@ -8,6 +8,7 @@ All arithmetic is over ``fractions.Fraction``; nothing ever rounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,10 +33,6 @@ class InconsistentSamplesError(FitError):
         super().__init__(
             f"sample at n={n} is {actual}, interpolation predicts {expected}"
         )
-
-
-class PeriodNotFoundError(FitError):
-    pass
 
 
 class PeriodTooLargeError(ValueError):
@@ -336,19 +333,13 @@ def fit(
     return QuasiPolynomial(period, tuple(constituents))
 
 
-def detect_period(
-    samples: Sequence[tuple[int, int]],
-    degree: int,
-    max_period: int,
-) -> int:
-    """Smallest period <= ``max_period`` whose fit validates on every sample.
-
-    The degree is always supplied by the caller; this never guesses it.
-    """
-    for p in range(1, max_period + 1):
+def detect_period(samples: Sequence[tuple[int, int]], degree: int) -> int:
+    """Smallest period whose fit validates on every sample.  Periods 1, 2, ...
+    are tried until a residue class is too short to check, which raises
+    :class:`InsufficientSamplesError`.  The caller supplies the degree."""
+    for p in itertools.count(1):
         try:
             fit(samples, degree, p)
         except InconsistentSamplesError:
             continue
         return p
-    raise PeriodNotFoundError(f"no period <= {max_period} fits the samples at degree {degree}")

@@ -113,15 +113,14 @@ def fitted_counts(
     q: int,
     n_lo: int,
     n_hi: int,
-    period_max: int,
     budget: int = DEFAULT_BUDGET,
     cache=None,
 ) -> tuple[list[tuple[int, int]], QuasiPolynomial]:
     """Oracle samples (n, u(q; n)) for n_lo..n_hi and the fit of degree 2q at
-    the smallest period <= ``period_max`` that validates on all of them."""
+    the smallest period that validates on all of them."""
     records = sequence(moves, q, n_lo, n_hi, budget=budget, cache=cache)
     samples = [(r.n, r.count) for r in records]
-    return samples, fit(samples, 2 * q, detect_period(samples, 2 * q, period_max))
+    return samples, fit(samples, 2 * q, detect_period(samples, 2 * q))
 
 
 def suite_attacklines(n_max: int) -> list[ClaimResult]:
@@ -179,7 +178,7 @@ def suite_tables(n_max: int, cache=None) -> list[ClaimResult]:
         out.append(
             ClaimResult(
                 f"two-piece types value at -1 is h+k ({h},{k})",
-                fm.u2_closed(h, k)(-1) == h + k,
+                fm.u2_closed(h, k)(-1) == fm.expected_types(h, k, 2),
             )
         )
         out.append(
@@ -273,29 +272,14 @@ def suite_types(n_max: int, cache=None) -> list[ClaimResult]:
     out = []
     for spec in ALL_PIECE_SPECS:
         h, k = spec.h, spec.k
-        moves = partial_queen(spec)
-        _, qp2 = fitted_counts(moves, 2, 1, 7, 2, cache=cache)
-        out.append(
-            ClaimResult(
-                f"fitted two-piece value at -1 is h+k ({h},{k})",
-                eval_at_minus_one(qp2) == h + k,
-            )
-        )
-        _, qp3 = fitted_counts(moves, 3, 1, n_max, 2, cache=cache)
-        out.append(
-            ClaimResult(
-                f"fitted three-piece value at -1 matches type table ({h},{k})",
-                eval_at_minus_one(qp3) == fm.TABLE3_TYPES[(h, k)],
-            )
-        )
-    for m in (1, 2, 3, 4):
-        expected = {1: 1, 2: 6, 3: 17, 4: 36}[m]
-        out.append(
-            ClaimResult(
-                f"three-piece type conjecture value |M|={m}",
-                fm.types3_conjecture(m) == expected,
-            )
-        )
+        for q, n_hi, claim in ((2, 7, "two-piece value at -1 is h+k"),
+                               (3, n_max, "three-piece value at -1 matches type table")):
+            _, qp = fitted_counts(partial_queen(spec), q, 1, n_hi, cache=cache)
+            out.append(ClaimResult(f"fitted {claim} ({h},{k})",
+                                   eval_at_minus_one(qp) == fm.expected_types(h, k, q)))
+    for m, expected in ((1, 1), (2, 6), (3, 17), (4, 36)):
+        out.append(ClaimResult(f"three-piece type conjecture value |M|={m}",
+                               fm.types3_conjecture(m) == expected))
     return out
 
 
@@ -311,7 +295,7 @@ def suite_gamma5_sign(n_max: int, cache=None) -> list[ClaimResult]:
     notes = []
     formula_ok = table_ok = True
     for h, k in ((1, 2), (2, 2)):
-        _, qp = fitted_counts(partial_queen(PartialQueenSpec(h, k)), 3, 1, n_max, 2, cache=cache)
+        _, qp = fitted_counts(partial_queen(PartialQueenSpec(h, k)), 3, 1, n_max, cache=cache)
         fitted = coefficient(qp, 1).alternating
         formula = fm.gamma5_periodic(h, k, 3)
         table = coefficient(fm.table2_row(h, k), 1).alternating

@@ -96,7 +96,7 @@ def test_criterion_3_fit_recovery_and_period_dichotomy():
     for h, k in ALL_HK:
         moves = partial_queen(PartialQueenSpec(h, k))
         samples = [(r.n, r.count) for r in sequence(moves, 3, 1, 17)]
-        period = detect_period(samples, 6, 2)
+        period = detect_period(samples, 6)
         ok = ok and period == (2 if k == 2 else 1)
         fitted = fit(samples, 6, period)
         ok = ok and fitted == table2_row(h, k)
@@ -173,10 +173,10 @@ def test_criterion_7_type_counts_at_minus_one():
     for h, k in ALL_HK:
         moves = partial_queen(PartialQueenSpec(h, k))
         s2 = [(r.n, r.count) for r in sequence(moves, 2, 1, 7)]
-        qp2 = fit(s2, 4, detect_period(s2, 4, 2))
+        qp2 = fit(s2, 4, detect_period(s2, 4))
         ok = ok and eval_at_minus_one(qp2) == h + k
         s3 = [(r.n, r.count) for r in sequence(moves, 3, 1, 17)]
-        qp3 = fit(s3, 6, detect_period(s3, 6, 2))
+        qp3 = fit(s3, 6, detect_period(s3, 6))
         ok = ok and eval_at_minus_one(qp3) == TABLE3_TYPES[(h, k)]
     ok = ok and [types3_conjecture(m) for m in (1, 2, 3, 4)] == [1, 6, 17, 36]
     _line(7, ok, "fitted values at -1: h+k for two pieces, type table for three, conjecture for |M|<=4")
@@ -188,7 +188,7 @@ def test_criterion_8_periodicity_reconciliation_at_q3():
     for h, k in ALL_HK:
         moves = partial_queen(PartialQueenSpec(h, k))
         samples = [(r.n, r.count) for r in sequence(moves, 3, 1, 17)]
-        fitted = fit(samples, 6, detect_period(samples, 6, 2))
+        fitted = fit(samples, 6, detect_period(samples, 6))
         # degrees 6..2: even and odd constituents agree (gamma1..gamma4 constant)
         for power in (2, 3, 4, 5, 6):
             ok = ok and coefficient(fitted, power).alternating == 0

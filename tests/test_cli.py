@@ -113,6 +113,24 @@ def test_fit_rook_three_pieces(capsys):
     assert QuasiPolynomial.from_json_dict(obj) == table2_row(2, 0)
 
 
+def test_fit_finds_a_period_beyond_two_when_the_samples_allow(capsys):
+    # the (1,3) rider's pair count has period 3; n = 1..18 gives each class 6 samples
+    from qqueens.core import MoveSet
+    from qqueens.enumerator import count_unlabelled
+    from qqueens.quasipoly import QuasiPolynomial, evaluate
+
+    code, out, _ = run_cli(capsys, "fit", "--moves", "[[1,3]]", "--q", "2", "--n", "1..18")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["period", "3"]
+    code, out, _ = run_cli(
+        capsys, "fit", "--moves", "[[1,3]]", "--q", "2", "--n", "1..18", "--format", "json"
+    )
+    assert code == 0
+    qp = QuasiPolynomial.from_json_dict(json.loads(out))
+    rider = MoveSet.from_json("[[1,3]]")
+    assert all(evaluate(qp, n) == count_unlabelled(rider, 2, n) for n in range(19, 31))
+
+
 def test_fit_insufficient_samples_fails(capsys):
     code, _, err = run_cli(capsys, "fit", "--piece", "2,2", "--q", "3", "--n", "1..8")
     assert code == 1
@@ -149,7 +167,7 @@ def test_audit_report_json(capsys):
     from qqueens.audit import case_catalog
 
     code, out, _ = run_cli(
-        capsys, "audit", "--piece", "2,2", "--n", "1..3", "--report", "json"
+        capsys, "audit", "--piece", "2,2", "--n", "1..3", "--format", "json"
     )
     assert code == 0
     records = json.loads(out)
@@ -175,6 +193,14 @@ def test_types_queen_q3(capsys):
     code, out, _ = run_cli(capsys, "types", "--piece", "2,2", "--q", "3", "--n", "1..17")
     assert code == 0
     assert "36" in out
+
+
+def test_types_without_a_printed_count_claims_no_match(capsys):
+    # no type count is printed for q = 4, so there is nothing to compare
+    code, out, _ = run_cli(capsys, "types", "--piece", "1,0", "--q", "4", "--n", "1..12")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["field", "fitted", "value"]
+    assert "match" not in out and "expected" not in out
 
 
 def test_types_exploratory_moves(capsys):
@@ -312,6 +338,14 @@ def test_verify_all_gives_each_suite_its_own_scope_ceiling(monkeypatch, n_max):
     assert len(calls) == len(reports.SUITES) == 7
 
 
+@pytest.mark.parametrize("n_max", ["0", "-1"])
+def test_verify_rejects_n_max_below_one(n_max):
+    # a ceiling below 1 leaves no board size to check
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--scope", "attacklines", "--n-max", n_max])
+    assert exc.value.code == 2
+
+
 def test_verify_fit_failure_exits_1(capsys):
     # n <= 12 leaves too few three-piece samples per residue class to fit
     code, out, err = run_cli(capsys, "verify", "--scope", "types", "--n-max", "12")
@@ -361,6 +395,9 @@ def test_closed_stdout_exits_quietly():
         ["verify", "--piece", "2,2"],
         ["formulas", "--piece", "2,2", "--budget", "5"],
         ["count", "--piece", "1,0", "--period-max", "3"],
+        ["fit", "--piece", "1,0", "--period-max", "3"],
+        ["types", "--piece", "1,0", "--period-max", "3"],
+        ["audit", "--report", "json"],
     ],
 )
 def test_command_rejects_flags_it_does_not_read(argv):

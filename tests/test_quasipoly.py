@@ -7,7 +7,6 @@ from qqueens.quasipoly import (
     CoeffDecomposition,
     InconsistentSamplesError,
     InsufficientSamplesError,
-    PeriodNotFoundError,
     PeriodTooLargeError,
     Polynomial,
     QuasiPolynomial,
@@ -140,15 +139,16 @@ def test_detect_period_queen_pieces():
     q3 = [(r.n, r.count) for r in sequence(queen, 3, 1, 17)]
     s3 = [(r.n, r.count) for r in sequence(semiqueen, 3, 1, 17)]
     q2 = [(r.n, r.count) for r in sequence(queen, 2, 1, 7)]
-    assert detect_period(q3, 6, 2) == 2
-    assert detect_period(s3, 6, 2) == 1
-    assert detect_period(q2, 4, 2) == 1
+    assert detect_period(q3, 6) == 2
+    assert detect_period(s3, 6) == 1
+    assert detect_period(q2, 4) == 1
 
 
 def test_detect_period_failure():
+    # periods 1..3 are inconsistent; at period 4 class 0 has 3 samples, needs 4
     samples = [(n, 2**n) for n in range(1, 15)]
-    with pytest.raises(PeriodNotFoundError):
-        detect_period(samples, 2, 3)
+    with pytest.raises(InsufficientSamplesError, match="residue class 0 mod 4 has 3 samples"):
+        detect_period(samples, 2)
 
 
 def test_fit_queen_two_pieces_closed_form():
@@ -199,11 +199,11 @@ def test_detect_period_returns_minimal_consistent_period():
     # distinct constituents: period 3 is minimal and detected
     qp = QuasiPolynomial(3, (P(0, 1), P(5, 1), P(-7, 1)))
     samples = [(n, evaluate(qp, n)) for n in range(1, 16)]
-    assert detect_period(samples, 1, 4) == 3
+    assert detect_period(samples, 1) == 3
     # duplicated constituents: the minimal divisor wins
     fat = QuasiPolynomial(4, (P(2, 2), P(3, 2), P(2, 2), P(3, 2)))
     samples = [(n, evaluate(fat, n)) for n in range(1, 17)]
-    assert detect_period(samples, 1, 4) == 2
+    assert detect_period(samples, 1) == 2
     assert fat.minimized().period == 2
 
 
