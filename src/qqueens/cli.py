@@ -10,7 +10,8 @@ Grammar, one line per command::
     qqueens formulas --piece H,K [--q INT]
 
 Every command also takes ``--format json|csv|latex|text``.  ``verify``
-takes ``--n-max`` (at least 1), not ``--n``.  Without ``--n``, ``fit`` and
+takes ``--n-max`` (at least 1), not ``--n``; ``audit`` needs an ``--n``
+range that reaches 1.  Without ``--n``, ``fit`` and
 ``types`` count n = 1..2(2q+2) (``types --moves``: 1..12(2q+2)); the fit
 tries periods 1, 2, ... until one validates or a residue class runs short.
 Counts and coefficients are printed exactly (integers and fraction
@@ -220,6 +221,8 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
 def cmd_audit(args: argparse.Namespace, out) -> int:
     pieces = (args.piece,) if args.piece is not None else ALL_PIECE_SPECS
     n_lo, n_hi = args.n
+    if n_hi < 1:
+        raise ValueError(f"audit needs a board size of at least 1, got --n {n_lo}..{n_hi}")
     _, records = suite_audit(max(1, n_lo), n_hi, pieces)
     headers = ("case", "h", "k", "n", "brute", "closed", "match")
     rows = [(r.case, r.h, r.k, r.n, r.brute, format_fraction(r.closed), r.match) for r in records]

@@ -24,7 +24,7 @@ class InsufficientSamplesError(FitError):
 
 
 class InconsistentSamplesError(FitError):
-    """A surplus sample disagrees with the interpolated constituent."""
+    """A check sample disagrees with the value the earlier samples force."""
 
     def __init__(self, n: int, expected: Fraction, actual: Fraction):
         self.n = n
@@ -33,10 +33,6 @@ class InconsistentSamplesError(FitError):
         super().__init__(
             f"sample at n={n} is {actual}, interpolation predicts {expected}"
         )
-
-
-class PeriodTooLargeError(ValueError):
-    """Raised when a (-1)^n split is requested for period > 2."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -251,17 +247,19 @@ class CoeffDecomposition:
 
 
 def coefficient(qp: QuasiPolynomial, power: int) -> CoeffDecomposition:
-    """Parity split of the coefficient of n**power; requires period 1 or 2.
+    """Parity split of the coefficient of n**power.
 
-    For larger periods the split is not canonical; read the coefficient of
-    each constituent instead.
+    The split reads that coefficient's own minimal period across the
+    constituents, so a power of period 1 or 2 splits in a fit of any period.
+    Any other period has no ``constant + alternating * (-1)^n`` form and
+    raises :class:`ValueError`; read each constituent's coefficient instead.
     """
-    if qp.period > 2:
-        raise PeriodTooLargeError(
-            f"period {qp.period} > 2; read each constituent's coefficient instead"
-        )
-    even = qp.constituents[0].coefficient(power)
-    odd = qp.constituents[-1].coefficient(power)
+    cs = [c.coefficient(power) for c in qp.constituents]
+    m = next(d for d in range(1, len(cs) + 1)
+             if len(cs) % d == 0 and all(c == cs[r % d] for r, c in enumerate(cs)))
+    if 2 % m:
+        raise ValueError(f"the n^{power} coefficient has period {m}, which does not divide 2")
+    even, odd = cs[0], cs[1 % m]
     return CoeffDecomposition(
         power=power,
         constant=(even + odd) / 2,
@@ -289,48 +287,84 @@ def lagrange(points: Sequence[tuple[int, Fraction]]) -> Polynomial:
     return result
 
 
+def _add_scaled(row: dict, factor: Fraction, other: dict) -> dict:
+    """The sparse row ``row + factor * other``, zeros dropped."""
+    out = dict(row)
+    for c, v in other.items():
+        out[c] = out.get(c, 0) + factor * v
+    return {c: v for c, v in out.items() if v}
+
+
 def fit(
     samples: Sequence[tuple[int, int]],
     degree: int,
-    period: int,
-    surplus: int = 1,
+    period: int | Sequence[int],
 ) -> QuasiPolynomial:
-    """Interpolate an exact quasipolynomial of degree <= ``degree`` from samples.
+    """Exact quasipolynomial of degree <= ``degree`` through the samples.
 
-    Each residue class mod ``period`` needs ``degree + 1 + surplus`` samples:
-    ``degree + 1`` to interpolate and the rest to validate.  Any surplus sample
-    that disagrees raises :class:`InconsistentSamplesError` (degree or period
-    too small).  ``surplus=0`` skips the built-in validation; callers doing
-    that must validate the result independently.
+    ``period`` is one period for every power of n, or one per power
+    (``period[k]`` for n**k, whose coefficient is then an unknown
+    c[k, n mod period[k]]).  Each sample is a linear equation in those
+    unknowns, eliminated exactly in increasing n: a sample independent of
+    the earlier ones interpolates, any other is a check.  The fit needs
+    every unknown fixed and a check in every residue class mod
+    L = lcm(periods), which is ``degree + 2`` samples per class for one
+    period.  Otherwise :class:`InsufficientSamplesError` names the first
+    class short, even if a check failed, so a period search stops where
+    the samples run out.  If no class is short, a check that differs from
+    the value the earlier samples force raises
+    :class:`InconsistentSamplesError` at the first such n.  The result has
+    period L.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if period < 1:
+    periods = (period,) * (degree + 1) if isinstance(period, int) else tuple(period)
+    if len(periods) != degree + 1:
+        raise ValueError(f"need one period per power 0..{degree}, got {len(periods)}")
+    if min(periods) < 1:
         raise ValueError("period must be >= 1")
-    by_class: dict[int, list[tuple[int, Fraction]]] = {r: [] for r in range(period)}
-    seen: set[int] = set()
-    for n, value in samples:
-        if n in seen:
-            raise ValueError(f"duplicate sample at n={n}")
-        seen.add(n)
-        by_class[n % period].append((n, _as_fraction(value)))
+    big = math.lcm(*periods)
 
-    need = degree + 1 + surplus
-    constituents = []
-    for r in range(period):
-        pts = sorted(by_class[r])
-        if len(pts) < need:
+    # Column (k, r) is the n**k coefficient on residue class r mod periods[k];
+    # the sample's value rides along in column `value_col`, which sorts last.
+    # `pivots` is in reduced row echelon form: each row holds 1 at its own
+    # column and no other pivot's column.
+    value_col = (degree + 1, 0)
+    pivots: dict[tuple[int, int], dict] = {}
+    checked = [False] * big
+    failed = previous = None
+    for n, value in sorted(samples):
+        if n == previous:
+            raise ValueError(f"duplicate sample at n={n}")
+        previous = n
+        row = {(k, n % p): Fraction(n**k) for k, p in enumerate(periods) if n**k}
+        row[value_col] = value = _as_fraction(value)
+        for col in [c for c in row if c in pivots]:
+            row = _add_scaled(row, -row[col], pivots[col])
+        col = min(row, default=value_col)
+        if col == value_col:  # a check: the earlier rows force this value
+            checked[n % big] = True
+            if row and failed is None:
+                failed = InconsistentSamplesError(n, value - row[value_col], value)
+            continue
+        row = {c: v / row[col] for c, v in row.items()}
+        for c, other in pivots.items():
+            if col in other:
+                pivots[c] = _add_scaled(other, -other[col], row)
+        pivots[col] = row
+
+    for r in range(big):
+        if not checked[r] or any((k, r % p) not in pivots for k, p in enumerate(periods)):
             raise InsufficientSamplesError(
-                f"residue class {r} mod {period} has {len(pts)} samples, needs {need} "
-                f"for degree {degree} with surplus {surplus}"
+                f"residue class {r} mod {big} has {sum(n % big == r for n, _ in samples)} "
+                f"samples, too few to fix and check its degree-{degree} constituent"
             )
-        poly = lagrange(pts[: degree + 1])
-        for n, value in pts[degree + 1 :]:
-            predicted = poly(n)
-            if predicted != value:
-                raise InconsistentSamplesError(n, predicted, value)
-        constituents.append(poly)
-    return QuasiPolynomial(period, tuple(constituents))
+    if failed:
+        raise failed
+    return QuasiPolynomial(big, tuple(
+        Polynomial.make(pivots[k, r % p].get(value_col, 0) for k, p in enumerate(periods))
+        for r in range(big)
+    ))
 
 
 def detect_period(samples: Sequence[tuple[int, int]], degree: int) -> int:

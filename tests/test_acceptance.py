@@ -2,10 +2,8 @@
 
 Each test prints one PASS/FAIL line (visible with ``pytest -v -s`` or in
 failure output).  Criterion 9 fits the four-queen counts at their true
-period: the counting function has period 6, so the fit is taken after a
-difference operator that removes the periodic lower-order parts.  The
-README ("Acceptance suite") explains the period structure, and
-``scripts/queen_four_piece_analysis.py`` reproduces it from scratch.
+periods, one per power of n: 1 for n^8..n^4, 2 for n^3 and n^2, 6 for n^1
+and n^0.  The README ("Acceptance suite") explains the period structure.
 """
 
 import math
@@ -41,6 +39,7 @@ from qqueens.formulas import (
     u3_closed,
 )
 from qqueens.quasipoly import (
+    CoeffDecomposition,
     Polynomial,
     QuasiPolynomial,
     coefficient,
@@ -212,8 +211,7 @@ def test_criterion_8_periodicity_reconciliation_at_q3():
 
 
 # Recorded outputs of this package's enumeration oracle for four queens
-# (reproducible via scripts/queen_four_piece_analysis.py; every entry is
-# recomputed live by test_pinned_four_queen_counts_are_live_counts).
+# (every entry is recomputed live by test_pinned_four_queen_counts_are_live_counts).
 QUEEN_Q4_COUNTS = {
     1: 0, 2: 0, 3: 0, 4: 2, 5: 82, 6: 982,
     7: 7002, 8: 34568, 9: 131248, 10: 412596, 11: 1123832, 12: 2739386,
@@ -234,35 +232,8 @@ def test_pinned_four_queen_counts_are_live_counts():
     assert live == QUEEN_Q4_COUNTS
 
 
-def _four_queen_operator(values: dict) -> dict:
-    """D = Delta_2^2 Delta_6^2, which maps u(4; n) to a polynomial of degree 4.
-
-    Delta_h f(n) = f(n + h) - f(n), kept wherever both values are known.
-    """
-    for h in (6, 6, 2, 2):
-        values = {n: values[n + h] - v for n, v in values.items() if n + h in values}
-    return values
-
-
-def _top_coefficients_by_differences(counts: dict) -> dict:
-    """The n^8, n^7 and n^6 coefficients of u(4; n), from a validated fit of D u.
-
-    The n^4, n^3 and n^2 coefficients of D u depend only on the n^8, n^7 and
-    n^6 coefficients of u, through a triangular map read off the images of
-    the monomials under D.  Raises InconsistentSamplesError when D u is not
-    a polynomial of degree <= 4 on the given counts.
-    """
-    diffs = _four_queen_operator(counts)
-    fitted = fit(sorted(diffs.items()), 4, 1, surplus=2)
-    image = {
-        k: lagrange(sorted(_four_queen_operator({n: F(n**k) for n in counts}).items()))
-        for k in (8, 7, 6)
-    }
-    top = {}
-    for k, j in ((8, 4), (7, 3), (6, 2)):
-        known = sum(top[m] * image[m].coefficient(j) for m in top)
-        top[k] = (coefficient(fitted, j).constant - known) / image[k].coefficient(j)
-    return top
+# Period of the n^k coefficient of u(4; n) for the queen, indexed by k.
+QUEEN_Q4_PERIODS = (6, 6, 2, 2, 1, 1, 1, 1, 1)
 
 
 def test_criterion_9_four_piece_spot_check_as_stated():
@@ -271,32 +242,31 @@ def test_criterion_9_four_piece_spot_check_as_stated():
     The paper proves the five highest coefficients of u(q; n) constant and
     bounds the period of gamma5 and gamma6 only.  For four queens the n^3
     and n^2 coefficients have period 2 and the n^1 and n^0 coefficients
-    period 6 (README, "Acceptance suite"), so the fit is taken at that
-    true period.  A plain period-6, degree-8 fit would need n up to about
-    60; instead apply D = Delta_2^2 Delta_6^2, with Delta_h f(n) =
-    f(n + h) - f(n).  Delta_6^2 removes every period-6 part of degree <= 1
-    and lowers the period-2 n^3 and n^2 parts to degree <= 1, which
-    Delta_2^2 then removes, so D u is a polynomial of degree 4.  Counts for
-    n = 1..23 give seven values of D u: a degree-4 fit with two surplus
-    samples.  The surplus samples check that D u is a polynomial, which it
-    is only if none of the three top coefficients has a periodic part.
+    period 6 (README, "Acceptance suite"), so the fit gives each power its
+    own period: 21 unknowns.  Counts for n = 1..27 fix them with six
+    samples to spare, and the fit holds a check in every residue class
+    mod 6.  A periodic part in any of the three top coefficients would
+    break those checks.
     """
     t0 = time.time()
     queen = partial_queen(PartialQueenSpec(2, 2))
-    counts = {r.n: r.count for r in sequence(queen, 4, 1, 23)}
-    top = _top_coefficients_by_differences(counts)
+    counts = {r.n: r.count for r in sequence(queen, 4, 1, 27)}
+    qp = fit(sorted(counts.items()), 8, QUEEN_Q4_PERIODS)
     elapsed = time.time() - t0
+    top = {k: coefficient(qp, k) for k in (8, 7, 6)}
     expected = {8: F(1, 24), 7: gamma1(2, 2, 4), 6: gamma2(2, 2, 4)}
+    surplus = len(counts) - sum(QUEEN_Q4_PERIODS)
     pinned = all(counts[n] == QUEEN_Q4_COUNTS[n] for n in counts)
-    ok = pinned and top == expected and elapsed < 1800.0
-    _line(9, ok, "validated fit of Delta_2^2 Delta_6^2 u(4;n), n=1..23, "
+    ok = (pinned and surplus >= 2 and elapsed < 1800.0
+          and all(top[k].constant == expected[k] and top[k].alternating == 0 for k in top))
+    _line(9, ok, "validated fit of u(4;n), n=1..27, one period per power, "
           "yields the predicted top coefficients",
-          f"n^8, n^7, n^6 coefficients {top[8]}, {top[7]}, {top[6]}; "
-          f"{elapsed:.1f}s of 1800s budget")
+          f"n^8, n^7, n^6 coefficients {top[8].constant}, {top[7].constant}, "
+          f"{top[6].constant}; surplus {surplus}; {elapsed:.1f}s of 1800s budget")
     assert ok, (
-        f"four-queen counts for n=1..23 (pinned table agrees: {pinned}) give top "
-        f"coefficients {top}, expected {expected}, in {elapsed:.1f}s; see "
-        "scripts/queen_four_piece_analysis.py and the README"
+        f"four-queen counts for n=1..27 (pinned table agrees: {pinned}; surplus "
+        f"{surplus}) give top coefficients {top}, expected {expected}, in "
+        f"{elapsed:.1f}s; see the README"
     )
 
 
@@ -313,41 +283,18 @@ def test_queen_four_piece_period_exceeds_two():
     assert poly(19) != QUEEN_Q4_COUNTS[19]
 
 
-def test_criterion_9_intent_holds_despite_defective_procedure():
-    """The three coefficients criterion 9 targets, by a second exact route.
+def test_four_queen_lower_coefficients_from_pinned_counts():
+    """The coefficients below criterion 9's, from one fit of the pinned table.
 
-    Subtract the predicted top terms n^8/24 + gamma1 n^7 + gamma2 n^6 from
-    the pinned oracle counts; on each residue class mod 6 the remainder must
-    then lie on a polynomial of degree <= 5.  Six points per class determine
-    it and the leftover point validates; the n^5 and n^4 coefficients must
-    moreover be the same constants in every class.  Any error in the
-    predicted coefficients would leave degree-6-or-higher residue and break
-    the validation.  This exhibits the period structure criterion 9 relies
-    on, and pins gamma3 at q=4 to the coefficient-table route and the n^3
-    alternating part to +1/4 (the corrected periodic sign at q=4, matching
-    the arbitration report).
+    With a period per power, the pinned counts n = 1..37 leave 16 checks
+    over the 21 unknowns.  The n^5 coefficient is gamma3 at q = 4 by the
+    coefficient-table route, the n^4 coefficient (gamma4) is constant, the
+    n^3 alternating part is +1/4 (the corrected periodic sign at q = 4,
+    matching the arbitration report), and the value at -1 is 574.
     """
-    g1, g2 = gamma1(2, 2, 4), gamma2(2, 2, 4)
-    assert (g1, g2) == (F(-5, 6), F(65, 9))
-
-    def residual(n: int) -> F:
-        return F(QUEEN_Q4_COUNTS[n]) - F(n**8, 24) - g1 * n**7 - g2 * n**6
-
-    class_polys = {}
-    for r in range(6):
-        ns = [n for n in range(1, 38) if n % 6 == r]
-        pts = [(n, residual(n)) for n in ns]
-        poly = lagrange(pts[:6])
-        assert poly.degree <= 5, f"class {r}: residual degree exceeds 5"
-        for n, value in pts[6:]:
-            assert poly(n) == value, f"class {r}: surplus point n={n} fails"
-        class_polys[r] = poly
-    n5 = {poly.coefficient(5) for poly in class_polys.values()}
-    n4 = {poly.coefficient(4) for poly in class_polys.values()}
-    assert n5 == {gamma3(2, 2, 4)}  # constant across classes, table route
-    assert len(n4) == 1  # gamma4 constant, extending the constancy statement to q=4
-    n3_even = {class_polys[r].coefficient(3) for r in (0, 2, 4)}
-    n3_odd = {class_polys[r].coefficient(3) for r in (1, 3, 5)}
-    assert len(n3_even) == 1 and len(n3_odd) == 1
-    alternating = (next(iter(n3_even)) - next(iter(n3_odd))) / 2
-    assert alternating == F(1, 4)  # +h/8 at q=4: the table-route sign again
+    qp = fit(sorted(QUEEN_Q4_COUNTS.items()), 8, QUEEN_Q4_PERIODS)
+    assert (gamma1(2, 2, 4), gamma2(2, 2, 4)) == (F(-5, 6), F(65, 9))
+    assert coefficient(qp, 5) == CoeffDecomposition(5, gamma3(2, 2, 4), F(0))
+    assert coefficient(qp, 4) == CoeffDecomposition(4, F(817, 8), F(0))
+    assert coefficient(qp, 3).alternating == F(1, 4)  # +h/8 at q=4: the table-route sign
+    assert eval_at_minus_one(qp) == 574

@@ -346,6 +346,15 @@ def test_verify_rejects_n_max_below_one(n_max):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("n", ["0", "0..0"])
+def test_audit_rejects_range_below_one(capsys, n):
+    # the audit counts boards from n = 1; a range below 1 leaves none to check
+    code, out, err = run_cli(capsys, "audit", "--piece", "2,2", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert "at least 1" in err
+
+
 def test_verify_fit_failure_exits_1(capsys):
     # n <= 12 leaves too few three-piece samples per residue class to fit
     code, out, err = run_cli(capsys, "verify", "--scope", "types", "--n-max", "12")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,6 @@ from qqueens.quasipoly import (
     CoeffDecomposition,
     InconsistentSamplesError,
     InsufficientSamplesError,
-    PeriodTooLargeError,
     Polynomial,
     QuasiPolynomial,
     coefficient,
@@ -96,8 +96,21 @@ def test_coefficient_period_one_has_zero_alternating():
 
 def test_coefficient_rejects_large_period():
     qp = QuasiPolynomial(3, (P(1), P(2), P(3)))
-    with pytest.raises(PeriodTooLargeError):
+    with pytest.raises(ValueError, match="n\\^0 coefficient has period 3"):
         coefficient(qp, 0)
+
+
+def test_coefficient_reads_each_power_at_its_own_period():
+    # n^2: period 1; n^1: period 2; n^0: period 6, in a period-6 fit
+    n0 = [F(r * r, 7) for r in range(6)]
+    qp = QuasiPolynomial(6, tuple(P(n0[r], 3 if r % 2 else -1, F(1, 2)) for r in range(6)))
+    samples = [(n, evaluate(qp, n)) for n in range(1, 17)]
+    fitted = fit(samples, 2, (6, 2, 1))
+    assert fitted.period == 6 and fitted == qp
+    assert coefficient(fitted, 2) == CoeffDecomposition(2, F(1, 2), F(0))
+    assert coefficient(fitted, 1) == CoeffDecomposition(1, F(1), F(-2))
+    with pytest.raises(ValueError, match="n\\^0 coefficient has period 6"):
+        coefficient(fitted, 0)
 
 
 def test_lagrange_exactness():
@@ -115,7 +128,6 @@ def test_fit_requires_surplus():
     samples = [(n, n * n) for n in range(1, 4)]
     with pytest.raises(InsufficientSamplesError):
         fit(samples, 2, 1)
-    fit(samples, 2, 1, surplus=0)
 
 
 def test_fit_reports_first_inconsistent_sample():
@@ -123,6 +135,24 @@ def test_fit_reports_first_inconsistent_sample():
     with pytest.raises(InconsistentSamplesError) as exc:
         fit(samples, 2, 1)
     assert exc.value.n == 5
+
+
+def test_fit_names_the_class_without_a_check():
+    # periods (2, 1): n^0 by parity, one n^1 coefficient.  Odd n fix c[1]
+    # and the odd c[0], so n = 2 alone fixes the even c[0], checked by none.
+    def f(n):
+        return 3 * n + (5 if n % 2 else -4)
+
+    samples = [(n, f(n)) for n in (1, 2, 3, 5, 7)]
+    with pytest.raises(InsufficientSamplesError, match="residue class 0 mod 2 has 1 samples"):
+        fit(samples, 1, (2, 1))
+    qp = fit(samples + [(4, f(4))], 1, (2, 1))
+    assert qp == QuasiPolynomial(2, (P(-4, 3), P(5, 3)))
+
+
+def test_fit_needs_one_period_per_power():
+    with pytest.raises(ValueError):
+        fit([(n, n) for n in range(1, 9)], 1, (1, 1, 1))
 
 
 def test_fit_rejects_duplicate_samples():
@@ -177,19 +207,22 @@ fractions = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4), st.data())
-def test_fit_round_trip_recovers_random_quasipolynomial(period, data):
-    # random rational coefficients, degree up to 8, period up to 4
-    constituents = tuple(
-        Polynomial.make(data.draw(st.lists(fractions, min_size=0, max_size=9)))
-        for _ in range(period)
-    )
-    qp = QuasiPolynomial(period, constituents)
-    degree = max(qp.degree, 0)
-    # integer-valued samples are not required by fit; feed exact fractions
-    n_max = period * (degree + 2)
-    samples = [(n, evaluate(qp, n)) for n in range(1, n_max + 1)]
-    recovered = fit(samples, degree, period)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=9), st.booleans(), st.data())
+def test_fit_round_trip_recovers_random_quasipolynomial(periods, shared, data):
+    # random rational coefficients, degree up to 8, one period up to 4 per
+    # power (or one shared period, passed as an int)
+    degree = len(periods) - 1
+    if shared:
+        periods = [periods[0]] * (degree + 1)
+    coeffs = [[data.draw(fractions) for _ in range(p)] for p in periods]
+    big = math.lcm(*periods)
+    qp = QuasiPolynomial(big, tuple(
+        Polynomial.make(coeffs[k][r % p] for k, p in enumerate(periods)) for r in range(big)
+    ))
+    # integer-valued samples are not required by fit; feed exact fractions;
+    # degree + 2 samples per class mod big fix and check every coefficient
+    samples = [(n, evaluate(qp, n)) for n in range(1, big * (degree + 2) + 1)]
+    recovered = fit(samples, degree, periods[0] if shared else periods)
     assert recovered == qp
     for n, value in samples:
         assert evaluate(recovered, n) == value
