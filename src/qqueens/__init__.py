@@ -21,12 +21,10 @@ from .enumerator import (
     BudgetExceededError,
     Collinear,
     ConstraintPattern,
-    CountRecord,
     Equal,
-    alpha_pairs,
-    beta_triples,
     count_pattern,
     count_unlabelled,
+    line_lengths,
     sequence,
 )
 from .quasipoly import (

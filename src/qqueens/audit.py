@@ -555,6 +555,21 @@ def audit_case(case: SubspaceCase, h: int, k: int, n: int) -> AuditResult:
     return AuditResult(case.name, h, k, n, brute, closed, F(brute) == closed)
 
 
+def _live_terms(h: int, k: int, q: int) -> list[tuple[SubspaceCase, int]]:
+    """(case, multiplicity * mu) for each catalog case that enters the assembly
+    at q: the multiplicity is read first, mu only where it is nonzero, and
+    applicability only where both are."""
+    if q not in (1, 2, 3):
+        raise ValueError("catalog assembly is only complete for q in {1, 2, 3}")
+    terms = []
+    for case in _CATALOG:
+        mult = case.multiplicity(q)
+        mu = mult and case.moebius(h, k)
+        if mu and case.applicable(h, k):
+            terms.append((case, mult * mu))
+    return terms
+
+
 def assemble_labelled_count(h: int, k: int, q: int, n: int) -> int:
     """Rebuild the labelled nonattacking count from the catalog:
     n^(2q) plus sum over types of multiplicity * mu * brute-count * n^(2q-2 kappa).
@@ -562,24 +577,15 @@ def assemble_labelled_count(h: int, k: int, q: int, n: int) -> int:
     The catalog is complete for q <= 3 (every subspace then involves at
     most three pieces, and types on more pieces get multiplicity zero).
     """
-    if q not in (1, 2, 3):
-        raise ValueError("catalog assembly is only complete for q in {1, 2, 3}")
+    terms = _live_terms(h, k, q)
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 0
     total = n ** (2 * q)
-    for case in _CATALOG:
-        mult = case.multiplicity(q)
-        if mult == 0:
-            continue
-        mu = case.moebius(h, k)
-        if mu == 0:
-            continue
-        if not case.applicable(h, k):
-            continue
+    for case, weight in terms:
         brute = sum(count_pattern(p, n) for p in case.pattern_family(h, k))
-        total += mult * mu * brute * n ** (2 * q - 2 * case.kappa)
+        total += weight * brute * n ** (2 * q - 2 * case.kappa)
     return total
 
 
@@ -588,19 +594,11 @@ def assemble_symbolic(h: int, k: int, q: int) -> QuasiPolynomial:
 
     For q = 2 this reproduces the two-piece counting polynomial symbolically.
     """
-    if q not in (1, 2, 3):
-        raise ValueError("catalog assembly is only complete for q in {1, 2, 3}")
     total = QuasiPolynomial.constant_poly(Polynomial.monomial(1, 2 * q))
-    for case in _CATALOG:
-        mult = case.multiplicity(q)
-        if mult == 0 or not case.applicable(h, k):
-            continue
-        mu = case.moebius(h, k)
-        if mu == 0:
-            continue
+    for case, weight in _live_terms(h, k, q):
+        closed = case.closed_form(h, k)
         shifted = QuasiPolynomial(
-            case.closed_form(h, k).period,
-            tuple(c.shift(2 * q - 2 * case.kappa) for c in case.closed_form(h, k).constituents),
+            closed.period, tuple(c.shift(2 * q - 2 * case.kappa) for c in closed.constituents)
         )
-        total = total + shifted.scale(mult * mu)
+        total = total + shifted.scale(weight)
     return total.scale(F(1, math.factorial(q)))

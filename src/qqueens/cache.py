@@ -2,10 +2,11 @@
 
 One record per line: ``{"moves": [[c,d], ...], "q": int, "n": int,
 "count": "decimal-string"}``.  Counts are decimal strings so no reader
-needs to assume an integer width.  Corrupt lines are skipped with a
-warning, never trusted.  A key repeated with the same count is accepted;
-a key repeated with a different count raises ``CacheConflictError``, since
-neither record can be trusted over the other.
+needs to assume an integer width.  Corrupt lines, among them any whose
+moves, q or n are not JSON integers or whose count is not a decimal
+string, are skipped with a warning, never trusted.  A key repeated with
+the same count is accepted; a key repeated with a different count raises
+``CacheConflictError``, since neither record can be trusted over the other.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .core import MoveSet
-from .enumerator import CountRecord
 
 ENV_VAR = "QQUEENS_CACHE"
 
@@ -44,11 +44,14 @@ class CountCache:
                     continue
                 try:
                     obj = json.loads(line)
-                    moves = MoveSet.from_pairs((int(c), int(d)) for c, d in obj["moves"])
-                    key = (moves.canonical_key(), int(obj["q"]), int(obj["n"]))
-                    count = int(obj["count"])
-                    if count < 0:
-                        raise ValueError("negative count")
+                    moves = MoveSet.from_pairs(obj["moves"])
+                    q, n, count = obj["q"], obj["n"], obj["count"]
+                    if type(q) is not int or type(n) is not int:
+                        raise ValueError(f"q {q!r} and n {n!r} must be integers")
+                    if not (isinstance(count, str) and count.isascii() and count.isdigit()):
+                        raise ValueError(f"count {count!r} is not a decimal string")
+                    key = (moves.canonical_key(), q, n)
+                    count = int(count)
                 except (ValueError, KeyError, TypeError) as err:
                     print(
                         f"warning: skipping corrupt cache line {lineno} in {self.path}: {err}",
@@ -58,27 +61,21 @@ class CountCache:
                 known = self._entries.setdefault(key, count)
                 first = first_line.setdefault(key, lineno)
                 if known != count:
-                    cached_moves, q, n = key
                     raise CacheConflictError(
-                        f"{self.path}: moves {[list(cd) for cd in cached_moves]}, q={q}, n={n} "
+                        f"{self.path}: moves {[list(cd) for cd in key[0]]}, q={q}, n={n} "
                         f"has count {known} on line {first} and {count} on line {lineno}"
                     )
 
     def get(self, moves: MoveSet, q: int, n: int) -> Optional[int]:
         return self._entries.get((moves.canonical_key(), q, n))
 
-    def put(self, record: CountRecord) -> None:
-        key = (record.moves.canonical_key(), record.q, record.n)
+    def put(self, moves: MoveSet, q: int, n: int, count: int) -> None:
+        key = (moves.canonical_key(), q, n)
         if key in self._entries:
             return
-        self._entries[key] = record.count
+        self._entries[key] = count
         line = json.dumps(
-            {
-                "moves": [list(cd) for cd in record.moves.canonical_key()],
-                "q": record.q,
-                "n": record.n,
-                "count": str(record.count),
-            }
+            {"moves": [list(cd) for cd in key[0]], "q": q, "n": n, "count": str(count)}
         )
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as fh:

@@ -80,9 +80,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_n_max(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"bad --n-max {text!r}: need an integer >= 1")
+def _parse_positive(flag: str, text: str) -> int:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"bad {flag} {text!r}: need an integer >= 1")
     return int(text)
 
 
@@ -108,8 +108,8 @@ def _n(p: argparse.ArgumentParser, default: Optional[tuple[int, int]]) -> None:
 
 
 def _budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="node budget of the enumeration search, per board size; "
+    p.add_argument("--budget", type=partial(_parse_positive, "--budget"), default=DEFAULT_BUDGET,
+                   help="node budget of the enumeration search, per board size (at least 1); "
                         "a node is a placement of 1 to q-1 nonattacking pieces, "
                         "one of them marked as the first")
 
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = command("verify", cmd_verify, "run a verification suite", _cache_flag)
     p_verify.add_argument("--scope", default="all", choices=VERIFY_SCOPES)
-    p_verify.add_argument("--n-max", type=_parse_n_max, default=None,
+    p_verify.add_argument("--n-max", type=partial(_parse_positive, "--n-max"), default=None,
                           help="board-size ceiling for oracle-backed checks")
 
     command("audit", cmd_audit, "brute-force every catalog case against its closed form",
@@ -180,15 +180,14 @@ def _fit(args: argparse.Namespace) -> tuple[list, QuasiPolynomial]:
 
 def cmd_count(args: argparse.Namespace, out) -> int:
     try:
-        records = sequence(_moves(args), args.q, *args.n, budget=args.budget, cache=_cache(args))
+        samples = sequence(_moves(args), args.q, *args.n, budget=args.budget, cache=_cache(args))
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         if err.completed:
-            rows = [(r.n, r.count, "partial") for r in err.completed]
+            rows = [(n, count, "partial") for n, count in err.completed]
             print(render(("n", "count", "status"), rows, args.fmt), file=out)
         return EXIT_BUDGET
-    rows = [(r.n, r.count) for r in records]
-    print(render(("n", "count"), rows, args.fmt), file=out)
+    print(render(("n", "count"), samples, args.fmt), file=out)
     return EXIT_OK
 
 

@@ -27,6 +27,8 @@ class Move:
     d: int
 
     def __post_init__(self) -> None:
+        if type(self.c) is not int or type(self.d) is not int:
+            raise ValueError(f"move vector {(self.c, self.d)} has a non-integer component")
         if (self.c, self.d) == (0, 0):
             raise ValueError("move vector must be nonzero")
         if math.gcd(abs(self.c), abs(self.d)) != 1:
@@ -82,8 +84,7 @@ class MoveSet:
 
     @classmethod
     def from_json(cls, text: str) -> "MoveSet":
-        pairs = json.loads(text)
-        return cls.from_pairs((int(c), int(d)) for c, d in pairs)
+        return cls.from_pairs(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -55,16 +55,16 @@ class BudgetExceededError(Exception):
     partial placement the search stands for: a nonattacking set of 1 to q - 1
     pieces with one of them marked as the first, so counting q pieces on the
     n x n board takes sum_{j<q} j * u(j; n) nodes.  ``completed`` holds the
-    records ``sequence`` finished before the budget ran out.
+    (n, count) samples ``sequence`` finished before the budget ran out.
     """
 
-    def __init__(self, nodes: int, budget: int, completed: tuple[CountRecord, ...] = ()):
+    def __init__(self, nodes: int, budget: int, completed: tuple[tuple[int, int], ...] = ()):
         self.nodes = nodes
         self.budget = budget
         self.completed = completed
         detail = f"visited {nodes} partial placements (budget {budget} per board size)"
         if completed:
-            detail += f"; last completed board size n={completed[-1].n}"
+            detail += f"; last completed board size n={completed[-1][0]}"
         super().__init__(detail)
 
 
@@ -284,20 +284,14 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
     return total // q
 
 
-def alpha_pairs(slope: Move, n: int) -> int:
-    """Ordered pairs of squares that attack each other along one slope
-    (coincident pairs included): the sum of squared line lengths."""
+def line_lengths(slope: Move, n: int) -> list[int]:
+    """The lengths of the maximal lines of one slope on the n x n board, single
+    squares included.  Their sum of squares counts the ordered pairs of squares
+    that attack each other along the slope, and their sum of cubes the ordered
+    collinear triples (coincidences allowed in both)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return sum(len(line) ** 2 for line in _board_lines(slope, n))
-
-
-def beta_triples(slope: Move, n: int) -> int:
-    """Ordered triples of squares collinear along one slope (coincidences
-    allowed): the sum of cubed line lengths."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return sum(len(line) ** 3 for line in _board_lines(slope, n))
+    return [len(line) for line in _board_lines(slope, n)]
 
 
 @dataclass(frozen=True)
@@ -414,16 +408,6 @@ def _folded_count(pat: ConstraintPattern, n: int) -> int:
     return fold({p: [1] * (n * n) for p in range(1, pat.piece_count + 1)}, list(pat.constraints))
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """One oracle output: the exact count for (piece, q, n)."""
-
-    moves: MoveSet
-    q: int
-    n: int
-    count: int
-
-
 def sequence(
     moves: MoveSet,
     q: int,
@@ -431,24 +415,23 @@ def sequence(
     n_hi: int,
     budget: int = DEFAULT_BUDGET,
     cache: Optional["CountCache"] = None,
-) -> list[CountRecord]:
-    """Oracle counts for each n in [n_lo, n_hi], cache-aware and deterministic.
+) -> list[tuple[int, int]]:
+    """Oracle samples (n, u(q; n)) for each n in [n_lo, n_hi], cache-aware and
+    deterministic.
 
-    A budget error propagates with the records completed before it attached.
+    A budget error propagates with the samples completed before it attached.
     """
     if n_lo > n_hi:
         raise ValueError("empty range")
-    records = []
+    samples = []
     for n in range(n_lo, n_hi + 1):
-        cached = cache.get(moves, q, n) if cache is not None else None
-        if cached is not None:
-            value = cached
-        else:
+        count = cache.get(moves, q, n) if cache is not None else None
+        if count is None:
             try:
-                value = count_unlabelled(moves, q, n, budget=budget)
+                count = count_unlabelled(moves, q, n, budget=budget)
             except BudgetExceededError as err:
-                raise BudgetExceededError(err.nodes, err.budget, tuple(records)) from err
+                raise BudgetExceededError(err.nodes, err.budget, tuple(samples)) from err
             if cache is not None:
-                cache.put(CountRecord(moves, q, n, value))
-        records.append(CountRecord(moves, q, n, value))
-    return records
+                cache.put(moves, q, n, count)
+        samples.append((n, count))
+    return samples

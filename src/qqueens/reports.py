@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .core import ALL_PIECE_SPECS, MoveSet, PartialQueenSpec, partial_queen
-from .enumerator import DEFAULT_BUDGET, alpha_pairs, beta_triples, sequence
+from .enumerator import DEFAULT_BUDGET, line_lengths, sequence
 from .quasipoly import (
     Polynomial,
     QuasiPolynomial,
@@ -118,19 +118,22 @@ def fitted_counts(
 ) -> tuple[list[tuple[int, int]], QuasiPolynomial]:
     """Oracle samples (n, u(q; n)) for n_lo..n_hi and the fit of degree 2q at
     the smallest period that validates on all of them."""
-    records = sequence(moves, q, n_lo, n_hi, budget=budget, cache=cache)
-    samples = [(r.n, r.count) for r in records]
+    samples = sequence(moves, q, n_lo, n_hi, budget=budget, cache=cache)
     return samples, fit(samples, 2 * q, detect_period(samples, 2 * q))
 
 
 def suite_attacklines(n_max: int) -> list[ClaimResult]:
-    """Closed forms for attacking pairs and collinear triples along each slope."""
+    """Closed forms for attacking pairs and collinear triples along each slope:
+    the sums of squared and of cubed line lengths."""
     out = []
     for slope in fm.SUPPORTED_SLOPES:
         a_poly = fm.alpha_closed(slope)
         b_qp = fm.beta_closed(slope)
-        ok_a = all(Fraction(alpha_pairs(slope, n)) == a_poly(n) for n in range(n_max + 1))
-        ok_b = all(Fraction(beta_triples(slope, n)) == evaluate(b_qp, n) for n in range(n_max + 1))
+        ok_a = ok_b = True
+        for n in range(n_max + 1):
+            lengths = line_lengths(slope, n)
+            ok_a = ok_a and sum(length**2 for length in lengths) == a_poly(n)
+            ok_b = ok_b and sum(length**3 for length in lengths) == evaluate(b_qp, n)
         label = f"{slope.d}/{slope.c}"
         out.append(ClaimResult(f"attack-pair closed form, slope {label}, n<=%d" % n_max, ok_a))
         out.append(ClaimResult(f"collinear-triple closed form, slope {label}, n<=%d" % n_max, ok_b))
@@ -145,14 +148,11 @@ def suite_tables(n_max: int, cache=None) -> list[ClaimResult]:
         h, k = spec.h, spec.k
         moves = partial_queen(spec)
         u2 = fm.u2_closed(h, k)
-        ok2 = all(
-            Fraction(r.count) == u2(r.n) for r in sequence(moves, 2, 1, n_max, cache=cache)
-        )
+        ok2 = all(count == u2(n) for n, count in sequence(moves, 2, 1, n_max, cache=cache))
         out.append(ClaimResult(f"two-piece closed form vs oracle ({h},{k})", ok2))
         u3 = fm.u3_closed(h, k)
         ok3 = all(
-            Fraction(r.count) == evaluate(u3, r.n)
-            for r in sequence(moves, 3, 1, n_max, cache=cache)
+            count == evaluate(u3, n) for n, count in sequence(moves, 3, 1, n_max, cache=cache)
         )
         out.append(ClaimResult(f"three-piece closed form vs oracle ({h},{k})", ok3))
         out.append(
@@ -260,8 +260,8 @@ def suite_assembly(n_max: int, cache=None) -> list[ClaimResult]:
         moves = partial_queen(spec)
         for q in (1, 2, 3):
             ok = all(
-                audit_mod.assemble_labelled_count(h, k, q, r.n) == math.factorial(q) * r.count
-                for r in sequence(moves, q, 1, n_max, cache=cache)
+                audit_mod.assemble_labelled_count(h, k, q, n) == math.factorial(q) * count
+                for n, count in sequence(moves, q, 1, n_max, cache=cache)
             )
             out.append(ClaimResult(f"assembly equals q!*oracle q={q} ({h},{k})", ok))
     return out

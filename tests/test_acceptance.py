@@ -94,7 +94,7 @@ def test_criterion_3_fit_recovery_and_period_dichotomy():
     ok = True
     for h, k in ALL_HK:
         moves = partial_queen(PartialQueenSpec(h, k))
-        samples = [(r.n, r.count) for r in sequence(moves, 3, 1, 17)]
+        samples = sequence(moves, 3, 1, 17)
         period = detect_period(samples, 6)
         ok = ok and period == (2 if k == 2 else 1)
         fitted = fit(samples, 6, period)
@@ -171,10 +171,10 @@ def test_criterion_7_type_counts_at_minus_one():
     ok = True
     for h, k in ALL_HK:
         moves = partial_queen(PartialQueenSpec(h, k))
-        s2 = [(r.n, r.count) for r in sequence(moves, 2, 1, 7)]
+        s2 = sequence(moves, 2, 1, 7)
         qp2 = fit(s2, 4, detect_period(s2, 4))
         ok = ok and eval_at_minus_one(qp2) == h + k
-        s3 = [(r.n, r.count) for r in sequence(moves, 3, 1, 17)]
+        s3 = sequence(moves, 3, 1, 17)
         qp3 = fit(s3, 6, detect_period(s3, 6))
         ok = ok and eval_at_minus_one(qp3) == TABLE3_TYPES[(h, k)]
     ok = ok and [types3_conjecture(m) for m in (1, 2, 3, 4)] == [1, 6, 17, 36]
@@ -186,7 +186,7 @@ def test_criterion_8_periodicity_reconciliation_at_q3():
     ok = True
     for h, k in ALL_HK:
         moves = partial_queen(PartialQueenSpec(h, k))
-        samples = [(r.n, r.count) for r in sequence(moves, 3, 1, 17)]
+        samples = sequence(moves, 3, 1, 17)
         fitted = fit(samples, 6, detect_period(samples, 6))
         # degrees 6..2: even and odd constituents agree (gamma1..gamma4 constant)
         for power in (2, 3, 4, 5, 6):
@@ -250,7 +250,7 @@ def test_criterion_9_four_piece_spot_check_as_stated():
     """
     t0 = time.time()
     queen = partial_queen(PartialQueenSpec(2, 2))
-    counts = {r.n: r.count for r in sequence(queen, 4, 1, 27)}
+    counts = dict(sequence(queen, 4, 1, 27))
     qp = fit(sorted(counts.items()), 8, QUEEN_Q4_PERIODS)
     elapsed = time.time() - t0
     top = {k: coefficient(qp, k) for k in (8, 7, 6)}

@@ -36,6 +36,14 @@ def test_count_explicit_moves(capsys):
     assert out.strip().splitlines()[1].split() == ["2", "4"]
 
 
+@pytest.mark.parametrize("moves", ["[[1.9,0]]", "[[true,0]]", '[["1","2"]]', "[[1,0.0]]"])
+def test_count_rejects_moves_that_are_not_integers(moves):
+    # no component is rounded or coerced into a move
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--moves", moves, "--q", "2", "--n", "3"])
+    assert exc.value.code == 2
+
+
 def test_count_json_format(capsys):
     code, out, _ = run_cli(capsys, "count", "--piece", "1,1", "--q", "2", "--n", "2..3", "--format", "json")
     assert code == 0
@@ -261,6 +269,32 @@ def test_cache_corrupt_lines_skipped(tmp_path, capsys):
     assert json.loads(out) == [{"n": "2", "count": "999"}]
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"moves": [[1.5, 0]], "q": 2.7, "n": 3, "count": "999"}',
+        '{"moves": [[1, 0]], "q": 2.0, "n": 3, "count": "999"}',
+        '{"moves": [[true, 0]], "q": 2, "n": 3, "count": "999"}',
+        '{"moves": [["1", "0"]], "q": 2, "n": 3, "count": "999"}',
+        '{"moves": [[1, 0]], "q": 2, "n": true, "count": "999"}',
+        '{"moves": [[1, 0]], "q": 2, "n": "3", "count": "999"}',
+        '{"moves": [[1, 0]], "q": 2, "n": 3, "count": 999}',
+        '{"moves": [[1, 0]], "q": 2, "n": 3, "count": "-999"}',
+        '{"moves": [[1, 0]], "q": 2, "n": 3, "count": " 999"}',
+    ],
+)
+def test_cache_line_with_non_integer_fields_skipped(tmp_path, capsys, record):
+    # a record is served only when moves, q and n are JSON integers and the count a decimal string
+    cache_file = tmp_path / "counts.jsonl"
+    cache_file.write_text(record + "\n")
+    code, out, err = run_cli(
+        capsys, "count", "--moves", "[[1,0]]", "--q", "2", "--n", "3", "--cache", str(cache_file)
+    )
+    assert code == 0
+    assert "skipping corrupt cache line 1" in err
+    assert out.strip().splitlines()[1].split() == ["3", "27"]
+
+
 def test_cache_conflict_exits_1_naming_both_records(tmp_path, capsys):
     cache_file = tmp_path / "counts.jsonl"
     cache_file.write_text(
@@ -343,6 +377,14 @@ def test_verify_rejects_n_max_below_one(n_max):
     # a ceiling below 1 leaves no board size to check
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--scope", "attacklines", "--n-max", n_max])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_count_rejects_budget_below_one(budget):
+    # a budget below 1 stops every search before its first node
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--piece", "2,2", "--q", "2", "--n", "3", "--budget", budget])
     assert exc.value.code == 2
 
 

@@ -11,10 +11,9 @@ from qqueens.enumerator import (
     Collinear,
     ConstraintPattern,
     Equal,
-    alpha_pairs,
-    beta_triples,
     count_pattern,
     count_unlabelled,
+    line_lengths,
     pattern,
     sequence,
     symmetry_group,
@@ -136,11 +135,11 @@ def test_budget_applies_per_board_size():
     nodes = {n: n * n + 2 * count_unlabelled(QUEEN, 2, n) for n in range(1, 13)}
     largest = max(nodes.values())
     assert largest == nodes[12] < sum(nodes.values())
-    records = sequence(QUEEN, 3, 1, 12, budget=largest)
-    assert [r.n for r in records] == list(range(1, 13))
+    samples = sequence(QUEEN, 3, 1, 12, budget=largest)
+    assert [n for n, _ in samples] == list(range(1, 13))
     with pytest.raises(BudgetExceededError) as exc:
         sequence(QUEEN, 3, 1, 12, budget=largest - 1)
-    assert exc.value.completed == tuple(records[:11])
+    assert exc.value.completed == tuple(samples[:11])
 
 
 def test_budget_applies_per_board_size_four_pieces():
@@ -150,11 +149,11 @@ def test_budget_applies_per_board_size_four_pieces():
     }
     largest = max(nodes.values())
     assert largest == nodes[10] < sum(nodes.values())
-    records = sequence(QUEEN, 4, 1, 10, budget=largest)
-    assert [r.n for r in records] == list(range(1, 11))
+    samples = sequence(QUEEN, 4, 1, 10, budget=largest)
+    assert [n for n, _ in samples] == list(range(1, 11))
     with pytest.raises(BudgetExceededError) as exc:
         sequence(QUEEN, 4, 1, 10, budget=largest - 1)
-    assert exc.value.completed == tuple(records[:9])
+    assert exc.value.completed == tuple(samples[:9])
 
 
 def test_budget_error_carries_progress():
@@ -164,17 +163,30 @@ def test_budget_error_carries_progress():
     assert exc.value.budget == 10
 
 
+def power_sum(slope: Move, n: int, power: int) -> int:
+    """Sum of the given power of the slope's line lengths: attacking pairs for
+    power 2, collinear triples for power 3."""
+    return sum(length**power for length in line_lengths(slope, n))
+
+
+def test_line_lengths_examples():
+    assert sorted(line_lengths(Move(1, 1), 3)) == [1, 1, 2, 2, 3]
+    assert line_lengths(Move(1, 0), 0) == []
+    with pytest.raises(ValueError):
+        line_lengths(Move(1, 0), -1)
+
+
 def test_alpha_examples():
-    assert alpha_pairs(Move(1, 0), 3) == 27
-    assert alpha_pairs(Move(0, 1), 3) == 27
-    assert alpha_pairs(Move(1, 1), 3) == 19
-    assert alpha_pairs(Move(1, 1), 0) == 0
+    assert power_sum(Move(1, 0), 3, 2) == 27
+    assert power_sum(Move(0, 1), 3, 2) == 27
+    assert power_sum(Move(1, 1), 3, 2) == 19
+    assert power_sum(Move(1, 1), 0, 2) == 0
 
 
 def test_beta_examples():
-    assert beta_triples(Move(1, 0), 2) == 16
-    assert beta_triples(Move(1, 1), 2) == 10
-    assert beta_triples(Move(1, -1), 1) == 1
+    assert power_sum(Move(1, 0), 2, 3) == 16
+    assert power_sum(Move(1, 1), 2, 3) == 10
+    assert power_sum(Move(1, -1), 1, 3) == 1
 
 
 def test_attack_line_closed_forms_to_50():
@@ -186,8 +198,8 @@ def test_attack_line_closed_forms_to_50():
     for slope in (Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1)):
         ap, bq = alpha_closed(slope), beta_closed(slope)
         for n in range(51):
-            assert Fraction(alpha_pairs(slope, n)) == ap(n)
-            assert Fraction(beta_triples(slope, n)) == evaluate(bq, n)
+            assert Fraction(power_sum(slope, n, 2)) == ap(n)
+            assert Fraction(power_sum(slope, n, 3)) == evaluate(bq, n)
 
 
 def test_pattern_validation():
@@ -294,10 +306,10 @@ def test_equal_patterns_built_apart_share_one_count():
 def test_count_pattern_agrees_with_specialized_counters():
     for slope in (Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1)):
         for n in range(31):
-            assert alpha_pairs(slope, n) == count_pattern(
+            assert power_sum(slope, n, 2) == count_pattern(
                 pattern(2, Collinear(1, 2, slope)), n
             )
-            assert beta_triples(slope, n) == count_pattern(
+            assert power_sum(slope, n, 3) == count_pattern(
                 pattern(3, Collinear(1, 2, slope), Collinear(2, 3, slope)), n
             )
 
@@ -353,19 +365,17 @@ def test_single_diagonal_symmetry():
 
 
 def test_sequence_examples():
-    records = sequence(QUEEN, 1, 1, 3)
-    assert [r.count for r in records] == [1, 4, 9]
+    assert sequence(QUEEN, 1, 1, 3) == [(1, 1), (2, 4), (3, 9)]
     semiqueen = partial_queen(PartialQueenSpec(1, 1))
-    assert sequence(semiqueen, 3, 2, 2)[0].count == 0
-    bishop_pairs = [r.count for r in sequence(BISHOP, 2, 1, 4)]
+    assert sequence(semiqueen, 3, 2, 2) == [(2, 0)]
     from qqueens.formulas import u2_closed
 
     closed = u2_closed(0, 2)
-    assert bishop_pairs == [closed(n) for n in range(1, 5)]
+    assert sequence(BISHOP, 2, 1, 4) == [(n, closed(n)) for n in range(1, 5)]
 
 
 def test_sequence_budget_reports_last_completed():
     with pytest.raises(BudgetExceededError) as exc:
         sequence(QUEEN, 3, 1, 9, budget=2000)
     assert exc.value.completed
-    assert [r.n for r in exc.value.completed] == list(range(1, len(exc.value.completed) + 1))
+    assert [n for n, _ in exc.value.completed] == list(range(1, len(exc.value.completed) + 1))

@@ -166,9 +166,9 @@ def test_detect_period_queen_pieces():
 
     queen = partial_queen(PartialQueenSpec(2, 2))
     semiqueen = partial_queen(PartialQueenSpec(1, 1))
-    q3 = [(r.n, r.count) for r in sequence(queen, 3, 1, 17)]
-    s3 = [(r.n, r.count) for r in sequence(semiqueen, 3, 1, 17)]
-    q2 = [(r.n, r.count) for r in sequence(queen, 2, 1, 7)]
+    q3 = sequence(queen, 3, 1, 17)
+    s3 = sequence(semiqueen, 3, 1, 17)
+    q2 = sequence(queen, 2, 1, 7)
     assert detect_period(q3, 6) == 2
     assert detect_period(s3, 6) == 1
     assert detect_period(q2, 4) == 1
@@ -187,7 +187,7 @@ def test_fit_queen_two_pieces_closed_form():
     from qqueens.formulas import u2_closed
 
     queen = partial_queen(PartialQueenSpec(2, 2))
-    samples = [(r.n, r.count) for r in sequence(queen, 2, 1, 7)]
+    samples = sequence(queen, 2, 1, 7)
     qp = fit(samples, 4, 1)
     assert qp == QuasiPolynomial.constant_poly(u2_closed(2, 2))
 
@@ -198,7 +198,7 @@ def test_fit_bishop_three_pieces_table_row():
     from qqueens.formulas import table2_row
 
     bishop = partial_queen(PartialQueenSpec(0, 2))
-    samples = [(r.n, r.count) for r in sequence(bishop, 3, 1, 17)]
+    samples = sequence(bishop, 3, 1, 17)
     qp = fit(samples, 6, 2)
     assert qp == table2_row(0, 2)
 
