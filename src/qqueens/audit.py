@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import DIAGONAL_DOWN, DIAGONAL_UP, HORIZONTAL, VERTICAL, Move
+from .core import DIAGONAL, DIAGONAL_DOWN, DIAGONAL_UP, HORIZONTAL, ORTHOGONAL, VERTICAL, Move
 from .enumerator import (
     Collinear,
     ConstraintPattern,
@@ -44,18 +44,6 @@ H, V, DU, DD = HORIZONTAL, VERTICAL, DIAGONAL_UP, DIAGONAL_DOWN
 
 class InapplicableCaseError(ValueError):
     """The case has no subspaces for this (h, k)."""
-
-
-def orth_moves(h: int) -> tuple[Move, ...]:
-    return ((), (H,), (H, V))[h]
-
-
-def diag_moves(k: int) -> tuple[Move, ...]:
-    return ((), (DU,), (DU, DD))[k]
-
-
-def piece_moves(h: int, k: int) -> tuple[Move, ...]:
-    return orth_moves(h) + diag_moves(k)
 
 
 def _qp(coeffs: Sequence) -> QuasiPolynomial:
@@ -160,14 +148,14 @@ def _per_move(
     def build(h: int, k: int) -> tuple[Subcase, ...]:
         return tuple(
             Subcase(f"slope {_slope_label(m)}", (pattern(piece_count, *path(m)),), closed(m))
-            for m in piece_moves(h, k)
+            for m in ORTHOGONAL[:h] + DIAGONAL[:k]
         )
 
     return build
 
 
 def _u4a_closed(m: Move) -> QuasiPolynomial:
-    if m in (H, V):
+    if m in ORTHOGONAL:
         return _qp([0, 0, 0, 0, 0, 1])
     return _qp([0, F(-1, 15), 0, F(2, 3), 0, F(2, 5)])
 
@@ -185,8 +173,7 @@ def _build_u2_2(h: int, k: int) -> tuple[Subcase, ...]:
 
 def _u3b2_pair_subcase(a: Move, b: Move) -> Subcase:
     """Two hyperplanes of distinct slopes sharing the middle piece."""
-    orths = (H, V)
-    a_orth, b_orth = a in orths, b in orths
+    a_orth, b_orth = a in ORTHOGONAL, b in ORTHOGONAL
     if a_orth and b_orth:
         return Subcase("VH", (pattern(3, _col(1, 2, V), _col(2, 3, H)),), _qp([0, 0, 0, 0, 1]))
     if a_orth != b_orth:
@@ -201,10 +188,9 @@ def _u3b2_pair_subcase(a: Move, b: Move) -> Subcase:
 
 
 def _build_u3b_2(h: int, k: int) -> tuple[Subcase, ...]:
-    moves = piece_moves(h, k)
     return tuple(
         _u3b2_pair_subcase(a, b)
-        for a, b in itertools.combinations(moves, 2)
+        for a, b in itertools.combinations(ORTHOGONAL[:h] + DIAGONAL[:k], 2)
     )
 
 
@@ -212,7 +198,7 @@ def _build_u3a_3(h: int, k: int) -> tuple[Subcase, ...]:
     out: list[Subcase] = []
     if h == 2:
         # hypotenuse on a diagonal, legs orthogonal; both right-angle corners
-        for d in diag_moves(k):
+        for d in DIAGONAL[:k]:
             out.append(
                 Subcase(
                     f"tri1 {_slope_label(d)}",
@@ -225,7 +211,7 @@ def _build_u3a_3(h: int, k: int) -> tuple[Subcase, ...]:
             )
     if k == 2:
         # hypotenuse orthogonal, legs on the two diagonals; both corners
-        for o in orth_moves(h):
+        for o in ORTHOGONAL[:h]:
             out.append(
                 Subcase(
                     f"tri2 {_slope_label(o)}",
@@ -252,8 +238,8 @@ def _build_u4b_3(h: int, k: int) -> tuple[Subcase, ...]:
                 _qp([0, 0, 0, 0, 0, 2]),
             )
         )
-    for d in diag_moves(k):
-        for o in orth_moves(h):
+    for d in DIAGONAL[:k]:
+        for o in ORTHOGONAL[:h]:
             # both shapes are combined: attacker orthogonal off a diagonal
             # line, and attacker diagonal off an orthogonal line
             out.append(
@@ -294,8 +280,8 @@ def _build_u4c_3(h: int, k: int) -> tuple[Subcase, ...]:
                 _qp([0, 0, 0, 0, 0, 2]),
             )
         )
-    for d in diag_moves(k):
-        for o in orth_moves(h):
+    for d in DIAGONAL[:k]:
+        for o in ORTHOGONAL[:h]:
             out.append(
                 Subcase(
                     f"DHD {_slope_label(d)},{_slope_label(o)}",
@@ -327,7 +313,7 @@ def _build_u4c_3(h: int, k: int) -> tuple[Subcase, ...]:
 def _build_u4d_3(h: int, k: int) -> tuple[Subcase, ...]:
     out: list[Subcase] = []
     if h == 2:
-        for d in diag_moves(k):
+        for d in DIAGONAL[:k]:
             out.append(
                 Subcase(
                     f"HDV {_slope_label(d)}",
@@ -346,7 +332,7 @@ def _build_u4d_3(h: int, k: int) -> tuple[Subcase, ...]:
                 )
             )
     if k == 2:
-        for o in orth_moves(h):
+        for o in ORTHOGONAL[:h]:
             out.append(
                 Subcase(
                     f"DHD {_slope_label(o)}",
@@ -370,7 +356,7 @@ def _build_u4d_3(h: int, k: int) -> tuple[Subcase, ...]:
 def _build_u4e_3(h: int, k: int) -> tuple[Subcase, ...]:
     out: list[Subcase] = []
     if k == 2:
-        for o in orth_moves(h):
+        for o in ORTHOGONAL[:h]:
             out.append(
                 Subcase(
                     f"diagonal pair + {_slope_label(o)}",
@@ -379,7 +365,7 @@ def _build_u4e_3(h: int, k: int) -> tuple[Subcase, ...]:
                 )
             )
     if h == 2:
-        for d in diag_moves(k):
+        for d in DIAGONAL[:k]:
             out.append(
                 Subcase(
                     f"orthogonal pair + {_slope_label(d)}",

@@ -9,7 +9,8 @@ Grammar, one line per command::
     qqueens types    (--piece H,K | --moves JSON) [--q INT] [--n LO..HI] [--budget INT] [--cache PATH]
     qqueens formulas --piece H,K [--q INT]
 
-Every command also takes ``--format json|csv|latex|text``.  ``verify``
+Every command also takes ``--format json|csv|latex|text``.  ``--q`` is an
+integer of at least 1 and ``--n`` takes plain digits.  ``verify``
 takes ``--n-max`` (at least 1), not ``--n``; ``audit`` needs an ``--n``
 range that reaches 1.  Without ``--n``, ``fit`` and
 ``types`` count n = 1..2(2q+2) (``types --moves``: 1..12(2q+2)); the fit
@@ -69,19 +70,19 @@ def _parse_moves(text: str) -> MoveSet:
         raise argparse.ArgumentTypeError(f"bad --moves {text!r}: {err}")
 
 
+def _is_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
-    if lo < 0 or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad --n range {text!r}")
-    return lo, hi
+    lo_s, hi_s = text.split("..", 1) if ".." in text else (text, text)
+    if not (_is_digits(lo_s) and _is_digits(hi_s)) or int(hi_s) < int(lo_s):
+        raise argparse.ArgumentTypeError(f"bad --n range {text!r}: need LO..HI in plain digits, LO <= HI")
+    return int(lo_s), int(hi_s)
 
 
 def _parse_positive(flag: str, text: str) -> int:
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+    if not _is_digits(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"bad {flag} {text!r}: need an integer >= 1")
     return int(text)
 
@@ -99,7 +100,8 @@ def _rider(p: argparse.ArgumentParser) -> None:
 
 
 def _q(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=int, default=2, help="number of pieces (default 2)")
+    p.add_argument("--q", type=partial(_parse_positive, "--q"), default=2,
+                   help="number of pieces, at least 1 (default 2)")
 
 
 def _n(p: argparse.ArgumentParser, default: Optional[tuple[int, int]]) -> None:

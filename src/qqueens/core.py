@@ -51,6 +51,8 @@ HORIZONTAL = Move(1, 0)
 VERTICAL = Move(0, 1)
 DIAGONAL_UP = Move(1, 1)
 DIAGONAL_DOWN = Move(1, -1)
+ORTHOGONAL = (HORIZONTAL, VERTICAL)
+DIAGONAL = (DIAGONAL_UP, DIAGONAL_DOWN)
 
 
 @dataclass(frozen=True)
@@ -102,23 +104,13 @@ class PartialQueenSpec:
 
 
 def partial_queen(spec: PartialQueenSpec) -> MoveSet:
-    """Canonical move set of a partial queen.
-
-    h=1 contributes the horizontal move, h=2 adds the vertical one; k=1
-    contributes slope +1, k=2 adds slope -1.  On a square board every
-    alternative single-move choice is count-equivalent; tests verify that
-    rather than assume it.
+    """Canonical move set of a partial queen: the first h of
+    ``ORTHOGONAL`` (horizontal, then vertical) and the first k of
+    ``DIAGONAL`` (slope +1, then -1).  On a square board every alternative
+    single-move choice is count-equivalent; tests verify that rather than
+    assume it.
     """
-    moves: list[Move] = []
-    if spec.h >= 1:
-        moves.append(HORIZONTAL)
-    if spec.h == 2:
-        moves.append(VERTICAL)
-    if spec.k >= 1:
-        moves.append(DIAGONAL_UP)
-    if spec.k == 2:
-        moves.append(DIAGONAL_DOWN)
-    return MoveSet(tuple(moves))
+    return MoveSet(ORTHOGONAL[:spec.h] + DIAGONAL[:spec.k])
 
 
 ALL_PIECE_SPECS: tuple[PartialQueenSpec, ...] = tuple(

@@ -40,7 +40,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .core import Move, MoveSet
 
@@ -94,9 +94,12 @@ class AttackTable:
         return cls(tuple(masks), tuple(lines))
 
 
-def _board_lines(slope: Move, n: int) -> Iterator[list[int]]:
+@functools.cache
+def _board_lines(slope: Move, n: int) -> tuple[tuple[int, ...], ...]:
     """The maximal lines of the given slope on the n x n board, each as the
-    indices (y-1)*n + (x-1) of its squares."""
+    indices (y-1)*n + (x-1) of its squares.  Built once per (slope, n): the
+    attack tables and the pattern counter read the same few slopes at every n."""
+    lines = []
     for y0 in range(n):
         for x0 in range(n):
             if 0 <= x0 - slope.c < n and 0 <= y0 - slope.d < n:
@@ -105,7 +108,8 @@ def _board_lines(slope: Move, n: int) -> Iterator[list[int]]:
             while 0 <= x < n and 0 <= y < n:
                 squares.append(y * n + x)
                 x, y = x + slope.c, y + slope.d
-            yield squares
+            lines.append(tuple(squares))
+    return tuple(lines)
 
 
 # The eight symmetries of the square board as signed 2x2 matrices (a, b, c, d),
@@ -193,6 +197,8 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
     """
     if q < 1:
         raise ValueError("q must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n == 0:
         return 0
     if q == 1:
@@ -286,12 +292,29 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
 
 def line_lengths(slope: Move, n: int) -> list[int]:
     """The lengths of the maximal lines of one slope on the n x n board, single
-    squares included.  Their sum of squares counts the ordered pairs of squares
-    that attack each other along the slope, and their sum of cubes the ordered
-    collinear triples (coincidences allowed in both)."""
+    squares included, in the order ``_board_lines`` walks them.  Their sum of
+    squares counts the ordered pairs of squares that attack each other along
+    the slope, and their sum of cubes the ordered collinear triples
+    (coincidences allowed in both).
+
+    A line's length is 1 + the fewest steps from its first square to the
+    board's edge, so no line's squares are listed (nor cached)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return [len(line) for line in _board_lines(slope, n)]
+    c, d = slope.c, slope.d
+
+    def steps(z: int, dz: int) -> int:
+        """Steps of size dz that stay on the board from coordinate z."""
+        if dz > 0:
+            return (n - 1 - z) // dz
+        return z // -dz if dz else n
+
+    return [
+        1 + min(steps(x0, c), steps(y0, d))
+        for y0 in range(n)
+        for x0 in range(n)
+        if not (0 <= x0 - c < n and 0 <= y0 - d < n)  # first square of its line
+    ]
 
 
 @dataclass(frozen=True)
@@ -355,18 +378,11 @@ def count_pattern(pat: ConstraintPattern, n: int) -> int:
 
 
 @functools.cache
-def _slope_lines(slope: Move, n: int) -> tuple[tuple[int, ...], ...]:
-    """``_board_lines(slope, n)``, built once per (slope, n) for the pattern
-    counter, which carries tables across the same few slopes at every n."""
-    return tuple(tuple(line) for line in _board_lines(slope, n))
-
-
-@functools.cache
 def _folded_count(pat: ConstraintPattern, n: int) -> int:
     """``count_pattern`` for n >= 0, once per (pattern, n) in a process: the
     catalog audit and the assembly count the same families at the same sizes.
     Patterns are frozen, so equal keys hold the same constraints."""
-    lines = {c.slope: _slope_lines(c.slope, n) for c in pat.constraints if isinstance(c, Collinear)}
+    lines = {c.slope: _board_lines(c.slope, n) for c in pat.constraints if isinstance(c, Collinear)}
 
     def carry(table: list[int], piece: int, c: Constraint, tables: dict[int, list[int]]) -> None:
         """Multiply the table of the piece at c's other end by ``table`` carried across c."""
@@ -423,6 +439,8 @@ def sequence(
     """
     if n_lo > n_hi:
         raise ValueError("empty range")
+    if n_lo < 0:
+        raise ValueError("n must be >= 0")
     samples = []
     for n in range(n_lo, n_hi + 1):
         count = cache.get(moves, q, n) if cache is not None else None

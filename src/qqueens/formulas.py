@@ -1,6 +1,7 @@
 """The formula bank: closed forms for placement counts and their coefficients.
 
-Pieces are parameterized by (h, k): h orthogonal moves and k diagonal moves.
+Pieces are parameterized by (h, k): h orthogonal moves and k diagonal moves;
+a builder checks its (h, k) by constructing ``core.PartialQueenSpec``.
 Counting functions are written in the board size n; u(q; n) denotes the
 number of nonattacking unlabelled placements of q pieces.  The coefficient
 of n^(2q-i) in u is written gamma_i; high-order gammas are polynomials in q
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Move
+from .core import DIAGONAL, ORTHOGONAL, Move, PartialQueenSpec
 from .quasipoly import Polynomial, QuasiPolynomial
 
 F = Fraction
@@ -33,13 +34,10 @@ def delta(a: int, b: int) -> int:
 
 
 def falling(q: int, j: int) -> int:
-    """Falling factorial q(q-1)...(q-j+1); zero when q < j."""
+    """Falling factorial q(q-1)...(q-j+1) for q >= 0; zero when q < j."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    out = 1
-    for i in range(j):
-        out *= q - i
-    return out
+    return math.perm(q, j)
 
 
 def falling_poly(j: int, shift: int = 0) -> Polynomial:
@@ -48,11 +46,6 @@ def falling_poly(j: int, shift: int = 0) -> Polynomial:
     for i in range(j):
         out = out * Polynomial.make([-(shift + i), 1])
     return out
-
-
-def _check_hk(h: int, k: int) -> None:
-    if h not in (0, 1, 2) or k not in (0, 1, 2) or h + k < 1:
-        raise ValueError(f"invalid piece parameters (h, k) = {(h, k)}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +104,7 @@ TABLE1_GAMMA3: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {
 
 
 def gamma1_expr(h: int, k: int) -> GammaExpr:
-    _check_hk(h, k)
+    PartialQueenSpec(h, k)
     return GammaExpr(1, Polynomial.make([-(3 * h + 2 * k)]), 6)
 
 
@@ -121,14 +114,14 @@ def gamma1(h: int, k: int, q: int) -> Fraction:
 
 def gamma2_expr(h: int, k: int) -> GammaExpr:
     """gamma2 in the coefficient table's printed normal form."""
-    _check_hk(h, k)
+    PartialQueenSpec(h, k)
     coeffs, den = TABLE1_GAMMA2[(h, k)]
     return GammaExpr(2, Polynomial.make(coeffs), den)
 
 
 def gamma2_expr_expanded(h: int, k: int) -> GammaExpr:
     """gamma2 assembled from the expanded coefficient display (second route)."""
-    _check_hk(h, k)
+    PartialQueenSpec(h, k)
     s = F(3 * h + 2 * k, 6)
     p = F(4 * h + 2 * k + 8 * h * k + 12 * delta(h, 2) + 5 * delta(k, 2), 6)
     brace = (
@@ -145,7 +138,7 @@ def gamma2(h: int, k: int, q: int) -> Fraction:
 
 def gamma3_expr(h: int, k: int) -> GammaExpr:
     """gamma3 in the coefficient table's printed normal form (the oracle-consistent route)."""
-    _check_hk(h, k)
+    PartialQueenSpec(h, k)
     coeffs, den = TABLE1_GAMMA3[(h, k)]
     return GammaExpr(3, Polynomial.make(coeffs), den)
 
@@ -158,7 +151,7 @@ def gamma3_expr_expanded(h: int, k: int) -> GammaExpr:
     delta constants in its quadratic bracket.  Tests pin the exact
     difference and the brute-force arbitration.
     """
-    _check_hk(h, k)
+    PartialQueenSpec(h, k)
     s = F(3 * h + 2 * k, 6)
     p = 4 * h + 8 * h * k + 2 * k + 12 * delta(h, 2) + 5 * delta(k, 2)
     w = (
@@ -192,7 +185,7 @@ def gamma3(h: int, k: int, q: int) -> Fraction:
 
 def gamma_leading_term(h: int, k: int, i: int) -> Fraction:
     """Coefficient of q^(2i) in q! * gamma_i: (-(3h+2k)/6)^i / i!."""
-    _check_hk(h, k)
+    PartialQueenSpec(h, k)
     if i < 0:
         raise ValueError("i must be >= 0")
     return (-F(3 * h + 2 * k, 6)) ** i / math.factorial(i)
@@ -205,7 +198,7 @@ def gamma5_periodic(h: int, k: int, q: int) -> Fraction:
     report ``reports.suite_gamma5_sign`` (``verify --scope gamma5-sign``)
     names the oracle-confirmed sign.  This reports the formula verbatim.
     """
-    _check_hk(h, k)
+    PartialQueenSpec(h, k)
     if q < 3:
         raise ValueError("gamma5 needs q >= 3")
     return F(-h * delta(k, 2), 8 * math.factorial(q - 3))
@@ -213,7 +206,7 @@ def gamma5_periodic(h: int, k: int, q: int) -> Fraction:
 
 def gamma6_periodic(h: int, k: int, q: int) -> Fraction:
     """Alternating part of gamma6: -delta_{k2} / (8 (q-3)!)."""
-    _check_hk(h, k)
+    PartialQueenSpec(h, k)
     if q < 4:
         raise ValueError("gamma6 needs q >= 4")
     return F(-delta(k, 2), 8 * math.factorial(q - 3))
@@ -221,13 +214,13 @@ def gamma6_periodic(h: int, k: int, q: int) -> Fraction:
 
 def u2_closed(h: int, k: int) -> Polynomial:
     """Two-piece counting polynomial: n^4/2 - ((3h+2k)/6) n^3 + ((h+k-1)/2) n^2 - (k/6) n."""
-    _check_hk(h, k)
+    PartialQueenSpec(h, k)
     return Polynomial.make([0, -F(k, 6), F(h + k - 1, 2), -F(3 * h + 2 * k, 6), F(1, 2)])
 
 
 def u3_closed(h: int, k: int) -> QuasiPolynomial:
     """Three-piece counting quasipolynomial; period 2 exactly when k = 2."""
-    _check_hk(h, k)
+    PartialQueenSpec(h, k)
     dh2, dk2 = delta(h, 2), delta(k, 2)
     constant = Polynomial.make(
         [
@@ -301,7 +294,7 @@ def expected_types(h: int, k: int, q: int) -> int | None:
     return None
 
 
-SUPPORTED_SLOPES = (Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1))
+SUPPORTED_SLOPES = ORTHOGONAL + DIAGONAL
 
 
 class UnsupportedSlopeError(ValueError):
@@ -319,7 +312,7 @@ def _require_supported(slope: Move) -> None:
 def alpha_closed(slope: Move) -> Polynomial:
     """Ordered attacking pairs along one slope: n^3 orthogonally, (2n^3+n)/3 diagonally."""
     _require_supported(slope)
-    if slope in (Move(1, 0), Move(0, 1)):
+    if slope in ORTHOGONAL:
         return Polynomial.make([0, 0, 0, 1])
     return Polynomial.make([0, F(1, 3), 0, F(2, 3)])
 
@@ -327,7 +320,7 @@ def alpha_closed(slope: Move) -> Polynomial:
 def beta_closed(slope: Move) -> QuasiPolynomial:
     """Ordered collinear triples along one slope: n^4 orthogonally, (n^4+n^2)/2 diagonally."""
     _require_supported(slope)
-    if slope in (Move(1, 0), Move(0, 1)):
+    if slope in ORTHOGONAL:
         poly = Polynomial.make([0, 0, 0, 0, 1])
     else:
         poly = Polynomial.make([0, 0, F(1, 2), 0, F(1, 2)])
@@ -367,7 +360,7 @@ def codim_contribution(h: int, k: int, q: int, nu: int) -> QuasiPolynomial:
     Transcribed from the printed codimension lemmas, divided by q! as
     printed.  ``nu`` = 3 includes the printed alternating bracket.
     """
-    _check_hk(h, k)
+    PartialQueenSpec(h, k)
     if q < 2:
         raise ValueError("q must be >= 2")
     if nu not in (0, 1, 2, 3):
@@ -433,7 +426,7 @@ def codim_contribution(h: int, k: int, q: int, nu: int) -> QuasiPolynomial:
 def coincident_triple_contribution(h: int, k: int, q: int) -> QuasiPolynomial:
     """Contribution to u(q; n) of the all-three-coincident subspace type:
     C(q,3) (h+k-1)^2 (h+k+2) n^(2q-4) / q!."""
-    _check_hk(h, k)
+    PartialQueenSpec(h, k)
     if q < 2:
         raise ValueError("q must be >= 2")
     mu = (h + k - 1) ** 2 * (h + k + 2)

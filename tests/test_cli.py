@@ -388,6 +388,19 @@ def test_count_rejects_budget_below_one(budget):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--q", "1_0"), ("--q", "+2"), ("--q", "0"), ("--q", "-1"), ("--q", "２"),
+     ("--n", "1_0"), ("--n", "+3"), ("--n", "١..٣"), ("--n", "1..+3"), ("--n", "3.."), ("--n", "5..2")],
+)
+def test_count_rejects_q_and_n_that_are_not_plain_digits(flag, value):
+    # int() would read underscores, signs and non-ASCII digits
+    flags = {"--q": "2", "--n": "3", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--piece", "2,2", "--q", flags["--q"], "--n", flags["--n"]])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("n", ["0", "0..0"])
 def test_audit_rejects_range_below_one(capsys, n):
     # the audit counts boards from n = 1; a range below 1 leaves none to check

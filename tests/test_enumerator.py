@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import naive_count_labelled, naive_count_pattern, naive_count_unlabelled
-from qqueens.core import ALL_PIECE_SPECS, Move, MoveSet, PartialQueenSpec, partial_queen
+from qqueens.core import ALL_PIECE_SPECS, Move, MoveSet, PartialQueenSpec, is_multiple, partial_queen
 from qqueens.enumerator import (
     AttackTable,
     BudgetExceededError,
@@ -176,6 +176,17 @@ def test_line_lengths_examples():
         line_lengths(Move(1, 0), -1)
 
 
+@pytest.mark.parametrize("slope", [Move(1, 2), Move(2, -1), Move(1, 3), Move(3, -2)])
+def test_rider_line_lengths_match_naive_pair_count(slope):
+    # the lines tile the board, and a line of length l holds l^2 ordered pairs
+    for n in range(10):
+        lengths = line_lengths(slope, n)
+        squares = [(x, y) for x in range(n) for y in range(n)]
+        pairs = sum(is_multiple(bx - ax, by - ay, slope) for ax, ay in squares for bx, by in squares)
+        assert sum(lengths) == n * n
+        assert sum(length**2 for length in lengths) == pairs
+
+
 def test_alpha_examples():
     assert power_sum(Move(1, 0), 3, 2) == 27
     assert power_sum(Move(0, 1), 3, 2) == 27
@@ -288,6 +299,25 @@ def test_count_pattern_rejects_negative_n_after_counting_the_pattern():
     assert count_pattern(pat, 3) == 9
     with pytest.raises(ValueError):
         count_pattern(pat, -1)
+
+
+def test_oracle_rejects_negative_n(tmp_path):
+    import json
+
+    from qqueens.cache import CountCache
+
+    for q in (1, 2, 3, 4):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            count_unlabelled(QUEEN, q, -3)
+    # nothing is written for a negative size, and a record of one is never read
+    empty = tmp_path / "empty.jsonl"
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        sequence(QUEEN, 2, -2, 1, cache=CountCache(empty))
+    assert not empty.exists()
+    seeded = tmp_path / "seeded.jsonl"
+    seeded.write_text(json.dumps({"moves": [[1, 0], [0, 1], [1, 1], [1, -1]], "q": 2, "n": -2, "count": "6"}) + "\n")
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        sequence(QUEEN, 2, -2, -2, cache=CountCache(seeded))
 
 
 def test_equal_patterns_built_apart_share_one_count():
