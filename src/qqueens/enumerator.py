@@ -31,6 +31,17 @@ identities.
 
 For q >= 5, squares between the first piece and the last three are taken in
 increasing index order and pruned with per-square attack bitsets.
+
+``count_pattern`` counts the ordered tuples of squares that meet a
+constraint pattern.  The count is the product of the counts of the
+connected components of the constraint graph, n^2 for a piece under no
+constraint.  Each component is counted in a canonical form, the least
+constraint list over the relabellings of its pieces and the eight board
+symmetries applied to its slopes, so isomorphic components share one count
+per n.  A component is folded one piece at a time through sparse
+per-square tables: a ``Collinear`` constraint carries the table's sums per
+line to the piece at its other end, and a piece on a cycle is fixed on one
+square at a time, which leaves each of its neighbours a single line.
 """
 
 from __future__ import annotations
@@ -38,7 +49,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -94,11 +104,13 @@ class AttackTable:
         return cls(tuple(masks), tuple(lines))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=4 * 18)
 def _board_lines(slope: Move, n: int) -> tuple[tuple[int, ...], ...]:
     """The maximal lines of the given slope on the n x n board, each as the
-    indices (y-1)*n + (x-1) of its squares.  Built once per (slope, n): the
-    attack tables and the pattern counter read the same few slopes at every n."""
+    indices (y-1)*n + (x-1) of its squares.  The attack tables and the pattern
+    counter read the same few slopes at every n, so the latest tables are
+    kept: room for the four partial-queen slopes at n = 0..17, the sizes
+    ``verify --scope all`` reaches, and a run over many riders keeps no more."""
     lines = []
     for y0 in range(n):
         for x0 in range(n):
@@ -120,12 +132,15 @@ D4 = (
 )
 
 
+def _image(g: tuple[int, int, int, int], m: Move) -> Move:
+    """The slope of m after the board symmetry g."""
+    a, b, c, d = g
+    return Move.from_vector(a * m.c + b * m.d, c * m.c + d * m.d)
+
+
 def symmetry_group(moves: MoveSet) -> tuple[tuple[int, int, int, int], ...]:
     """The elements of D4 that map the move set onto itself, slope for slope."""
-    return tuple(
-        (a, b, c, d) for a, b, c, d in D4
-        if all(Move.from_vector(a * m.c + b * m.d, c * m.c + d * m.d) in moves for m in moves)
-    )
+    return tuple(g for g in D4 if all(_image(g, m) in moves for m in moves))
 
 
 def _orbits(group: tuple[tuple[int, int, int, int], ...], n: int) -> list[tuple[int, int]]:
@@ -360,43 +375,122 @@ def pattern(piece_count: int, *constraints: Constraint) -> ConstraintPattern:
 def count_pattern(pat: ConstraintPattern, n: int) -> int:
     """Exact number of ordered tuples of board squares satisfying the pattern.
 
-    Each piece carries a table over the n^2 squares, all ones at the start:
-    the number of ways to place the pieces folded into it so far, given the
-    square it stands on.  Pieces are taken fewest constraints first.  One
-    with no constraint left multiplies the total by the sum of its table.
-    One with a single constraint left folds its table into the other piece:
-    an ``Equal`` passes the table on unchanged, a ``Collinear`` gives each
-    square the sum of the table over that square's line of the slope.  One
-    with two or more (only cycles and repeated pairs leave such a piece) is
-    fixed on each square in turn; carrying a one-hot table across each of
-    its constraints restricts its neighbours, and the rest is folded the
-    same way.
+    The count factors over the connected components of the constraint graph:
+    a piece under no constraint stands on any of the n^2 squares, and each
+    component is counted on its own (``_component_count``), in the canonical
+    form ``canonical_components`` gives it.  Relabelling the pieces, or
+    mapping every slope by one symmetry of the board, is a bijection on the
+    tuples counted, so the canonical form counts the same; the audit's
+    relabelled, reflected and side-by-side patterns then share one count per
+    canonical component and n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _folded_count(pat, n)
+    free, components = canonical_components(pat)
+    return math.prod((_component_count(c, n) for c in components), start=n ** (2 * free))
 
 
 @functools.cache
-def _folded_count(pat: ConstraintPattern, n: int) -> int:
-    """``count_pattern`` for n >= 0, once per (pattern, n) in a process: the
-    catalog audit and the assembly count the same families at the same sizes.
-    Patterns are frozen, so equal keys hold the same constraints."""
-    lines = {c.slope: _board_lines(c.slope, n) for c in pat.constraints if isinstance(c, Collinear)}
+def canonical_components(pat: ConstraintPattern) -> tuple[int, tuple[ConstraintPattern, ...]]:
+    """(the pieces under no constraint, the canonical form of each connected
+    component of the constraint graph), worked out once per pattern.
 
-    def carry(table: list[int], piece: int, c: Constraint, tables: dict[int, list[int]]) -> None:
+    A component on k pieces has as canonical form the least of its sorted,
+    duplicate-free constraint lists, each constraint read as (i, j, c, d)
+    with an ``Equal`` as slope (0, 0), over every element of ``D4`` applied
+    to its slopes and every relabelling of its pieces as 1..k that numbers
+    them in order of degree.  A relabelling or a board symmetry keeps every
+    piece's degree, so isomorphic components get one form.  The components
+    are listed in order of their forms.
+    """
+    constraints = list(dict.fromkeys(pat.constraints))
+    component_of = {p: {p} for c in constraints for p in (c.i, c.j)}
+    for c in constraints:
+        merged = component_of[c.i] | component_of[c.j]
+        for p in merged:
+            component_of[p] = merged
+    forms = []
+    for component in {frozenset(pieces) for pieces in component_of.values()}:
+        own = [c for c in constraints if c.i in component]
+        degree = {p: sum(p in (c.i, c.j) for c in own) for p in component}
+        groups = [sorted(p for p in component if degree[p] == d) for d in sorted(set(degree.values()))]
+        labellings = [
+            {p: label for label, p in enumerate(itertools.chain.from_iterable(order), 1)}
+            for order in itertools.product(*map(itertools.permutations, groups))
+        ]
+        ends = [(c.i, c.j) for c in own]
+        forms.append((len(component), min(
+            tuple(sorted(
+                (label[i], label[j], *image) if label[i] < label[j] else (label[j], label[i], *image)
+                for (i, j), image in zip(ends, images)
+            ))
+            for images in ([_slope_key(g, c) for c in own] for g in D4)
+            for label in labellings
+        )))
+    return pat.piece_count - len(component_of), tuple(
+        ConstraintPattern(k, tuple(
+            Equal(i, j) if (c, d) == (0, 0) else Collinear(i, j, Move(c, d)) for i, j, c, d in form
+        ))
+        for k, form in sorted(forms)
+    )
+
+
+def _slope_key(g: tuple[int, int, int, int], c: Constraint) -> tuple[int, int]:
+    """The slope of c after the board symmetry g, as (c, d); (0, 0) for an ``Equal``."""
+    if isinstance(c, Equal):
+        return 0, 0
+    m = _image(g, c.slope)
+    return m.c, m.d
+
+
+@functools.cache
+def _component_count(comp: ConstraintPattern, n: int) -> int:
+    """``count_pattern`` of one canonical component, once per (component, n)
+    in a process.
+
+    Each piece carries a table: for each square it may stand on, the number
+    of ways to place the pieces folded into it so far, given that square.
+    Tables are dicts that hold only the nonzero squares (at the start, every
+    square with weight 1).  Pieces are taken fewest constraints first.  One
+    with no constraint left multiplies the total by the sum of its table.
+    One with a single constraint left carries its table into the other
+    piece: an ``Equal`` passes it on unchanged, a ``Collinear`` gives each
+    square the table's sum over that square's line of the slope, and the
+    other piece keeps only the squares that receive something.  One with two
+    or more (only cycles and repeated pairs leave such a piece) is fixed on
+    each square s of its table in turn and carries {s: 1}, which leaves each
+    neighbour one line; the rest is folded the same way.
+    """
+    lines = {}  # slope -> (its board lines, the index of the line through each square)
+    for slope in {c.slope for c in comp.constraints if isinstance(c, Collinear)}:
+        board_lines = _board_lines(slope, n)
+        line_of = [0] * (n * n)
+        for k, line in enumerate(board_lines):
+            for s in line:
+                line_of[s] = k
+        lines[slope] = board_lines, line_of
+
+    def carry(table: dict[int, int], piece: int, c: Constraint, tables: dict[int, dict[int, int]]) -> None:
         """Multiply the table of the piece at c's other end by ``table`` carried across c."""
-        if isinstance(c, Collinear):
-            on_lines = [0] * len(table)
-            for line in lines[c.slope]:
-                on_line = sum(table[i] for i in line)
-                for i in line:
-                    on_lines[i] = on_line
-            table = on_lines
         other = c.i + c.j - piece
-        tables[other] = list(map(operator.mul, tables[other], table))
+        into = tables[other]
+        if isinstance(c, Equal):
+            if len(table) < len(into):
+                table, into = into, table
+            tables[other] = {s: ways * table[s] for s, ways in into.items() if s in table}
+            return
+        board_lines, line_of = lines[c.slope]
+        sums: dict[int, int] = {}
+        for s, ways in table.items():
+            k = line_of[s]
+            sums[k] = sums.get(k, 0) + ways
+        # walk whichever is shorter: the squares of the lines reached, or the receiving table
+        if sum(len(board_lines[k]) for k in sums) < len(into):
+            tables[other] = {s: into[s] * on_line for k, on_line in sums.items() for s in board_lines[k] if s in into}
+        else:
+            tables[other] = {s: ways * sums[line_of[s]] for s, ways in into.items() if line_of[s] in sums}
 
-    def fold(tables: dict[int, list[int]], constraints: list[Constraint]) -> int:
+    def fold(tables: dict[int, dict[int, int]], constraints: list[Constraint]) -> int:
         total = 1
         while tables:
             piece = min(tables, key=lambda p: sum(p in (c.i, c.j) for c in constraints))
@@ -404,24 +498,21 @@ def _folded_count(pat: ConstraintPattern, n: int) -> int:
             constraints = [c for c in constraints if piece not in (c.i, c.j)]
             table = tables.pop(piece)
             if not own:
-                total *= sum(table)
+                total *= sum(table.values())
             elif len(own) == 1:
                 carry(table, piece, own[0], tables)
             else:
                 fixed = 0
-                for s, ways in enumerate(table):
-                    if not ways:
-                        continue
-                    one_hot = [0] * len(table)
-                    one_hot[s] = 1
+                for s, ways in table.items():
                     rest = dict(tables)
                     for c in own:
-                        carry(one_hot, piece, c, rest)
+                        carry({s: 1}, piece, c, rest)
                     fixed += ways * fold(rest, constraints)
                 return total * fixed
         return total
 
-    return fold({p: [1] * (n * n) for p in range(1, pat.piece_count + 1)}, list(pat.constraints))
+    everywhere = dict.fromkeys(range(n * n), 1)
+    return fold(dict.fromkeys(range(1, comp.piece_count + 1), everywhere), list(comp.constraints))
 
 
 def sequence(

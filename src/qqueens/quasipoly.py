@@ -81,10 +81,17 @@ class Polynomial:
         return Fraction(0)
 
     def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
+        """The value at x by Horner's rule in integers: with the coefficients
+        over one common denominator and x = p/q, the sum of a_k p^k q^(d-k)
+        over den * q^d, made a ``Fraction`` once at the end."""
+        x = _as_fraction(x)
+        p, q = x.numerator, x.denominator
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        acc, q_power = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * p + c.numerator * (den // c.denominator) * q_power
+            q_power *= q
+        return Fraction(acc * q, den * q_power)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import naive_count_labelled, naive_count_pattern, naive_count_unlabelled
 from qqueens.core import ALL_PIECE_SPECS, Move, MoveSet, PartialQueenSpec, is_multiple, partial_queen
 from qqueens.enumerator import (
+    D4,
     AttackTable,
     BudgetExceededError,
     Collinear,
     ConstraintPattern,
     Equal,
+    _component_count,
+    canonical_components,
     count_pattern,
     count_unlabelled,
     line_lengths,
@@ -248,10 +252,10 @@ PATTERN_SLOPES = (Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1), Move(1, 2), M
 
 
 @st.composite
-def constraint_patterns(draw):
-    """2 to 5 pieces under 1 to 6 constraints; cycles, repeated pairs and
-    unconstrained pieces all occur."""
-    pieces = draw(st.integers(2, 5))
+def constraint_patterns(draw, max_pieces=5):
+    """2 to ``max_pieces`` pieces under 1 to 6 constraints; cycles, repeated
+    pairs and unconstrained pieces all occur."""
+    pieces = draw(st.integers(2, max_pieces))
     pair = st.lists(st.integers(1, pieces), min_size=2, max_size=2, unique=True).map(sorted)
     constraint = st.one_of(
         pair.map(lambda ij: Equal(*ij)),
@@ -353,11 +357,34 @@ def relabelled(pat: ConstraintPattern, perm: dict[int, int]) -> ConstraintPatter
     return ConstraintPattern(pat.piece_count, tuple(out))
 
 
+def mapped(pat: ConstraintPattern, g: tuple[int, int, int, int]) -> ConstraintPattern:
+    """The pattern with the board symmetry g applied to every slope."""
+    a, b, c, d = g
+    return ConstraintPattern(pat.piece_count, tuple(
+        Collinear(con.i, con.j, Move.from_vector(a * con.slope.c + b * con.slope.d, c * con.slope.c + d * con.slope.d))
+        if isinstance(con, Collinear) else con
+        for con in pat.constraints
+    ))
+
+
+def side_by_side(first: ConstraintPattern, second: ConstraintPattern) -> ConstraintPattern:
+    """Both patterns on disjoint pieces, the second's numbered after the first's."""
+    off = first.piece_count
+    shifted = tuple(replace(c, i=c.i + off, j=c.j + off) for c in second.constraints)
+    return ConstraintPattern(off + second.piece_count, first.constraints + shifted)
+
+
+# The canonical form rests on three facts about the lattice-point count; the
+# tests below check each with the naive oracle alone, since any two patterns
+# with one canonical form share one memo entry in ``count_pattern``.
+
+
 @given(st.permutations([1, 2, 3]), st.integers(1, 5))
 def test_count_pattern_relabelling_invariance(perm, n):
     pat = pattern(3, Collinear(1, 2, Move(1, 1)), Collinear(2, 3, Move(1, 0)))
     mapping = {i + 1: perm[i] for i in range(3)}
-    assert count_pattern(pat, n) == count_pattern(relabelled(pat, mapping), n)
+    assert canonical_components(relabelled(pat, mapping)) == canonical_components(pat)
+    assert naive_count_pattern(relabelled(pat, mapping), n) == naive_count_pattern(pat, n) == count_pattern(pat, n)
 
 
 @given(st.permutations([1, 2, 3, 4]), st.integers(1, 4))
@@ -367,7 +394,53 @@ def test_count_pattern_relabelling_invariance_four_pieces(perm, n):
         4, Collinear(1, 2, Move(1, 1)), Collinear(2, 3, Move(1, -1)), Equal(3, 4)
     )
     mapping = {i + 1: perm[i] for i in range(4)}
-    assert count_pattern(pat, n) == count_pattern(relabelled(pat, mapping), n)
+    assert canonical_components(relabelled(pat, mapping)) == canonical_components(pat)
+    assert naive_count_pattern(relabelled(pat, mapping), n) == naive_count_pattern(pat, n) == count_pattern(pat, n)
+
+
+@given(constraint_patterns(), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_canonical_components_count_as_the_pattern(pat, n):
+    free, components = canonical_components(pat)
+    assert all(len(c.constraints) for c in components)
+    product = math.prod((naive_count_pattern(c, n) for c in components), start=n ** (2 * free))
+    assert naive_count_pattern(pat, n) == product
+
+
+@given(constraint_patterns(max_pieces=4), st.data(), st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_board_symmetries_and_relabellings_keep_the_count(pat, data, n):
+    count = naive_count_pattern(pat, n)
+    form = canonical_components(pat)
+    pieces = range(1, pat.piece_count + 1)
+    perm = data.draw(st.permutations(pieces))
+    assert canonical_components(relabelled(pat, dict(zip(pieces, perm)))) == form
+    for g in D4:
+        assert naive_count_pattern(mapped(pat, g), n) == count
+        assert canonical_components(mapped(pat, g)) == form
+
+
+@given(constraint_patterns(max_pieces=3), constraint_patterns(max_pieces=2), st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_side_by_side_patterns_count_as_the_product(first, second, n):
+    both = side_by_side(first, second)
+    assert naive_count_pattern(both, n) == naive_count_pattern(first, n) * naive_count_pattern(second, n)
+    assert count_pattern(both, n) == count_pattern(first, n) * count_pattern(second, n)
+
+
+def test_triangle_relabelling_and_reflection_share_one_component_count():
+    h, v, du, dd = Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1)
+    triangle = pattern(3, Collinear(1, 2, h), Collinear(2, 3, v), Collinear(1, 3, du))
+    relabel = relabelled(triangle, {1: 2, 2: 3, 3: 1})
+    reflection = pattern(3, Collinear(1, 2, h), Collinear(2, 3, v), Collinear(1, 3, dd))
+    assert mapped(triangle, (-1, 0, 0, 1)) == reflection
+    pats = (triangle, relabel, reflection, side_by_side(triangle, reflection))
+    assert len(set(pats)) == 4
+    _component_count.cache_clear()
+    counts = [count_pattern(p, 5) for p in pats]
+    assert _component_count.cache_info().currsize == 1
+    single = naive_count_pattern(triangle, 5)
+    assert counts == [single, single, single, single * single]
 
 
 def test_single_move_symmetry_horizontal_vs_vertical():

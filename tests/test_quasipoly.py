@@ -206,6 +206,16 @@ def test_fit_bishop_three_pieces_table_row():
 fractions = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
 
 
+@given(st.lists(fractions, max_size=9), st.one_of(st.integers(-40, 40), fractions))
+def test_polynomial_value_matches_fraction_horner(coeffs, x):
+    poly = P(*coeffs)
+    expected = F(0)
+    for c in reversed(poly.coeffs):
+        expected = expected * x + c
+    value = poly(x)
+    assert type(value) is F and value == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=9), st.booleans(), st.data())
 def test_fit_round_trip_recovers_random_quasipolynomial(periods, shared, data):
