@@ -14,6 +14,15 @@ derivations explicitly: where two isomorphic subspaces are counted together
 both patterns, and the closed form is their combined count.  Closed forms
 are transcribed character for character; a transcription slip would surface
 as an audit mismatch, which is the point.
+
+Every type but the products of smaller ones is described the same way: the
+size of the slope sets it is built on (0 to 3 distinct slopes of the piece),
+and, per set, its orientation classes, each a label, the shapes of its
+patterns (a path, a star or a triangle over those slopes, or coincident
+pieces) and the printed closed form of their combined count.  Which classes
+a set has depends only on how many of its slopes are diagonal.  One builder
+(``_per_slopes``) walks the sets, so a piece with too few slopes of a kind
+simply has no set that needs them.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import DIAGONAL, DIAGONAL_DOWN, DIAGONAL_UP, HORIZONTAL, ORTHOGONAL, VERTICAL, Move
+from .core import DIAGONAL, ORTHOGONAL, Move
 from .enumerator import (
     Collinear,
     ConstraintPattern,
@@ -38,8 +47,6 @@ from .formulas import alpha_closed, beta_closed, falling
 from .quasipoly import Polynomial, QuasiPolynomial, evaluate
 
 F = Fraction
-
-H, V, DU, DD = HORIZONTAL, VERTICAL, DIAGONAL_UP, DIAGONAL_DOWN
 
 
 class InapplicableCaseError(ValueError):
@@ -124,256 +131,151 @@ def _summed_closed_form(subcases: tuple[Subcase, ...]) -> QuasiPolynomial:
     return total
 
 
-def _col(i: int, j: int, m: Move) -> Collinear:
-    return Collinear(i, j, m)
+def _slope_label(*ms: Move) -> str:
+    return ",".join(f"{m.d}/{m.c}" for m in ms)
 
 
-def _slope_label(m: Move) -> str:
-    return f"{m.d}/{m.c}"
+def _path(*slopes: Move) -> ConstraintPattern:
+    """Pieces 1, 2, ... in a row, each neighbour pair collinear along the next slope."""
+    return pattern(len(slopes) + 1, *(Collinear(i, i + 1, m) for i, m in enumerate(slopes, 1)))
 
 
-# Fixed orientation-class counts reused by several types.
-_DV3 = _qp([0, 0, F(1, 3), 0, F(2, 3)])  # diagonal pair plus an orthogonal third
-_DD3 = _qp_parity([F(1, 8), 0, F(1, 3), 0, F(5, 12)], [F(-1, 8)])  # middle piece on both diagonals
+def _star(*slopes: Move) -> ConstraintPattern:
+    """Piece 1 collinear with each further piece along that piece's slope."""
+    return pattern(len(slopes) + 1, *(Collinear(1, i, m) for i, m in enumerate(slopes, 2)))
 
 
-def _per_move(
-    piece_count: int,
-    path: Callable[[Move], tuple],
-    closed: Callable[[Move], QuasiPolynomial],
-) -> SubcaseBuilder:
-    """One subcase per move m of the piece: the pattern on ``piece_count``
-    pieces with the constraints ``path(m)``, and its count ``closed(m)``."""
+def _triangle(hypotenuse: Move, a: Move, b: Move) -> ConstraintPattern:
+    """Three pieces pairwise collinear: 1-2 on the hypotenuse, the right angle at 3."""
+    return pattern(3, Collinear(1, 2, hypotenuse), Collinear(1, 3, a), Collinear(2, 3, b))
+
+
+OrientationClass = tuple[str, tuple[ConstraintPattern, ...], QuasiPolynomial]
+
+
+def _per_slopes(size: int, classes: Callable[..., Sequence[OrientationClass]]) -> SubcaseBuilder:
+    """One subcase per orientation class of each set of ``size`` distinct
+    slopes of the piece: ``classes(*slopes)``, orthogonal slopes first, gives
+    the set's classes as (label, patterns, printed closed form).  A piece
+    with too few slopes of a kind has no set that needs them."""
 
     def build(h: int, k: int) -> tuple[Subcase, ...]:
         return tuple(
-            Subcase(f"slope {_slope_label(m)}", (pattern(piece_count, *path(m)),), closed(m))
-            for m in ORTHOGONAL[:h] + DIAGONAL[:k]
+            Subcase(*cls)
+            for slopes in itertools.combinations(ORTHOGONAL[:h] + DIAGONAL[:k], size)
+            for cls in classes(*slopes)
         )
 
     return build
 
 
-def _u4a_closed(m: Move) -> QuasiPolynomial:
-    if m in ORTHOGONAL:
-        return _qp([0, 0, 0, 0, 0, 1])
-    return _qp([0, F(-1, 15), 0, F(2, 3), 0, F(2, 5)])
+def _by_diagonals(*per_count: Callable | None) -> Callable:
+    """``per_count[j]`` applied to slopes of which j are diagonal; None where
+    no slope set of the type's size has j diagonals."""
+    return lambda *slopes: per_count[sum(m in DIAGONAL for m in slopes)](*slopes)
 
 
-_build_u2_1 = _per_move(2, lambda m: (_col(1, 2, m),), _alpha_qp)
+def _per_slope(
+    shape: Callable[[Move], ConstraintPattern], closed: Callable[[Move], QuasiPolynomial]
+) -> Callable[[Move], Sequence[OrientationClass]]:
+    """The one class of a single slope m: the pattern ``shape(m)``, counted by ``closed(m)``."""
+    return lambda m: [(f"slope {_slope_label(m)}", (shape(m),), closed(m))]
+
+
+_u4a_closed = _by_diagonals(
+    lambda o: _qp([0, 0, 0, 0, 0, 1]),
+    lambda d: _qp([0, F(-1, 15), 0, F(2, 3), 0, F(2, 5)]),
+)
+
+# Size 0: coincident pieces, whatever the slopes.
+_build_u2_2 = _per_slopes(0, lambda: [("coincident pair", (pattern(2, Equal(1, 2)),), _qp([0, 0, 1]))])
+_build_u3_4 = _per_slopes(
+    0, lambda: [("coincident triple", (pattern(3, Equal(1, 2), Equal(2, 3)),), _qp([0, 0, 1]))]
+)
+
+# Size 1: one class per slope.
+_build_u2_1 = _per_slopes(1, _per_slope(_path, _alpha_qp))
 # a lambda, so beta_closed is looked up per call and a rebinding (perfbench's tracer) reaches it
-_build_u3a_2 = _per_move(3, lambda m: (_col(1, 2, m), _col(2, 3, m)), lambda m: beta_closed(m))
-_build_u3b_3 = _per_move(3, lambda m: (Equal(1, 2), _col(2, 3, m)), _alpha_qp)
-_build_u4a_3 = _per_move(4, lambda m: (_col(1, 2, m), _col(2, 3, m), _col(3, 4, m)), _u4a_closed)
+_build_u3a_2 = _per_slopes(1, _per_slope(lambda m: _path(m, m), lambda m: beta_closed(m)))
+_build_u3b_3 = _per_slopes(1, _per_slope(lambda m: pattern(3, Equal(1, 2), Collinear(2, 3, m)), _alpha_qp))
+_build_u4a_3 = _per_slopes(1, _per_slope(lambda m: _path(m, m, m), _u4a_closed))
 
-
-def _build_u2_2(h: int, k: int) -> tuple[Subcase, ...]:
-    return (Subcase("coincident pair", (pattern(2, Equal(1, 2)),), _qp([0, 0, 1])),)
-
-
-def _u3b2_pair_subcase(a: Move, b: Move) -> Subcase:
-    """Two hyperplanes of distinct slopes sharing the middle piece."""
-    a_orth, b_orth = a in ORTHOGONAL, b in ORTHOGONAL
-    if a_orth and b_orth:
-        return Subcase("VH", (pattern(3, _col(1, 2, V), _col(2, 3, H)),), _qp([0, 0, 0, 0, 1]))
-    if a_orth != b_orth:
-        d = b if a_orth else a
-        o = a if a_orth else b
-        return Subcase(
-            f"DV {_slope_label(d)},{_slope_label(o)}",
-            (pattern(3, _col(1, 2, d), _col(2, 3, o)),),
-            _DV3,
+# Size 2: (o1, o2), (o, d) or (d1, d2).
+_build_u3b_2 = _per_slopes(2, _by_diagonals(
+    lambda o1, o2: [("VH", (_path(o2, o1),), _qp([0, 0, 0, 0, 1]))],
+    lambda o, d: [(f"DV {_slope_label(d, o)}", (_path(d, o),), _qp([0, 0, F(1, 3), 0, F(2, 3)]))],
+    # middle piece on both diagonals
+    lambda d1, d2: [("DD", (_path(d1, d2),), _qp_parity([F(1, 8), 0, F(1, 3), 0, F(5, 12)], [F(-1, 8)]))],
+))
+# Three pieces on a line of one slope, the fourth off the end along the other;
+# each class holds both slope assignments.
+_build_u4b_3 = _per_slopes(2, _by_diagonals(
+    lambda o1, o2: [("VH", (_path(o2, o2, o1), _path(o1, o1, o2)), _qp([0, 0, 0, 0, 0, 2]))],
+    lambda o, d: [
+        (f"DV {_slope_label(d, o)}", (_path(d, d, o), _path(o, o, d)), _qp([0, 0, 0, F(5, 6), 0, F(7, 6)]))
+    ],
+    lambda d1, d2: [
+        (
+            "DD",
+            (_path(d1, d1, d2), _path(d2, d2, d1)),
+            _qp_parity([0, F(7, 30), 0, F(2, 3), 0, F(3, 5)], [0, F(-1, 2)]),
         )
-    return Subcase("DD", (pattern(3, _col(1, 2, DU), _col(2, 3, DD)),), _DD3)
+    ],
+))
+# A path whose outer edges share a slope; DHD and HDH are not isomorphic, so
+# they stay two classes.
+_build_u4c_3 = _per_slopes(2, _by_diagonals(
+    lambda o1, o2: [("VHV", (_path(o2, o1, o2), _path(o1, o2, o1)), _qp([0, 0, 0, 0, 0, 2]))],
+    lambda o, d: [
+        (f"DHD {_slope_label(d, o)}", (_path(d, o, d),), _qp([0, F(2, 15), 0, F(5, 12), 0, F(9, 20)])),
+        (f"HDH {_slope_label(o, d)}", (_path(o, d, o),), _qp([0, 0, 0, F(1, 3), 0, F(2, 3)])),
+    ],
+    lambda d1, d2: [("DDD", (_path(d1, d2, d1), _path(d2, d1, d2)), _qp([0, F(4, 5), 0, F(2, 3), 0, F(8, 15)]))],
+))
 
-
-def _build_u3b_2(h: int, k: int) -> tuple[Subcase, ...]:
-    return tuple(
-        _u3b2_pair_subcase(a, b)
-        for a, b in itertools.combinations(ORTHOGONAL[:h] + DIAGONAL[:k], 2)
-    )
-
-
-def _build_u3a_3(h: int, k: int) -> tuple[Subcase, ...]:
-    out: list[Subcase] = []
-    if h == 2:
-        # hypotenuse on a diagonal, legs orthogonal; both right-angle corners
-        for d in DIAGONAL[:k]:
-            out.append(
-                Subcase(
-                    f"tri1 {_slope_label(d)}",
-                    (
-                        pattern(3, _col(1, 2, d), _col(1, 3, V), _col(2, 3, H)),
-                        pattern(3, _col(1, 2, d), _col(1, 3, H), _col(2, 3, V)),
-                    ),
-                    _qp([0, F(2, 3), 0, F(4, 3)]),
-                )
-            )
-    if k == 2:
-        # hypotenuse orthogonal, legs on the two diagonals; both corners
-        for o in ORTHOGONAL[:h]:
-            out.append(
-                Subcase(
-                    f"tri2 {_slope_label(o)}",
-                    (
-                        pattern(3, _col(1, 2, o), _col(1, 3, DU), _col(2, 3, DD)),
-                        pattern(3, _col(1, 2, o), _col(1, 3, DD), _col(2, 3, DU)),
-                    ),
-                    _qp_parity([0, F(11, 12), 0, F(5, 6)], [0, F(-1, 4)]),
-                )
-            )
-    return tuple(out)
-
-
-def _build_u4b_3(h: int, k: int) -> tuple[Subcase, ...]:
-    out: list[Subcase] = []
-    if h == 2:
-        out.append(
-            Subcase(
-                "VH",
-                (
-                    pattern(4, _col(1, 2, V), _col(2, 3, V), _col(3, 4, H)),
-                    pattern(4, _col(1, 2, H), _col(2, 3, H), _col(3, 4, V)),
-                ),
-                _qp([0, 0, 0, 0, 0, 2]),
-            )
+# Size 3: (o1, o2, d) or (o, d1, d2); the odd slope (d or o) is the triangle's
+# hypotenuse, the path's middle or a path end, or the star's third ray.
+_build_u3a_3 = _per_slopes(3, _by_diagonals(
+    None,
+    lambda o1, o2, d: [
+        (f"tri1 {_slope_label(d)}", (_triangle(d, o2, o1), _triangle(d, o1, o2)), _qp([0, F(2, 3), 0, F(4, 3)]))
+    ],
+    lambda o, d1, d2: [
+        (
+            f"tri2 {_slope_label(o)}",
+            (_triangle(o, d1, d2), _triangle(o, d2, d1)),
+            _qp_parity([0, F(11, 12), 0, F(5, 6)], [0, F(-1, 4)]),
         )
-    for d in DIAGONAL[:k]:
-        for o in ORTHOGONAL[:h]:
-            # both shapes are combined: attacker orthogonal off a diagonal
-            # line, and attacker diagonal off an orthogonal line
-            out.append(
-                Subcase(
-                    f"DV {_slope_label(d)},{_slope_label(o)}",
-                    (
-                        pattern(4, _col(1, 2, d), _col(2, 3, d), _col(3, 4, o)),
-                        pattern(4, _col(1, 2, o), _col(2, 3, o), _col(3, 4, d)),
-                    ),
-                    _qp([0, 0, 0, F(5, 6), 0, F(7, 6)]),
-                )
-            )
-    if k == 2:
-        # the two slope assignments are isomorphic subspaces counted together
-        out.append(
-            Subcase(
-                "DD",
-                (
-                    pattern(4, _col(1, 2, DU), _col(2, 3, DU), _col(3, 4, DD)),
-                    pattern(4, _col(1, 2, DD), _col(2, 3, DD), _col(3, 4, DU)),
-                ),
-                _qp_parity([0, F(7, 30), 0, F(2, 3), 0, F(3, 5)], [0, F(-1, 2)]),
-            )
+    ],
+))
+_build_u4d_3 = _per_slopes(3, _by_diagonals(
+    None,
+    lambda o1, o2, d: [
+        (f"HDV {_slope_label(d)}", (_path(o1, d, o2),), _qp([0, 0, 0, F(1, 3), 0, F(2, 3)])),
+        (f"VHD {_slope_label(d)}", (_path(o2, o1, d), _path(o1, o2, d)), _qp([0, 0, 0, F(2, 3), 0, F(4, 3)])),
+    ],
+    lambda o, d1, d2: [
+        (f"DHD {_slope_label(o)}", (_path(d1, o, d2),), _qp([0, F(2, 15), 0, F(5, 12), 0, F(9, 20)])),
+        (
+            f"DDV {_slope_label(o)}",
+            (_path(d1, d2, o), _path(d2, d1, o)),
+            _qp_parity([0, F(1, 4), 0, F(2, 3), 0, F(5, 6)], [0, F(-1, 4)]),
+        ),
+    ],
+))
+_build_u4e_3 = _per_slopes(3, _by_diagonals(
+    None,
+    lambda o1, o2, d: [
+        (f"orthogonal pair + {_slope_label(d)}", (_star(o2, o1, d),), _qp([0, 0, 0, F(1, 3), 0, F(2, 3)]))
+    ],
+    lambda o, d1, d2: [
+        (
+            f"diagonal pair + {_slope_label(o)}",
+            (_star(d1, d2, o),),
+            _qp_parity([0, F(1, 8), 0, F(1, 3), 0, F(5, 12)], [0, F(-1, 8)]),
         )
-    return tuple(out)
-
-
-def _build_u4c_3(h: int, k: int) -> tuple[Subcase, ...]:
-    out: list[Subcase] = []
-    if h == 2:
-        out.append(
-            Subcase(
-                "VHV",
-                (
-                    pattern(4, _col(1, 2, V), _col(2, 3, H), _col(3, 4, V)),
-                    pattern(4, _col(1, 2, H), _col(2, 3, V), _col(3, 4, H)),
-                ),
-                _qp([0, 0, 0, 0, 0, 2]),
-            )
-        )
-    for d in DIAGONAL[:k]:
-        for o in ORTHOGONAL[:h]:
-            out.append(
-                Subcase(
-                    f"DHD {_slope_label(d)},{_slope_label(o)}",
-                    (pattern(4, _col(1, 2, d), _col(2, 3, o), _col(3, 4, d)),),
-                    _qp([0, F(2, 15), 0, F(5, 12), 0, F(9, 20)]),
-                )
-            )
-            out.append(
-                Subcase(
-                    f"HDH {_slope_label(o)},{_slope_label(d)}",
-                    (pattern(4, _col(1, 2, o), _col(2, 3, d), _col(3, 4, o)),),
-                    _qp([0, 0, 0, F(1, 3), 0, F(2, 3)]),
-                )
-            )
-    if k == 2:
-        out.append(
-            Subcase(
-                "DDD",
-                (
-                    pattern(4, _col(1, 2, DU), _col(2, 3, DD), _col(3, 4, DU)),
-                    pattern(4, _col(1, 2, DD), _col(2, 3, DU), _col(3, 4, DD)),
-                ),
-                _qp([0, F(4, 5), 0, F(2, 3), 0, F(8, 15)]),
-            )
-        )
-    return tuple(out)
-
-
-def _build_u4d_3(h: int, k: int) -> tuple[Subcase, ...]:
-    out: list[Subcase] = []
-    if h == 2:
-        for d in DIAGONAL[:k]:
-            out.append(
-                Subcase(
-                    f"HDV {_slope_label(d)}",
-                    (pattern(4, _col(1, 2, H), _col(2, 3, d), _col(3, 4, V)),),
-                    _qp([0, 0, 0, F(1, 3), 0, F(2, 3)]),
-                )
-            )
-            out.append(
-                Subcase(
-                    f"VHD {_slope_label(d)}",
-                    (
-                        pattern(4, _col(1, 2, V), _col(2, 3, H), _col(3, 4, d)),
-                        pattern(4, _col(1, 2, H), _col(2, 3, V), _col(3, 4, d)),
-                    ),
-                    _qp([0, 0, 0, F(2, 3), 0, F(4, 3)]),
-                )
-            )
-    if k == 2:
-        for o in ORTHOGONAL[:h]:
-            out.append(
-                Subcase(
-                    f"DHD {_slope_label(o)}",
-                    (pattern(4, _col(1, 2, DU), _col(2, 3, o), _col(3, 4, DD)),),
-                    _qp([0, F(2, 15), 0, F(5, 12), 0, F(9, 20)]),
-                )
-            )
-            out.append(
-                Subcase(
-                    f"DDV {_slope_label(o)}",
-                    (
-                        pattern(4, _col(1, 2, DU), _col(2, 3, DD), _col(3, 4, o)),
-                        pattern(4, _col(1, 2, DD), _col(2, 3, DU), _col(3, 4, o)),
-                    ),
-                    _qp_parity([0, F(1, 4), 0, F(2, 3), 0, F(5, 6)], [0, F(-1, 4)]),
-                )
-            )
-    return tuple(out)
-
-
-def _build_u4e_3(h: int, k: int) -> tuple[Subcase, ...]:
-    out: list[Subcase] = []
-    if k == 2:
-        for o in ORTHOGONAL[:h]:
-            out.append(
-                Subcase(
-                    f"diagonal pair + {_slope_label(o)}",
-                    (pattern(4, _col(1, 2, DU), _col(1, 3, DD), _col(1, 4, o)),),
-                    _qp_parity([0, F(1, 8), 0, F(1, 3), 0, F(5, 12)], [0, F(-1, 8)]),
-                )
-            )
-    if h == 2:
-        for d in DIAGONAL[:k]:
-            out.append(
-                Subcase(
-                    f"orthogonal pair + {_slope_label(d)}",
-                    (pattern(4, _col(1, 2, V), _col(1, 3, H), _col(1, 4, d)),),
-                    _qp([0, 0, 0, F(1, 3), 0, F(2, 3)]),
-                )
-            )
-    return tuple(out)
+    ],
+))
 
 
 def _product(*factors: SubcaseBuilder) -> SubcaseBuilder:
@@ -401,12 +303,6 @@ def _product(*factors: SubcaseBuilder) -> SubcaseBuilder:
         )
 
     return build
-
-
-def _build_u3_4(h: int, k: int) -> tuple[Subcase, ...]:
-    return (
-        Subcase("coincident triple", (pattern(3, Equal(1, 2), Equal(2, 3)),), _qp([0, 0, 1])),
-    )
 
 
 def _catalog() -> tuple[SubspaceCase, ...]:

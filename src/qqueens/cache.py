@@ -2,11 +2,12 @@
 
 One record per line: ``{"moves": [[c,d], ...], "q": int, "n": int,
 "count": "decimal-string"}``.  Counts are decimal strings so no reader
-needs to assume an integer width.  Corrupt lines, among them any whose
-moves, q or n are not JSON integers or whose count is not a decimal
-string, are skipped with a warning, never trusted.  A key repeated with
-the same count is accepted; a key repeated with a different count raises
-``CacheConflictError``, since neither record can be trusted over the other.
+needs to assume an integer width.  Corrupt lines, among them any that
+is not UTF-8, any whose moves, q or n are not JSON integers, or whose
+count is not a decimal string, are skipped with a warning, never
+trusted.  A key repeated with the same count is accepted; a key repeated
+with a different count raises ``CacheConflictError``, since neither
+record can be trusted over the other.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ class CountCache:
         if not self.path.exists():
             return
         first_line: dict[Key, int] = {}
-        with self.path.open("r", encoding="utf-8") as fh:
+        with self.path.open("rb") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
                 try:
-                    obj = json.loads(line)
+                    obj = json.loads(line.decode("utf-8"))
                     moves = MoveSet.from_pairs(obj["moves"])
                     q, n, count = obj["q"], obj["n"], obj["count"]
                     if type(q) is not int or type(n) is not int:

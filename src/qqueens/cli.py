@@ -10,9 +10,9 @@ Grammar, one line per command::
     qqueens formulas --piece H,K [--q INT]
 
 Every command also takes ``--format json|csv|latex|text``.  ``--q`` is an
-integer of at least 1 and ``--n`` takes plain digits.  ``verify``
-takes ``--n-max`` (at least 1), not ``--n``; ``audit`` needs an ``--n``
-range that reaches 1.  Without ``--n``, ``fit`` and
+integer of at least 1, and ``--q``, ``--n`` and ``--piece`` take plain
+digits.  ``verify`` takes ``--n-max`` (at least 1), not ``--n``; ``audit``
+needs an ``--n`` range that reaches 1.  Without ``--n``, ``fit`` and
 ``types`` count n = 1..2(2q+2) (``types --moves``: 1..12(2q+2)); the fit
 tries periods 1, 2, ... until one validates or a residue class runs short.
 Counts and coefficients are printed exactly (integers and fraction
@@ -56,10 +56,12 @@ FORMATS = ("json", "csv", "latex", "text")
 
 
 def _parse_piece(text: str) -> PartialQueenSpec:
+    parts = text.split(",")
+    if len(parts) != 2 or not all(map(_is_digits, parts)):
+        raise argparse.ArgumentTypeError(f"bad --piece {text!r}: need H,K in plain digits")
     try:
-        h, k = (int(part) for part in text.split(","))
-        return PartialQueenSpec(h, k)
-    except (ValueError, TypeError) as err:
+        return PartialQueenSpec(int(parts[0]), int(parts[1]))
+    except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad --piece {text!r}: {err}")
 
 
@@ -168,7 +170,12 @@ def _moves(args: argparse.Namespace) -> MoveSet:
 
 
 def _cache(args: argparse.Namespace) -> Optional[CountCache]:
-    return CountCache(args.cache) if args.cache else None
+    if not args.cache:
+        return None
+    try:
+        return CountCache(args.cache)
+    except OSError as err:
+        raise ValueError(f"cannot open --cache {args.cache}: {err.strerror}") from err
 
 
 def _fit(args: argparse.Namespace) -> tuple[list, QuasiPolynomial]:

@@ -63,6 +63,43 @@ def test_catalog_has_seventeen_named_types():
     assert sorted(names) == sorted(EXPECTED_MOEBIUS)
 
 
+# (patterns, subcases) of each type, summed over the eight pieces.  Every
+# pattern is counted in verify --scope all, so a builder change that adds or
+# drops one shows here before it moves a benchmark pin.
+CATALOG_SHAPE = {
+    "U2^1": (18, 18),
+    "U2^2": (8, 8),
+    "U3a^2": (18, 18),
+    "U3b^2": (15, 15),
+    "U4*^2": (48, 48),
+    "U3a^3": (12, 6),
+    "U3b^3": (18, 18),
+    "U4a^3": (18, 18),
+    "U4b^3": (30, 15),
+    "U4c^3": (30, 24),
+    "U4d^3": (18, 12),
+    "U4e^3": (6, 6),
+    "U4*^3": (18, 18),
+    "U5*a^3": (48, 48),
+    "U5*b^3": (48, 48),
+    "U6*^3": (144, 144),
+    "U3^4": (8, 8),
+}
+
+
+def test_catalog_shape_summed_over_pieces():
+    shape = {
+        case.name: (
+            sum(len(case.pattern_family(h, k)) for h, k in ALL_HK),
+            sum(len(case.subcases(h, k)) for h, k in ALL_HK),
+        )
+        for case in case_catalog()
+    }
+    assert shape == CATALOG_SHAPE
+    assert sum(p for p, _ in shape.values()) == 505
+    assert sum(s for _, s in shape.values()) == 472
+
+
 def test_moebius_table_exact():
     for case in case_catalog():
         for h, k in ALL_HK:

@@ -269,6 +269,31 @@ def test_cache_corrupt_lines_skipped(tmp_path, capsys):
     assert json.loads(out) == [{"n": "2", "count": "999"}]
 
 
+def test_cache_line_that_is_not_utf8_skipped(tmp_path, capsys):
+    # a bad byte spoils only its own line; the records around it are still read
+    cache_file = tmp_path / "counts.jsonl"
+    cache_file.write_bytes(
+        b'{"moves": [[1, 0]], "q": 2, "n": 2, "count": "999"}\n'
+        b"\xff\n"
+        b'{"moves": [[1, 0]], "q": 2, "n": 3, "count": "888"}\n'
+    )
+    code, out, err = run_cli(
+        capsys, "count", "--moves", "[[1,0]]", "--q", "2", "--n", "2..3", "--cache", str(cache_file),
+        "--format", "json",
+    )
+    assert code == 0
+    assert "skipping corrupt cache line 2" in err
+    assert json.loads(out) == [{"n": "2", "count": "999"}, {"n": "3", "count": "888"}]
+
+
+def test_cache_path_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "count", "--piece", "2,2", "--q", "2", "--n", "3", "--cache", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "record",
     [
@@ -391,13 +416,14 @@ def test_count_rejects_budget_below_one(budget):
 @pytest.mark.parametrize(
     "flag, value",
     [("--q", "1_0"), ("--q", "+2"), ("--q", "0"), ("--q", "-1"), ("--q", "２"),
-     ("--n", "1_0"), ("--n", "+3"), ("--n", "١..٣"), ("--n", "1..+3"), ("--n", "3.."), ("--n", "5..2")],
+     ("--n", "1_0"), ("--n", "+3"), ("--n", "١..٣"), ("--n", "1..+3"), ("--n", "3.."), ("--n", "5..2"),
+     ("--piece", "+2,-0"), ("--piece", "２,２"), ("--piece", " 2, 2")],
 )
 def test_count_rejects_q_and_n_that_are_not_plain_digits(flag, value):
-    # int() would read underscores, signs and non-ASCII digits
-    flags = {"--q": "2", "--n": "3", flag: value}
+    # int() would read underscores, signs, spaces and non-ASCII digits
+    flags = {"--piece": "2,2", "--q": "2", "--n": "3", flag: value}
     with pytest.raises(SystemExit) as exc:
-        main(["count", "--piece", "2,2", "--q", flags["--q"], "--n", flags["--n"]])
+        main(["count", "--piece", flags["--piece"], "--q", flags["--q"], "--n", flags["--n"]])
     assert exc.value.code == 2
 
 
