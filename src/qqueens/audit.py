@@ -61,10 +61,6 @@ def _qp_parity(const: Sequence, alt: Sequence) -> QuasiPolynomial:
     return QuasiPolynomial.from_parity_split(Polynomial.make(const), Polynomial.make(alt))
 
 
-def _qp_zero() -> QuasiPolynomial:
-    return QuasiPolynomial.constant_poly(Polynomial.zero())
-
-
 def _alpha_qp(m: Move) -> QuasiPolynomial:
     return QuasiPolynomial.constant_poly(alpha_closed(m))
 
@@ -125,10 +121,7 @@ def _built_subcases(builder: SubcaseBuilder, h: int, k: int) -> tuple[Subcase, .
 
 @functools.cache
 def _summed_closed_form(subcases: tuple[Subcase, ...]) -> QuasiPolynomial:
-    total = _qp_zero()
-    for sc in subcases:
-        total = total + sc.closed_form
-    return total
+    return sum((sc.closed_form for sc in subcases), _qp([]))
 
 
 def _slope_label(*ms: Move) -> str:
@@ -437,50 +430,27 @@ def audit_case(case: SubspaceCase, h: int, k: int, n: int) -> AuditResult:
     return AuditResult(case.name, h, k, n, brute, closed, F(brute) == closed)
 
 
-def _live_terms(h: int, k: int, q: int) -> list[tuple[SubspaceCase, int]]:
-    """(case, multiplicity * mu) for each catalog case that enters the assembly
-    at q: the multiplicity is read first, mu only where it is nonzero, and
-    applicability only where both are."""
-    if q not in (1, 2, 3):
-        raise ValueError("catalog assembly is only complete for q in {1, 2, 3}")
-    terms = []
-    for case in _CATALOG:
-        mult = case.multiplicity(q)
-        mu = mult and case.moebius(h, k)
-        if mu and case.applicable(h, k):
-            terms.append((case, mult * mu))
-    return terms
-
-
 def assemble_labelled_count(h: int, k: int, q: int, n: int) -> int:
     """Rebuild the labelled nonattacking count from the catalog:
     n^(2q) plus sum over types of multiplicity * mu * brute-count * n^(2q-2 kappa).
 
     The catalog is complete for q <= 3 (every subspace then involves at
     most three pieces, and types on more pieces get multiplicity zero).
+    A case's multiplicity is read first, mu only where it is nonzero, and
+    applicability only where both are.
     """
-    terms = _live_terms(h, k, q)
+    if q not in (1, 2, 3):
+        raise ValueError("catalog assembly is only complete for q in {1, 2, 3}")
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 0
     total = n ** (2 * q)
-    for case, weight in terms:
-        brute = sum(count_pattern(p, n) for p in case.pattern_family(h, k))
-        total += weight * brute * n ** (2 * q - 2 * case.kappa)
+    for case in _CATALOG:
+        mult = case.multiplicity(q)
+        mu = mult and case.moebius(h, k)
+        if mu and case.applicable(h, k):
+            brute = sum(count_pattern(p, n) for p in case.pattern_family(h, k))
+            total += mult * mu * brute * n ** (2 * q - 2 * case.kappa)
     return total
 
-
-def assemble_symbolic(h: int, k: int, q: int) -> QuasiPolynomial:
-    """Same assembly with closed forms in place of brute counts, divided by q!.
-
-    For q = 2 this reproduces the two-piece counting polynomial symbolically.
-    """
-    total = QuasiPolynomial.constant_poly(Polynomial.monomial(1, 2 * q))
-    for case, weight in _live_terms(h, k, q):
-        closed = case.closed_form(h, k)
-        shifted = QuasiPolynomial(
-            closed.period, tuple(c.shift(2 * q - 2 * case.kappa) for c in closed.constituents)
-        )
-        total = total + shifted.scale(weight)
-    return total.scale(F(1, math.factorial(q)))

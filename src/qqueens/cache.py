@@ -28,6 +28,11 @@ class CacheConflictError(Exception):
     """Two records of the cache file give one key different counts."""
 
 
+class CacheAccessError(Exception):
+    """The cache file cannot be opened to read or to append; the message is
+    the operating system's reason."""
+
+
 class CountCache:
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
@@ -38,7 +43,7 @@ class CountCache:
         if not self.path.exists():
             return
         first_line: dict[Key, int] = {}
-        with self.path.open("rb") as fh:
+        with self._open("rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -77,9 +82,17 @@ class CountCache:
         line = json.dumps(
             {"moves": [list(cd) for cd in key[0]], "q": q, "n": n, "count": str(count)}
         )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        with self._open("ab") as fh:
+            fh.write(line.encode("utf-8") + b"\n")
+
+    def _open(self, mode: str):
+        """The cache file opened in binary ``mode``, its directory made if
+        missing; any failure raises :class:`CacheAccessError`."""
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            return self.path.open(mode)
+        except OSError as err:
+            raise CacheAccessError(err.strerror) from err
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -32,7 +32,7 @@ import sys
 from functools import partial
 from typing import Optional
 
-from .cache import ENV_VAR, CacheConflictError, CountCache
+from .cache import ENV_VAR, CacheAccessError, CacheConflictError, CountCache
 from .core import ALL_PIECE_SPECS, MoveSet, PartialQueenSpec, partial_queen
 from .enumerator import DEFAULT_BUDGET, BudgetExceededError, sequence
 from .quasipoly import FitError, QuasiPolynomial, eval_at_minus_one, format_fraction
@@ -170,12 +170,7 @@ def _moves(args: argparse.Namespace) -> MoveSet:
 
 
 def _cache(args: argparse.Namespace) -> Optional[CountCache]:
-    if not args.cache:
-        return None
-    try:
-        return CountCache(args.cache)
-    except OSError as err:
-        raise ValueError(f"cannot open --cache {args.cache}: {err.strerror}") from err
+    return CountCache(args.cache) if args.cache else None
 
 
 def _fit(args: argparse.Namespace) -> tuple[list, QuasiPolynomial]:
@@ -271,8 +266,7 @@ def cmd_types(args: argparse.Namespace, out) -> int:
 
 def cmd_formulas(args: argparse.Namespace, out) -> int:
     if args.piece is None:
-        print("formulas needs --piece H,K", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("formulas needs --piece H,K")
     rows = formula_bank_rows(args.piece.h, args.piece.k, args.q)
     print(render(("quantity", "value"), rows, args.fmt), file=out)
     return EXIT_OK
@@ -298,6 +292,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CacheConflictError as err:
         print(f"cache conflict: {err}", file=sys.stderr)
         return EXIT_FAIL
+    except CacheAccessError as err:
+        print(f"error: cannot open --cache {args.cache}: {err}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,6 +3,7 @@
 A quasipolynomial of period ``p`` is a cyclic list of ``p`` polynomial
 constituents; constituent ``r`` applies to arguments congruent to ``r``
 mod ``p`` (with nonnegative residues, so -1 selects constituent ``p - 1``).
+The list is always held at its minimal period.
 All arithmetic is over ``fractions.Fraction``; nothing ever rounds.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -39,7 +41,7 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polynomial:
     """Coefficients indexed by power; no trailing zeros (zero poly is empty)."""
 
@@ -102,11 +104,8 @@ class Polynomial:
             out[i] += c
         return Polynomial.make(out)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self + other.scale(-1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
@@ -125,36 +124,44 @@ class Polynomial:
             return Polynomial.zero()
         return Polynomial(tuple(c * f for c in self.coeffs))
 
-    def shift(self, power: int) -> "Polynomial":
-        """Multiply by x**power."""
-        if self.is_zero() or power == 0:
-            return self
-        return Polynomial(tuple([Fraction(0)] * power) + self.coeffs)
+
+def _minimal_period(cycle: Sequence) -> int:
+    """Least d dividing len(cycle) with cycle[r] == cycle[r % d] for every r,
+    that is, with cycle[d:] == cycle[:-d]; 0 for an empty cycle."""
+    size = len(cycle)
+    return next((d for d in range(1, size + 1) if size % d == 0 and cycle[d:] == cycle[:-d]), size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuasiPolynomial:
-    """Period ``p`` plus ``p`` constituents; constituent r applies when n = r mod p."""
+    """A cycle of constituents at its minimal period; constituent r applies
+    when n = r mod period.  One function has one representation, so equality
+    and hashing are structural."""
 
-    period: int
     constituents: tuple[Polynomial, ...]
 
     def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ValueError("period must be >= 1")
-        if len(self.constituents) != self.period:
-            raise ValueError("need exactly one constituent per residue class")
+        if not self.constituents or _minimal_period(self.constituents) != self.period:
+            raise ValueError("need a nonempty cycle at its minimal period; use QuasiPolynomial.make")
+
+    @classmethod
+    def make(cls, constituents: Iterable[Polynomial]) -> "QuasiPolynomial":
+        """The quasipolynomial of the cycle, cut to one repetition."""
+        cycle = tuple(constituents)
+        return cls(cycle[:_minimal_period(cycle)])
 
     @classmethod
     def constant_poly(cls, poly: Polynomial) -> "QuasiPolynomial":
-        return cls(1, (poly,))
+        return cls((poly,))
 
     @classmethod
     def from_parity_split(cls, constant: Polynomial, alternating: Polynomial) -> "QuasiPolynomial":
         """Build from a ``constant + (-1)^n * alternating`` description."""
-        if alternating.is_zero():
-            return cls(1, (constant,))
-        return cls(2, (constant + alternating, constant - alternating))
+        return cls.make((constant + alternating, constant - alternating))
+
+    @property
+    def period(self) -> int:
+        return len(self.constituents)
 
     @property
     def degree(self) -> int:
@@ -163,51 +170,17 @@ class QuasiPolynomial:
     def constituent_for(self, n: int) -> Polynomial:
         return self.constituents[n % self.period]
 
-    def with_period(self, p: int) -> "QuasiPolynomial":
-        """Re-express with period ``p`` (any positive multiple of the current one)."""
-        if p % self.period != 0:
-            raise ValueError(f"{p} is not a multiple of period {self.period}")
-        return QuasiPolynomial(p, tuple(self.constituents[r % self.period] for r in range(p)))
-
-    def minimized(self) -> "QuasiPolynomial":
-        """Equivalent quasipolynomial with minimal period."""
-        for p in range(1, self.period):
-            if self.period % p == 0:
-                if all(
-                    self.constituents[r] == self.constituents[r % p]
-                    for r in range(self.period)
-                ):
-                    return QuasiPolynomial(p, self.constituents[:p])
-        return self
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuasiPolynomial):
-            return NotImplemented
+    def _pointwise(self, other: "QuasiPolynomial", op) -> "QuasiPolynomial":
         p = math.lcm(self.period, other.period)
-        return self.with_period(p).constituents == other.with_period(p).constituents
-
-    def __hash__(self):
-        m = self.minimized()
-        return hash((m.period, m.constituents))
+        return QuasiPolynomial.make(
+            op(self.constituent_for(r), other.constituent_for(r)) for r in range(p)
+        )
 
     def __add__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
-        p = math.lcm(self.period, other.period)
-        a, b = self.with_period(p), other.with_period(p)
-        return QuasiPolynomial(p, tuple(x + y for x, y in zip(a.constituents, b.constituents)))
-
-    def __sub__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
-        return self + other.scale(-1)
+        return self._pointwise(other, operator.add)
 
     def __mul__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
-        p = math.lcm(self.period, other.period)
-        a, b = self.with_period(p), other.with_period(p)
-        return QuasiPolynomial(p, tuple(x * y for x, y in zip(a.constituents, b.constituents)))
-
-    def scale(self, factor) -> "QuasiPolynomial":
-        return QuasiPolynomial(self.period, tuple(c.scale(factor) for c in self.constituents))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.constituents)
+        return self._pointwise(other, operator.mul)
 
     def to_json_dict(self) -> dict:
         return {
@@ -223,7 +196,9 @@ class QuasiPolynomial:
         constituents = tuple(
             Polynomial.make(Fraction(c) for c in coeffs) for coeffs in obj["constituents"]
         )
-        return cls(int(obj["period"]), constituents)
+        if int(obj["period"]) != len(constituents):
+            raise ValueError(f"period {obj['period']} does not match {len(constituents)} constituents")
+        return cls.make(constituents)
 
 
 def format_fraction(x: Fraction) -> str:
@@ -244,7 +219,7 @@ def eval_at_minus_one(qp: QuasiPolynomial) -> Fraction:
     return evaluate(qp, -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoeffDecomposition:
     """One coefficient split as ``constant + alternating * (-1)^n``."""
 
@@ -262,8 +237,7 @@ def coefficient(qp: QuasiPolynomial, power: int) -> CoeffDecomposition:
     raises :class:`ValueError`; read each constituent's coefficient instead.
     """
     cs = [c.coefficient(power) for c in qp.constituents]
-    m = next(d for d in range(1, len(cs) + 1)
-             if len(cs) % d == 0 and all(c == cs[r % d] for r, c in enumerate(cs)))
+    m = _minimal_period(cs)
     if 2 % m:
         raise ValueError(f"the n^{power} coefficient has period {m}, which does not divide 2")
     even, odd = cs[0], cs[1 % m]
@@ -321,7 +295,7 @@ def fit(
     the samples run out.  If no class is short, a check that differs from
     the value the earlier samples force raises
     :class:`InconsistentSamplesError` at the first such n.  The result has
-    period L.
+    its minimal period, a divisor of L.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -368,10 +342,10 @@ def fit(
             )
     if failed:
         raise failed
-    return QuasiPolynomial(big, tuple(
+    return QuasiPolynomial.make(
         Polynomial.make(pivots[k, r % p].get(value_col, 0) for k, p in enumerate(periods))
         for r in range(big)
-    ))
+    )
 
 
 def detect_period(samples: Sequence[tuple[int, int]], degree: int) -> int:

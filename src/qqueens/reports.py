@@ -64,12 +64,11 @@ def poly_str(poly: Polynomial, var: str = "n") -> str:
 
 
 def qp_str(qp: QuasiPolynomial, var: str = "n") -> str:
-    mini = qp.minimized()
-    if mini.period == 1:
-        return poly_str(mini.constituents[0], var)
+    if qp.period == 1:
+        return poly_str(qp.constituents[0], var)
     rows = [
-        f"[{var} = {r} mod {mini.period}] {poly_str(c, var)}"
-        for r, c in enumerate(mini.constituents)
+        f"[{var} = {r} mod {qp.period}] {poly_str(c, var)}"
+        for r, c in enumerate(qp.constituents)
     ]
     return "; ".join(rows)
 

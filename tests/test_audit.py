@@ -8,14 +8,21 @@ from conftest import naive_count_pattern
 from qqueens.audit import (
     InapplicableCaseError,
     assemble_labelled_count,
-    assemble_symbolic,
     audit_case,
     case_catalog,
 )
 from qqueens.core import ALL_PIECE_SPECS, PartialQueenSpec, partial_queen
 from qqueens.enumerator import Equal, count_pattern, count_unlabelled
-from qqueens.formulas import codim_contribution, gamma1, gamma2, gamma3, table2_row, u2_closed
-from qqueens.quasipoly import QuasiPolynomial, coefficient, evaluate
+from qqueens.formulas import (
+    codim_contribution,
+    gamma1,
+    gamma2,
+    gamma3,
+    table2_row,
+    u2_closed,
+    u3_closed,
+)
+from qqueens.quasipoly import Polynomial, QuasiPolynomial, coefficient, evaluate
 from qqueens.reports import suite_gamma5_sign
 
 ALL_HK = [(s.h, s.k) for s in ALL_PIECE_SPECS]
@@ -136,8 +143,6 @@ def test_u2_2_case_shape():
 
 
 def test_u4a_orthogonal_closed_form_is_n5():
-    from qqueens.quasipoly import Polynomial
-
     case = case_by_name("U4a^3")
     sub = case.subcases(1, 0)
     assert len(sub) == 1
@@ -175,8 +180,6 @@ def test_subcases_are_built_once_per_case_and_piece():
 
 
 def test_closed_form_is_the_sum_of_freshly_built_subcase_forms():
-    from qqueens.quasipoly import Polynomial
-
     for case in case_catalog():
         for h, k in ALL_HK:
             total = QuasiPolynomial.constant_poly(Polynomial.zero())
@@ -243,16 +246,30 @@ def test_assemble_rejects_large_q():
         assemble_labelled_count(2, 2, 4, 3)
 
 
+def _type_route(h: int, k: int, q: int, codims) -> QuasiPolynomial:
+    """Sum multiplicity * mu * closed form * n^(2q - 2 kappa) / q! over the
+    catalog types of the chosen codimensions; codimension 0 is the free
+    term n^(2q) / q!."""
+
+    def term(weight: int, power: int) -> QuasiPolynomial:
+        return QuasiPolynomial.constant_poly(Polynomial.monomial(F(weight, math.factorial(q)), power))
+
+    total = term(1, 2 * q) if 0 in codims else term(0, 0)
+    for case in case_catalog():
+        if case.codim in codims and case.applicable(h, k):
+            weight = case.multiplicity(q) * case.moebius(h, k)
+            total = total + term(weight, 2 * q - 2 * case.kappa) * case.closed_form(h, k)
+    return total
+
+
 def test_symbolic_assembly_reproduces_two_piece_form():
     for h, k in ALL_HK:
-        assert assemble_symbolic(h, k, 2) == QuasiPolynomial.constant_poly(u2_closed(h, k))
+        assert _type_route(h, k, 2, range(5)) == QuasiPolynomial.constant_poly(u2_closed(h, k))
 
 
 def test_symbolic_assembly_reproduces_three_piece_form():
     for h, k in ALL_HK:
-        from qqueens.formulas import u3_closed
-
-        assert assemble_symbolic(h, k, 3) == u3_closed(h, k), (h, k)
+        assert _type_route(h, k, 3, range(5)) == u3_closed(h, k), (h, k)
 
 
 def gamma_from_audit(h: int, k: int, q: int, i: int):
@@ -293,25 +310,6 @@ def test_gamma5_sign_report_names_the_table():
     )
 
 
-def _type_route_codim3(h: int, k: int, q: int) -> QuasiPolynomial:
-    """Sum multiplicity * mu * closed form over the codimension-3 types."""
-    from qqueens.quasipoly import Polynomial
-
-    total = QuasiPolynomial.constant_poly(Polynomial.zero())
-    for case in case_catalog():
-        if case.codim != 3 or not case.applicable(h, k):
-            continue
-        mult, mu = case.multiplicity(q), case.moebius(h, k)
-        if mult == 0 or mu == 0:
-            continue
-        cf = case.closed_form(h, k)
-        shifted = QuasiPolynomial(
-            cf.period, tuple(c.shift(2 * q - 2 * case.kappa) for c in cf.constituents)
-        )
-        total = total + shifted.scale(mult * mu)
-    return total.scale(F(1, math.factorial(q)))
-
-
 def test_codim3_type_route_reconciles_with_printed_total():
     """The per-type route (multiplicities x Moebius x closed forms) differs
     from the printed codimension-3 total by exactly three terms, all at the
@@ -319,12 +317,11 @@ def test_codim3_type_route_reconciles_with_printed_total():
     multiplicity and every (q)_5/(q)_6 bracket, which the q <= 3 assembly
     cannot exercise."""
     from qqueens.formulas import delta, falling
-    from qqueens.quasipoly import Polynomial
 
     q = 6  # all falling factorials through (q)_6 are active
     for h, k in ALL_HK:
         printed = codim_contribution(h, k, q, 3)
-        types = _type_route_codim3(h, k, q)
+        types = _type_route(h, k, q, (3,))
         dh2, dk2 = delta(h, 2), delta(k, 2)
         f4 = F(falling(q, 4), math.factorial(q))
         const = {2 * q - 3: -f4 * F(120 * dh2 + 32 * dk2, 120), 2 * q - 5: f4 * F(k * (k + 1), 24)}
@@ -333,7 +330,7 @@ def test_codim3_type_route_reconciles_with_printed_total():
             Polynomial.make([const.get(p, F(0)) for p in range(2 * q + 1)]),
             Polynomial.make([alt.get(p, F(0)) for p in range(2 * q + 1)]),
         )
-        assert printed - types == expected, (h, k)
+        assert printed == types + expected, (h, k)
 
 
 @given(st.sampled_from(ALL_HK), st.integers(1, 5))

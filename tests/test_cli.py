@@ -236,8 +236,10 @@ def test_formulas_dump(capsys):
 
 
 def test_formulas_requires_piece(capsys):
-    code, _, err = run_cli(capsys, "formulas", "--q", "3")
+    code, out, err = run_cli(capsys, "formulas", "--q", "3")
     assert code == 2
+    assert out == ""
+    assert err == "error: formulas needs --piece H,K\n"
 
 
 def test_cache_round_trip_and_byte_identical_reports(tmp_path, capsys):
@@ -291,6 +293,19 @@ def test_cache_path_that_cannot_be_opened_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and str(tmp_path) in err
+    assert len(err.splitlines()) == 1
+
+
+def test_cache_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # the parent of the cache path is a regular file: reading finds no
+    # cache, and the first write cannot make the directory
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = blocker / "x"
+    code, out, err = run_cli(capsys, "count", "--piece", "2,2", "--q", "2", "--n", "3", "--cache", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot open --cache {path}: ")
     assert len(err.splitlines()) == 1
 
 

@@ -171,7 +171,7 @@ def test_u3_closed_matches_printed_rows():
 def test_u3_closed_period_dichotomy():
     for h, k in ALL_HK:
         expected = 2 if k == 2 else 1
-        assert u3_closed(h, k).minimized().period == expected
+        assert u3_closed(h, k).period == expected
 
 
 def test_u3_special_factorizations():

@@ -36,17 +36,19 @@ def test_polynomial_arithmetic():
     assert P(1, 1) - P(1, 1) == P()
     assert P(1, 2, 3)(2) == 17
     assert P(2).scale(F(1, 2)) == P(1)
-    assert P(1).shift(3) == P(0, 0, 0, 1)
 
 
-def test_quasipoly_period_lifting_and_equality():
+def test_quasipoly_is_held_at_its_minimal_period():
     square = QuasiPolynomial.constant_poly(P(0, 0, 1))
-    lifted = square.with_period(2)
-    assert lifted.period == 2
-    assert lifted == square
-    assert lifted.minimized().period == 1
-    mixed = QuasiPolynomial(2, (P(0, 1), P(0, 0, 1)))
-    assert mixed != square
+    doubled = QuasiPolynomial.make((P(0, 0, 1), P(0, 0, 1)))
+    assert doubled.period == 1
+    assert doubled == square
+    mixed = QuasiPolynomial((P(0, 1), P(0, 0, 1)))
+    assert mixed.period == 2 and mixed != square
+    with pytest.raises(ValueError):
+        QuasiPolynomial((P(0, 0, 1), P(0, 0, 1)))
+    with pytest.raises(ValueError):
+        QuasiPolynomial.make(())
 
 
 def test_parity_split_round_trip():
@@ -95,7 +97,7 @@ def test_coefficient_period_one_has_zero_alternating():
 
 
 def test_coefficient_rejects_large_period():
-    qp = QuasiPolynomial(3, (P(1), P(2), P(3)))
+    qp = QuasiPolynomial((P(1), P(2), P(3)))
     with pytest.raises(ValueError, match="n\\^0 coefficient has period 3"):
         coefficient(qp, 0)
 
@@ -103,7 +105,7 @@ def test_coefficient_rejects_large_period():
 def test_coefficient_reads_each_power_at_its_own_period():
     # n^2: period 1; n^1: period 2; n^0: period 6, in a period-6 fit
     n0 = [F(r * r, 7) for r in range(6)]
-    qp = QuasiPolynomial(6, tuple(P(n0[r], 3 if r % 2 else -1, F(1, 2)) for r in range(6)))
+    qp = QuasiPolynomial(tuple(P(n0[r], 3 if r % 2 else -1, F(1, 2)) for r in range(6)))
     samples = [(n, evaluate(qp, n)) for n in range(1, 17)]
     fitted = fit(samples, 2, (6, 2, 1))
     assert fitted.period == 6 and fitted == qp
@@ -147,7 +149,7 @@ def test_fit_names_the_class_without_a_check():
     with pytest.raises(InsufficientSamplesError, match="residue class 0 mod 2 has 1 samples"):
         fit(samples, 1, (2, 1))
     qp = fit(samples + [(4, f(4))], 1, (2, 1))
-    assert qp == QuasiPolynomial(2, (P(-4, 3), P(5, 3)))
+    assert qp == QuasiPolynomial((P(-4, 3), P(5, 3)))
 
 
 def test_fit_needs_one_period_per_power():
@@ -226,9 +228,9 @@ def test_fit_round_trip_recovers_random_quasipolynomial(periods, shared, data):
         periods = [periods[0]] * (degree + 1)
     coeffs = [[data.draw(fractions) for _ in range(p)] for p in periods]
     big = math.lcm(*periods)
-    qp = QuasiPolynomial(big, tuple(
+    qp = QuasiPolynomial.make(
         Polynomial.make(coeffs[k][r % p] for k, p in enumerate(periods)) for r in range(big)
-    ))
+    )
     # integer-valued samples are not required by fit; feed exact fractions;
     # degree + 2 samples per class mod big fix and check every coefficient
     samples = [(n, evaluate(qp, n)) for n in range(1, big * (degree + 2) + 1)]
@@ -240,14 +242,14 @@ def test_fit_round_trip_recovers_random_quasipolynomial(periods, shared, data):
 
 def test_detect_period_returns_minimal_consistent_period():
     # distinct constituents: period 3 is minimal and detected
-    qp = QuasiPolynomial(3, (P(0, 1), P(5, 1), P(-7, 1)))
+    qp = QuasiPolynomial((P(0, 1), P(5, 1), P(-7, 1)))
     samples = [(n, evaluate(qp, n)) for n in range(1, 16)]
     assert detect_period(samples, 1) == 3
     # duplicated constituents: the minimal divisor wins
-    fat = QuasiPolynomial(4, (P(2, 2), P(3, 2), P(2, 2), P(3, 2)))
+    fat = QuasiPolynomial.make((P(2, 2), P(3, 2), P(2, 2), P(3, 2)))
     samples = [(n, evaluate(fat, n)) for n in range(1, 17)]
     assert detect_period(samples, 1) == 2
-    assert fat.minimized().period == 2
+    assert fat.period == 2
 
 
 def test_eval_at_minus_one_matches_parity_substitution():
@@ -262,8 +264,37 @@ def test_json_round_trip():
     assert obj["period"] == 2
     assert obj["constituents"][1][0] == "1/4"  # odd constant term: 1/8 - (-1/8)
     assert QuasiPolynomial.from_json_dict(obj) == qp
+    with pytest.raises(ValueError, match="period 3 does not match 2 constituents"):
+        QuasiPolynomial.from_json_dict({**obj, "period": 3})
 
 
 def test_format_fraction():
     assert format_fraction(F(3)) == "3"
     assert format_fraction(F(-5, 3)) == "-5/3"
+
+
+polys = st.lists(fractions, max_size=4).map(lambda cs: P(*cs))
+cycles = st.lists(polys, min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycles, st.integers(1, 4))
+def test_repeated_cycle_builds_the_minimal_object(cycle, k):
+    qp = QuasiPolynomial.make(cycle)
+    repeated = QuasiPolynomial.make(cycle * k)
+    assert repeated.period == qp.period and len(cycle) % qp.period == 0
+    assert repeated == qp and hash(repeated) == hash(qp)
+    obj = {"period": len(cycle) * k, "constituents": [
+        [format_fraction(c) for c in poly.coeffs] for poly in cycle * k
+    ]}
+    assert QuasiPolynomial.from_json_dict(obj) == qp
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycles, cycles)
+def test_sum_and_product_agree_with_evaluate(a, b):
+    qa, qb = QuasiPolynomial.make(a), QuasiPolynomial.make(b)
+    total, product = qa + qb, qa * qb
+    for n in range(-12, 13):
+        assert evaluate(total, n) == evaluate(qa, n) + evaluate(qb, n)
+        assert evaluate(product, n) == evaluate(qa, n) * evaluate(qb, n)
