@@ -43,19 +43,28 @@ class CountCache:
         if not self.path.exists():
             return
         first_line: dict[Key, int] = {}
+        # a line's move pairs -> their canonical key, so each distinct move
+        # list is validated once per load.  Only pairs of exact ints are
+        # stored (``from_pairs`` accepts nothing else) or looked up, so
+        # [true, 0] or [1.0, 0] never hits the entry that [1, 0] made.
+        move_keys: dict[tuple, tuple[tuple[int, int], ...]] = {}
         with self._open("rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
                     obj = json.loads(line.decode("utf-8"))
-                    moves = MoveSet.from_pairs(obj["moves"])
+                    pairs = tuple(map(tuple, obj["moves"]))
+                    exact = all(type(x) is int for pair in pairs for x in pair)
+                    moves_key = move_keys.get(pairs) if exact else None
+                    if moves_key is None:
+                        moves_key = move_keys[pairs] = MoveSet.from_pairs(obj["moves"]).canonical_key()
                     q, n, count = obj["q"], obj["n"], obj["count"]
                     if type(q) is not int or type(n) is not int:
                         raise ValueError(f"q {q!r} and n {n!r} must be integers")
                     if not (isinstance(count, str) and count.isascii() and count.isdigit()):
                         raise ValueError(f"count {count!r} is not a decimal string")
-                    key = (moves.canonical_key(), q, n)
+                    key = (moves_key, q, n)
                     count = int(count)
                 except (ValueError, KeyError, TypeError) as err:
                     print(

@@ -41,8 +41,11 @@ class Move:
 
     @classmethod
     def from_vector(cls, c: int, d: int) -> "Move":
-        """Build a canonical move from any nonzero integer vector in lowest terms."""
-        if c < 0 or (c == 0 and d < 0):
+        """Build a canonical move from any nonzero integer vector in lowest terms.
+
+        Only exact ints are flipped, so ``False`` (which ``-False`` would make
+        the int 0) still fails the constructor's type check."""
+        if type(c) is int and type(d) is int and (c < 0 or (c == 0 and d < 0)):
             c, d = -c, -d
         return cls(c, d)
 

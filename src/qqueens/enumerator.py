@@ -470,49 +470,54 @@ def _component_count(comp: ConstraintPattern, n: int) -> int:
                 line_of[s] = k
         lines[slope] = board_lines, line_of
 
-    def carry(table: dict[int, int], piece: int, c: Constraint, tables: dict[int, dict[int, int]]) -> None:
-        """Multiply the table of the piece at c's other end by ``table`` carried across c."""
-        other = c.i + c.j - piece
-        into = tables[other]
-        if isinstance(c, Equal):
-            if len(table) < len(into):
-                table, into = into, table
-            tables[other] = {s: ways * table[s] for s, ways in into.items() if s in table}
-            return
-        board_lines, line_of = lines[c.slope]
-        sums: dict[int, int] = {}
-        for s, ways in table.items():
-            k = line_of[s]
-            sums[k] = sums.get(k, 0) + ways
-        # walk whichever is shorter: the squares of the lines reached, or the receiving table
-        if sum(len(board_lines[k]) for k in sums) < len(into):
-            tables[other] = {s: into[s] * on_line for k, on_line in sums.items() for s in board_lines[k] if s in into}
-        else:
-            tables[other] = {s: ways * sums[line_of[s]] for s, ways in into.items() if line_of[s] in sums}
-
-    def fold(tables: dict[int, dict[int, int]], constraints: list[Constraint]) -> int:
-        total = 1
-        while tables:
-            piece = min(tables, key=lambda p: sum(p in (c.i, c.j) for c in constraints))
-            own = [c for c in constraints if piece in (c.i, c.j)]
-            constraints = [c for c in constraints if piece not in (c.i, c.j)]
-            table = tables.pop(piece)
-            if not own:
-                total *= sum(table.values())
-            elif len(own) == 1:
-                carry(table, piece, own[0], tables)
-            else:
-                fixed = 0
-                for s, ways in table.items():
-                    rest = dict(tables)
-                    for c in own:
-                        carry({s: 1}, piece, c, rest)
-                    fixed += ways * fold(rest, constraints)
-                return total * fixed
-        return total
-
     everywhere = dict.fromkeys(range(n * n), 1)
-    return fold(dict.fromkeys(range(1, comp.piece_count + 1), everywhere), list(comp.constraints))
+    return _fold(lines, dict.fromkeys(range(1, comp.piece_count + 1), everywhere), list(comp.constraints))
+
+
+def _carry(lines: dict, table: dict[int, int], piece: int, c: Constraint, tables: dict[int, dict[int, int]]) -> None:
+    """Multiply the table of the piece at c's other end by ``table`` carried
+    across c; ``lines`` is ``_component_count``'s line index per slope."""
+    other = c.i + c.j - piece
+    into = tables[other]
+    if isinstance(c, Equal):
+        if len(table) < len(into):
+            table, into = into, table
+        tables[other] = {s: ways * table[s] for s, ways in into.items() if s in table}
+        return
+    board_lines, line_of = lines[c.slope]
+    sums: dict[int, int] = {}
+    for s, ways in table.items():
+        k = line_of[s]
+        sums[k] = sums.get(k, 0) + ways
+    # walk whichever is shorter: the squares of the lines reached, or the receiving table
+    if sum(len(board_lines[k]) for k in sums) < len(into):
+        tables[other] = {s: into[s] * on_line for k, on_line in sums.items() for s in board_lines[k] if s in into}
+    else:
+        tables[other] = {s: ways * sums[line_of[s]] for s, ways in into.items() if line_of[s] in sums}
+
+
+def _fold(lines: dict, tables: dict[int, dict[int, int]], constraints: list[Constraint]) -> int:
+    """The number of ways to place every piece of ``tables`` under ``constraints``
+    (see ``_component_count``)."""
+    total = 1
+    while tables:
+        piece = min(tables, key=lambda p: sum(p in (c.i, c.j) for c in constraints))
+        own = [c for c in constraints if piece in (c.i, c.j)]
+        constraints = [c for c in constraints if piece not in (c.i, c.j)]
+        table = tables.pop(piece)
+        if not own:
+            total *= sum(table.values())
+        elif len(own) == 1:
+            _carry(lines, table, piece, own[0], tables)
+        else:
+            fixed = 0
+            for s, ways in table.items():
+                rest = dict(tables)
+                for c in own:
+                    _carry(lines, {s: 1}, piece, c, rest)
+                fixed += ways * _fold(lines, rest, constraints)
+            return total * fixed
+    return total
 
 
 def sequence(

@@ -4,7 +4,8 @@ A quasipolynomial of period ``p`` is a cyclic list of ``p`` polynomial
 constituents; constituent ``r`` applies to arguments congruent to ``r``
 mod ``p`` (with nonnegative residues, so -1 selects constituent ``p - 1``).
 The list is always held at its minimal period.
-All arithmetic is over ``fractions.Fraction``; nothing ever rounds.
+Coefficients are ``fractions.Fraction``s; ``fit`` eliminates over
+integers and makes only its results ``Fraction``s.  Nothing ever rounds.
 """
 
 from __future__ import annotations
@@ -268,12 +269,20 @@ def lagrange(points: Sequence[tuple[int, Fraction]]) -> Polynomial:
     return result
 
 
-def _add_scaled(row: dict, factor: Fraction, other: dict) -> dict:
-    """The sparse row ``row + factor * other``, zeros dropped."""
-    out = dict(row)
+def _combine(a: int, row: dict, b: int, other: dict) -> dict:
+    """The sparse integer row ``a * row - b * other``, zeros dropped."""
+    out = {c: a * v for c, v in row.items()}
     for c, v in other.items():
-        out[c] = out.get(c, 0) + factor * v
+        out[c] = out.get(c, 0) - b * v
     return {c: v for c, v in out.items() if v}
+
+
+def _primitive(row: dict, col) -> dict:
+    """``row`` divided by the gcd of its entries, with a positive entry at ``col``."""
+    g = math.gcd(*row.values())
+    if row[col] < 0:
+        g = -g
+    return {c: v // g for c, v in row.items()}
 
 
 def fit(
@@ -287,15 +296,17 @@ def fit(
     (``period[k]`` for n**k, whose coefficient is then an unknown
     c[k, n mod period[k]]).  Each sample is a linear equation in those
     unknowns, eliminated exactly in increasing n: a sample independent of
-    the earlier ones interpolates, any other is a check.  The fit needs
-    every unknown fixed and a check in every residue class mod
-    L = lcm(periods), which is ``degree + 2`` samples per class for one
-    period.  Otherwise :class:`InsufficientSamplesError` names the first
-    class short, even if a check failed, so a period search stops where
-    the samples run out.  If no class is short, a check that differs from
-    the value the earlier samples force raises
-    :class:`InconsistentSamplesError` at the first such n.  The result has
-    its minimal period, a divisor of L.
+    the earlier ones interpolates, any other is a check.  The elimination
+    is fraction-free over integers (each sample scaled by its value's
+    denominator), so it is exact; only the coefficients and the values the
+    checks are held to are made ``Fraction``s.  The fit needs every unknown
+    fixed and a check in every residue class mod L = lcm(periods), which is
+    ``degree + 2`` samples per class for one period.  Otherwise
+    :class:`InsufficientSamplesError` names the first class short, even if
+    a check failed, so a period search stops where the samples run out.
+    If no class is short, a check that differs from the value the earlier
+    samples force raises :class:`InconsistentSamplesError` at the first
+    such n.  The result has its minimal period, a divisor of L.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -308,30 +319,41 @@ def fit(
 
     # Column (k, r) is the n**k coefficient on residue class r mod periods[k];
     # the sample's value rides along in column `value_col`, which sorts last.
-    # `pivots` is in reduced row echelon form: each row holds 1 at its own
-    # column and no other pivot's column.
+    # `pivots` is in reduced row echelon form over the integers: each row has
+    # a positive entry (its lead) at its own column, 0 at every other pivot's
+    # column, and no common factor.
     value_col = (degree + 1, 0)
-    pivots: dict[tuple[int, int], dict] = {}
+    pivots: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     checked = [False] * big
     failed = previous = None
     for n, value in sorted(samples):
         if n == previous:
             raise ValueError(f"duplicate sample at n={n}")
         previous = n
-        row = {(k, n % p): Fraction(n**k) for k, p in enumerate(periods) if n**k}
-        row[value_col] = value = _as_fraction(value)
+        if not isinstance(value, int):
+            value = _as_fraction(value)
+        # the sample's equation times its value's denominator; `scale` is the
+        # factor the row has been multiplied by since
+        scale = value.denominator
+        row = {(k, n % p): scale * n**k for k, p in enumerate(periods) if n**k}
+        if value:
+            row[value_col] = value.numerator
         for col in [c for c in row if c in pivots]:
-            row = _add_scaled(row, -row[col], pivots[col])
+            pivot = pivots[col]
+            lead = pivot[col]
+            row = _combine(lead, row, row[col], pivot)
+            scale *= lead
         col = min(row, default=value_col)
         if col == value_col:  # a check: the earlier rows force this value
             checked[n % big] = True
             if row and failed is None:
-                failed = InconsistentSamplesError(n, value - row[value_col], value)
+                failed = (n, value - Fraction(row[value_col], scale), _as_fraction(value))
             continue
-        row = {c: v / row[col] for c, v in row.items()}
+        row = _primitive(row, col)
+        lead = row[col]
         for c, other in pivots.items():
             if col in other:
-                pivots[c] = _add_scaled(other, -other[col], row)
+                pivots[c] = _primitive(_combine(lead, other, other[col], row), c)
         pivots[col] = row
 
     for r in range(big):
@@ -341,10 +363,10 @@ def fit(
                 f"samples, too few to fix and check its degree-{degree} constituent"
             )
     if failed:
-        raise failed
+        raise InconsistentSamplesError(*failed)
+    coeffs = {col: Fraction(row.get(value_col, 0), row[col]) for col, row in pivots.items()}
     return QuasiPolynomial.make(
-        Polynomial.make(pivots[k, r % p].get(value_col, 0) for k, p in enumerate(periods))
-        for r in range(big)
+        Polynomial.make(coeffs[k, r % p] for k, p in enumerate(periods)) for r in range(big)
     )
 
 

@@ -1,6 +1,9 @@
 """Shared helpers: a transparent brute-force oracle independent of the fast paths."""
 
+import gc
 import itertools
+import math
+from fractions import Fraction
 
 from qqueens.core import MoveSet, Square, attacks
 
@@ -58,3 +61,71 @@ def naive_count_pattern(pattern, n: int) -> int:
         if ok:
             total += 1
     return total
+
+
+def naive_fit(samples, degree, period):
+    """``quasipoly.fit`` by dense Gauss-Jordan elimination over ``Fraction``s.
+
+    The unknowns are the coefficients c[k, r mod period[k]], in sorted
+    order.  Samples are taken in increasing n; one whose row is a
+    combination of the earlier rows is a check of its residue class mod
+    L = lcm(periods), and the first check whose value differs from the
+    combination's is the failure.  Returns the quasipolynomial, or the
+    exception ``fit`` should raise: ``InsufficientSamplesError`` when a
+    class mod L has no check or an unknown of it no pivot, else
+    ``InconsistentSamplesError`` at the first failed check.
+    """
+    from qqueens.quasipoly import (
+        InconsistentSamplesError,
+        InsufficientSamplesError,
+        Polynomial,
+        QuasiPolynomial,
+    )
+
+    periods = [period] * (degree + 1) if isinstance(period, int) else list(period)
+    big = math.lcm(*periods)
+    columns = [(k, r) for k, p in enumerate(periods) for r in range(p)]
+    reduced = []  # [pivot index, row, value], each row 1 at its pivot and 0 at every other pivot
+    checked, failed = set(), None
+    for n, value in sorted(samples):
+        row = [Fraction(n**k if n % periods[k] == r else 0) for k, r in columns]
+        rhs = Fraction(value)
+        for pivot, other, other_rhs in reduced:
+            factor = row[pivot]
+            row = [a - factor * b for a, b in zip(row, other)]
+            rhs -= factor * other_rhs
+        lead = next((i for i, a in enumerate(row) if a), None)
+        if lead is None:
+            checked.add(n % big)
+            if rhs and failed is None:
+                failed = InconsistentSamplesError(n, Fraction(value) - rhs, Fraction(value))
+            continue
+        row, rhs = [a / row[lead] for a in row], rhs / row[lead]
+        for entry in reduced:
+            factor = entry[1][lead]
+            entry[1] = [a - factor * b for a, b in zip(entry[1], row)]
+            entry[2] -= factor * rhs
+        reduced.append([lead, row, rhs])
+
+    solved = {columns[pivot]: rhs for pivot, _, rhs in reduced}
+    for r in range(big):
+        if r not in checked or any((k, r % p) not in solved for k, p in enumerate(periods)):
+            return InsufficientSamplesError(f"residue class {r} mod {big}")
+    if failed is not None:
+        return failed
+    return QuasiPolynomial.make(
+        Polynomial.make(solved[k, r % p] for k, p in enumerate(periods)) for r in range(big)
+    )
+
+
+def cyclic_garbage(call) -> list:
+    """The objects that only the cyclic collector would free after ``call()``."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        call()
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()

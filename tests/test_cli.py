@@ -36,7 +36,7 @@ def test_count_explicit_moves(capsys):
     assert out.strip().splitlines()[1].split() == ["2", "4"]
 
 
-@pytest.mark.parametrize("moves", ["[[1.9,0]]", "[[true,0]]", '[["1","2"]]', "[[1,0.0]]"])
+@pytest.mark.parametrize("moves", ["[[1.9,0]]", "[[true,0]]", '[["1","2"]]', "[[1,0.0]]", "[[false,-1]]"])
 def test_count_rejects_moves_that_are_not_integers(moves):
     # no component is rounded or coerced into a move
     with pytest.raises(SystemExit) as exc:
@@ -315,6 +315,7 @@ def test_cache_path_that_cannot_be_written_exits_2(tmp_path, capsys):
         '{"moves": [[1.5, 0]], "q": 2.7, "n": 3, "count": "999"}',
         '{"moves": [[1, 0]], "q": 2.0, "n": 3, "count": "999"}',
         '{"moves": [[true, 0]], "q": 2, "n": 3, "count": "999"}',
+        '{"moves": [[false, -1]], "q": 2, "n": 3, "count": "999"}',
         '{"moves": [["1", "0"]], "q": 2, "n": 3, "count": "999"}',
         '{"moves": [[1, 0]], "q": 2, "n": true, "count": "999"}',
         '{"moves": [[1, 0]], "q": 2, "n": "3", "count": "999"}',
@@ -333,6 +334,39 @@ def test_cache_line_with_non_integer_fields_skipped(tmp_path, capsys, record):
     assert code == 0
     assert "skipping corrupt cache line 1" in err
     assert out.strip().splitlines()[1].split() == ["3", "27"]
+
+
+def test_cache_line_equal_to_a_valid_one_but_not_integer_skipped(tmp_path, capsys):
+    # each distinct move list is validated once per load; [true, 0] and
+    # [1.0, 0] compare equal to [1, 0], read earlier, and must still be checked
+    cache_file = tmp_path / "counts.jsonl"
+    cache_file.write_text(
+        '{"moves": [[1, 0]], "q": 2, "n": 2, "count": "4"}\n'
+        '{"moves": [[true, 0]], "q": 2, "n": 3, "count": "999"}\n'
+        '{"moves": [[1.0, 0]], "q": 2, "n": 3, "count": "999"}\n'
+    )
+    code, out, err = run_cli(
+        capsys, "count", "--moves", "[[1,0]]", "--q", "2", "--n", "2..3", "--cache", str(cache_file), "--format", "json"
+    )
+    assert code == 0
+    assert "skipping corrupt cache line 2" in err and "skipping corrupt cache line 3" in err
+    assert json.loads(out) == [{"n": "2", "count": "4"}, {"n": "3", "count": "27"}]
+
+
+def test_cache_conflict_across_move_orders_exits_1(tmp_path, capsys):
+    # two orders of one move set share a key, so their counts must agree
+    cache_file = tmp_path / "counts.jsonl"
+    cache_file.write_text(
+        '{"moves": [[0, 1], [1, 0]], "q": 2, "n": 2, "count": "2"}\n'
+        '{"moves": [[1, 0], [0, 1]], "q": 2, "n": 2, "count": "3"}\n'
+    )
+    code, out, err = run_cli(
+        capsys, "count", "--piece", "2,0", "--q", "2", "--n", "2", "--cache", str(cache_file)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("cache conflict: ")
+    assert "moves [[0, 1], [1, 0]], q=2, n=2 has count 2 on line 1 and 3 on line 2" in err
 
 
 def test_cache_conflict_exits_1_naming_both_records(tmp_path, capsys):

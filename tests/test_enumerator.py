@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_count_labelled, naive_count_pattern, naive_count_unlabelled
+from conftest import cyclic_garbage, naive_count_labelled, naive_count_pattern, naive_count_unlabelled
 from qqueens.core import ALL_PIECE_SPECS, Move, MoveSet, PartialQueenSpec, is_multiple, partial_queen
 from qqueens.enumerator import (
     D4,
@@ -289,6 +289,16 @@ def test_count_pattern_cycles_and_repeated_pairs():
         for n in range(5):
             assert count_pattern(pat, n) == naive_count_pattern(pat, n)
     assert count_pattern(pats[2], 7) == 49
+
+
+def test_count_pattern_leaves_no_cyclic_garbage():
+    # a 4-cycle is folded by fixing a piece on each square in turn; the
+    # fold's line tables must be freed by reference counting alone
+    h, v, du, dd = Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1)
+    cycle = pattern(4, Collinear(1, 2, h), Collinear(2, 3, du), Collinear(3, 4, v), Collinear(1, 4, dd))
+    _component_count.cache_clear()
+    assert cyclic_garbage(lambda: count_pattern(cycle, 5)) == []
+    assert _component_count.cache_info().misses == 1
 
 
 def test_count_pattern_board_size_bounds():

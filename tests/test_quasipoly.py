@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cyclic_garbage, naive_fit
 from qqueens.quasipoly import (
     CoeffDecomposition,
     InconsistentSamplesError,
@@ -238,6 +239,53 @@ def test_fit_round_trip_recovers_random_quasipolynomial(periods, shared, data):
     assert recovered == qp
     for n, value in samples:
         assert evaluate(recovered, n) == value
+
+
+periods_st = st.lists(st.sampled_from((1, 2, 3, 4, 6)), min_size=1, max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(periods_st, st.data())
+def test_fit_matches_dense_gauss_jordan(true_periods, data):
+    # samples of a random quasipolynomial at its own per-power periods, fitted
+    # at those or other periods over a random window of n with gaps and
+    # sometimes one sample perturbed: the integer elimination and the dense
+    # Fraction one give the same fit, or the same error at the same sample
+    fit_periods = data.draw(st.just(true_periods) | periods_st)
+    coeffs = [[data.draw(st.integers(-9, 9) | fractions) for _ in range(p)] for p in true_periods]
+    qp = QuasiPolynomial.make(
+        Polynomial.make(coeffs[k][r % p] for k, p in enumerate(true_periods))
+        for r in range(math.lcm(*true_periods))
+    )
+    degree = len(fit_periods) - 1
+    big = math.lcm(*fit_periods)
+    lo = data.draw(st.integers(0, 3))
+    hi = lo + big * (degree + 2) + data.draw(st.integers(-2 * big, 2 * big))
+    gaps = data.draw(st.booleans())
+    ns = [n for n in range(lo, hi) if not gaps or data.draw(st.integers(0, 9))]  # about one n in ten dropped
+    values = [evaluate(qp, n) for n in ns]
+    if ns and not data.draw(st.integers(0, 2)):
+        values[data.draw(st.integers(0, len(ns) - 1))] += data.draw(fractions)
+    samples = [(n, int(v) if v.denominator == 1 else v) for n, v in zip(ns, values)]
+    period = fit_periods[0] if len(set(fit_periods)) == 1 and data.draw(st.booleans()) else fit_periods
+    expected = naive_fit(samples, degree, period)
+    if not isinstance(expected, Exception):
+        assert fit(samples, degree, period) == expected
+        return
+    with pytest.raises(type(expected)) as exc:
+        fit(samples, degree, period)
+    if isinstance(expected, InconsistentSamplesError):
+        got = exc.value
+        assert (got.n, got.expected, got.actual) == (expected.n, expected.expected, expected.actual)
+        assert type(got.expected) is F and type(got.actual) is F
+
+
+def test_rejected_fit_leaves_no_cyclic_garbage():
+    # period 1 is rejected, period 2 accepted; the rejection's exception
+    # must not hold the frame that raised it in a reference cycle
+    samples = [(n, n % 2) for n in range(1, 12)]
+    assert detect_period(samples, 0) == 2
+    assert cyclic_garbage(lambda: detect_period(samples, 0)) == []
 
 
 def test_detect_period_returns_minimal_consistent_period():
