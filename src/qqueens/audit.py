@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -65,12 +64,6 @@ def _alpha_qp(m: Move) -> QuasiPolynomial:
     return QuasiPolynomial.constant_poly(alpha_closed(m))
 
 
-def _exact_div(a: int, b: int) -> int:
-    if a % b != 0:
-        raise ArithmeticError(f"{a} not divisible by {b}")
-    return a // b
-
-
 @dataclass(frozen=True)
 class Subcase:
     """One orientation class inside a catalog type: its patterns and their combined count.
@@ -96,8 +89,14 @@ class SubspaceCase:
     codim: int
     doc: str
     moebius: Callable[[int, int], int]
-    multiplicity: Callable[[int], int]
+    automorphisms: int
     subcase_builder: SubcaseBuilder
+
+    def multiplicity(self, q: int) -> int:
+        """The ways to put the type's kappa pieces on q labelled pieces:
+        (q)_kappa ordered choices, each type counted once per its
+        ``automorphisms`` relabellings that leave it unchanged."""
+        return falling(q, self.kappa) // self.automorphisms
 
     def subcases(self, h: int, k: int) -> tuple[Subcase, ...]:
         return _built_subcases(self.subcase_builder, h, k)
@@ -299,103 +298,100 @@ def _product(*factors: SubcaseBuilder) -> SubcaseBuilder:
 
 
 def _catalog() -> tuple[SubspaceCase, ...]:
-    c2 = lambda q: math.comb(q, 2)
-    c3 = lambda q: math.comb(q, 3)
-    c4 = lambda q: math.comb(q, 4)
     return (
         SubspaceCase(
             "U2^1", 2, 1,
             "one attack hyperplane: an ordered pair collinear along one slope",
-            lambda h, k: -1, c2, _build_u2_1,
+            lambda h, k: -1, 2, _build_u2_1,
         ),
         SubspaceCase(
             "U2^2", 2, 2,
             "two hyperplanes on the same two pieces force them coincident; n^2 placements",
-            lambda h, k: h + k - 1, c2, _build_u2_2,
+            lambda h, k: h + k - 1, 2, _build_u2_2,
         ),
         SubspaceCase(
             "U3a^2", 3, 2,
             "three pieces on one line of a single slope",
-            lambda h, k: 2, c3, _build_u3a_2,
+            lambda h, k: 2, 6, _build_u3a_2,
         ),
         SubspaceCase(
             "U3b^2", 3, 2,
             "a middle piece attacked along two distinct slopes; one pattern per unordered slope pair",
-            lambda h, k: 1, lambda q: falling(q, 3), _build_u3b_2,
+            lambda h, k: 1, 1, _build_u3b_2,
         ),
         SubspaceCase(
             "U4*^2", 4, 2,
             "two independent attacking pairs; family ranges over ordered slope pairs, "
             "multiplicity (q)_4/8 halves the double-counted unordered pair of pairs",
-            lambda h, k: 1, lambda q: _exact_div(falling(q, 4), 8), _product(_build_u2_1, _build_u2_1),
+            lambda h, k: 1, 8, _product(_build_u2_1, _build_u2_1),
         ),
         SubspaceCase(
             "U3a^3", 3, 3,
             "a right triangle of three pairwise-attacking pieces on three distinct slopes; "
             "each orientation family holds both right-angle corners",
-            lambda h, k: -1, lambda q: _exact_div(falling(q, 3), 2), _build_u3a_3,
+            lambda h, k: -1, 2, _build_u3a_3,
         ),
         SubspaceCase(
             "U3b^3", 3, 3,
             "a coincident pair plus a third piece collinear with it",
-            lambda h, k: -2 * (h + k - 1), lambda q: _exact_div(falling(q, 3), 2), _build_u3b_3,
+            lambda h, k: -2 * (h + k - 1), 2, _build_u3b_3,
         ),
         SubspaceCase(
             "U4a^3", 4, 3,
             "four pieces on one line of a single slope; count is the sum of fourth "
             "powers of line lengths",
-            lambda h, k: -6, c4, _build_u4a_3,
+            lambda h, k: -6, 24, _build_u4a_3,
         ),
         SubspaceCase(
             "U4b^3", 4, 3,
             "three pieces on one line plus an attacker of the third along another slope; "
             "mu = -2 (four hyperplanes and four codimension-2 subspaces above it); "
             "the DD family combines the two isomorphic slope assignments",
-            lambda h, k: -2, lambda q: _exact_div(falling(q, 4), 2), _build_u4b_3,
+            lambda h, k: -2, 2, _build_u4b_3,
         ),
         SubspaceCase(
             "U4c^3", 4, 3,
             "a four-piece path whose outer edges share one slope",
-            lambda h, k: -1, lambda q: _exact_div(falling(q, 4), 2), _build_u4c_3,
+            lambda h, k: -1, 2, _build_u4c_3,
         ),
         SubspaceCase(
             "U4d^3", 4, 3,
             "a four-piece path with three distinct slopes; end-slope pairs are "
             "taken up to path reversal",
-            lambda h, k: -1, lambda q: falling(q, 4), _build_u4d_3,
+            lambda h, k: -1, 1, _build_u4d_3,
         ),
         SubspaceCase(
             "U4e^3", 4, 3,
             "a central piece attacked by three others along three distinct slopes",
-            lambda h, k: -1, lambda q: falling(q, 4), _build_u4e_3,
+            lambda h, k: -1, 1, _build_u4e_3,
         ),
         SubspaceCase(
             "U4*^3", 4, 3,
             "an attacking pair plus a coincident pair; mu is the product "
             "(-1)(h+k-1) = 1-|M|",
-            lambda h, k: 1 - (h + k), lambda q: _exact_div(falling(q, 4), 4), _product(_build_u2_1, _build_u2_2),
+            lambda h, k: 1 - (h + k), 4, _product(_build_u2_1, _build_u2_2),
         ),
         SubspaceCase(
             "U5*a^3", 5, 3,
             "an attacking pair plus a collinear triple on disjoint pieces",
-            lambda h, k: -2, lambda q: _exact_div(falling(q, 5), 12), _product(_build_u2_1, _build_u3a_2),
+            lambda h, k: -2, 12, _product(_build_u2_1, _build_u3a_2),
         ),
         SubspaceCase(
             "U5*b^3", 5, 3,
             "an attacking pair plus a two-slope middle-piece triple on disjoint pieces",
-            lambda h, k: -1, lambda q: _exact_div(falling(q, 5), 2), _product(_build_u2_1, _build_u3b_2),
+            lambda h, k: -1, 2, _product(_build_u2_1, _build_u3b_2),
         ),
         SubspaceCase(
             "U6*^3", 6, 3,
             "three independent attacking pairs; family ranges over ordered slope "
             "triples, multiplicity (q)_6/48 undoes the 3! orderings of the pairs",
-            lambda h, k: -1, lambda q: _exact_div(falling(q, 6), 48), _product(_build_u2_1, _build_u2_1, _build_u2_1),
+            lambda h, k: -1, 48, _product(_build_u2_1, _build_u2_1, _build_u2_1),
         ),
         SubspaceCase(
             "U3^4", 3, 4,
             "three pieces coincident on one square; mu = (h+k-1)^2 (h+k+2), "
             "zero for single-move pieces",
-            lambda h, k: (h + k - 1) ** 2 * (h + k + 2), c3, _build_u3_4,
+            lambda h, k: (h + k - 1) ** 2 * (h + k + 2), 6, _build_u3_4,
         ),
     )
 

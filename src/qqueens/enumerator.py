@@ -104,24 +104,26 @@ class AttackTable:
         return cls(tuple(masks), tuple(lines))
 
 
-@functools.lru_cache(maxsize=4 * 18)
-def _board_lines(slope: Move, n: int) -> tuple[tuple[int, ...], ...]:
-    """The maximal lines of the given slope on the n x n board, each as the
-    indices (y-1)*n + (x-1) of its squares.  The attack tables and the pattern
-    counter read the same few slopes at every n, so the latest tables are
-    kept: room for the four partial-queen slopes at n = 0..17, the sizes
-    ``verify --scope all`` reaches, and a run over many riders keeps no more."""
+def _board_lines(slope: Move, n: int) -> list[range]:
+    """The maximal lines of the given slope on the n x n board, single squares
+    included, each as the range of the indices (y-1)*n + (x-1) of its squares,
+    in the order of their first squares.
+
+    A line starts where a step back leaves the board: on every square of a
+    row that a step back leaves vertically, else on the row's first min(c, n)
+    squares (c >= 0 for a canonical move).  Its length is 1 + the fewest
+    steps from there to the board's edge, and its index step is d*n + c.
+    That step is 0 only for (n, -1), whose lines are single squares."""
+    c, d = slope.c, slope.d
+    step = d * n + c or 1
     lines = []
     for y0 in range(n):
-        for x0 in range(n):
-            if 0 <= x0 - slope.c < n and 0 <= y0 - slope.d < n:
-                continue  # not the first square of its line
-            x, y, squares = x0, y0, []
-            while 0 <= x < n and 0 <= y < n:
-                squares.append(y * n + x)
-                x, y = x + slope.c, y + slope.d
-            lines.append(tuple(squares))
-    return tuple(lines)
+        y_steps = (n - 1 - y0) // d if d > 0 else y0 // -d if d else n
+        for x0 in range(min(c, n)) if 0 <= y0 - d < n else range(n):
+            first = y0 * n + x0
+            length = 1 + min((n - 1 - x0) // c if c else n, y_steps)
+            lines.append(range(first, first + length * step, step))
+    return lines
 
 
 # The eight symmetries of the square board as signed 2x2 matrices (a, b, c, d),
@@ -279,25 +281,10 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
     # ok[i]: higher-indexed squares neither equal to nor attacked by square i
     ok = [~masks[i] & (full >> (i + 1) << (i + 1)) for i in range(size)] if q > 4 else []
 
-    def subsets(allowed: int, k: int) -> int:
-        """Nonattacking k-subsets of ``allowed`` (k >= 3), lowest square first."""
-        if k == 3:
-            return leaf(allowed, 3, weight)
-        total = 0
-        m = allowed
-        while m:
-            lsb = m & -m
-            m ^= lsb
-            charge(weight)
-            rest = m & ok[lsb.bit_length() - 1]
-            if rest:
-                total += subsets(rest, k - 1)
-        return total
-
     total = 0
     for s, weight in _orbits(symmetry_group(moves), n):
         charge(weight)
-        total += weight * subsets(full & ~masks[s], q - 1)
+        total += weight * _subsets(full & ~masks[s], q - 1, ok, leaf, charge, weight)
     if total % q:
         raise RuntimeError(
             f"orbit-weighted sum {total} for q={q}, n={n} is not divisible by q"
@@ -305,31 +292,33 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
     return total // q
 
 
+def _subsets(allowed: int, k: int, ok: list[int], leaf, charge, weight: int) -> int:
+    """Nonattacking k-subsets of ``allowed`` (k >= 3), lowest square first:
+    ``count_unlabelled``'s middle pieces, with its ``ok`` bitsets, ``leaf``
+    and ``charge``, and ``weight`` nodes per square placed."""
+    if k == 3:
+        return leaf(allowed, 3, weight)
+    total = 0
+    m = allowed
+    while m:
+        lsb = m & -m
+        m ^= lsb
+        charge(weight)
+        rest = m & ok[lsb.bit_length() - 1]
+        if rest:
+            total += _subsets(rest, k - 1, ok, leaf, charge, weight)
+    return total
+
+
 def line_lengths(slope: Move, n: int) -> list[int]:
     """The lengths of the maximal lines of one slope on the n x n board, single
-    squares included, in the order ``_board_lines`` walks them.  Their sum of
+    squares included, in the order ``_board_lines`` lists them.  Their sum of
     squares counts the ordered pairs of squares that attack each other along
     the slope, and their sum of cubes the ordered collinear triples
-    (coincidences allowed in both).
-
-    A line's length is 1 + the fewest steps from its first square to the
-    board's edge, so no line's squares are listed (nor cached)."""
+    (coincidences allowed in both)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    c, d = slope.c, slope.d
-
-    def steps(z: int, dz: int) -> int:
-        """Steps of size dz that stay on the board from coordinate z."""
-        if dz > 0:
-            return (n - 1 - z) // dz
-        return z // -dz if dz else n
-
-    return [
-        1 + min(steps(x0, c), steps(y0, d))
-        for y0 in range(n)
-        for x0 in range(n)
-        if not (0 <= x0 - c < n and 0 <= y0 - d < n)  # first square of its line
-    ]
+    return list(map(len, _board_lines(slope, n)))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,23 @@ def naive_count_labelled(moves: MoveSet, q: int, n: int) -> int:
     return total
 
 
+def naive_board_lines(slope, n: int) -> tuple[tuple[int, ...], ...]:
+    """The maximal lines of one slope on the n x n board, single squares
+    included, as the indices (y-1)*n + (x-1) of their squares: a walk from
+    every square whose step back leaves the board, in row-major order."""
+    lines = []
+    for y0 in range(n):
+        for x0 in range(n):
+            if 0 <= x0 - slope.c < n and 0 <= y0 - slope.d < n:
+                continue  # not the first square of its line
+            x, y, squares = x0, y0, []
+            while 0 <= x < n and 0 <= y < n:
+                squares.append(y * n + x)
+                x, y = x + slope.c, y + slope.d
+            lines.append(tuple(squares))
+    return tuple(lines)
+
+
 def naive_count_pattern(pattern, n: int) -> int:
     """Nested product enumeration of every constrained tuple."""
     from qqueens.core import is_multiple

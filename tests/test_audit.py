@@ -133,6 +133,13 @@ def test_multiplicities_at_small_q():
             assert case.multiplicity(3) == 0
 
 
+def test_automorphisms_divide_kappa_factorial():
+    # (q)_kappa is a multiple of kappa!, so multiplicity's floor division is exact for every q
+    assert [c.automorphisms for c in case_catalog()] == [2, 2, 6, 1, 8, 2, 2, 24, 2, 2, 1, 1, 4, 12, 2, 48, 6]
+    for case in case_catalog():
+        assert math.factorial(case.kappa) % case.automorphisms == 0, case.name
+
+
 def test_u2_2_case_shape():
     case = case_by_name("U2^2")
     family = case.pattern_family(2, 1)

@@ -2,9 +2,15 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import cyclic_garbage, naive_count_labelled, naive_count_pattern, naive_count_unlabelled
+from conftest import (
+    cyclic_garbage,
+    naive_board_lines,
+    naive_count_labelled,
+    naive_count_pattern,
+    naive_count_unlabelled,
+)
 from qqueens.core import ALL_PIECE_SPECS, Move, MoveSet, PartialQueenSpec, is_multiple, partial_queen
 from qqueens.enumerator import (
     D4,
@@ -13,6 +19,7 @@ from qqueens.enumerator import (
     Collinear,
     ConstraintPattern,
     Equal,
+    _board_lines,
     _component_count,
     canonical_components,
     count_pattern,
@@ -191,6 +198,21 @@ def test_rider_line_lengths_match_naive_pair_count(slope):
         assert sum(length**2 for length in lengths) == pairs
 
 
+@given(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    .filter(lambda v: math.gcd(*v) == 1)
+    .map(lambda v: Move.from_vector(*v)),
+    st.integers(0, 9),
+)
+# a step of (n, -1) adds d*n + c = 0 to a square's index: every line is one square
+@example(Move(1, -1), 1)
+@example(Move(2, -1), 2)
+@example(Move(3, -1), 3)
+@settings(deadline=None)
+def test_board_lines_match_naive_walk(slope, n):
+    assert [tuple(r) for r in _board_lines(slope, n)] == list(naive_board_lines(slope, n))
+
+
 def test_alpha_examples():
     assert power_sum(Move(1, 0), 3, 2) == 27
     assert power_sum(Move(0, 1), 3, 2) == 27
@@ -299,6 +321,13 @@ def test_count_pattern_leaves_no_cyclic_garbage():
     _component_count.cache_clear()
     assert cyclic_garbage(lambda: count_pattern(cycle, 5)) == []
     assert _component_count.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_count_unlabelled_leaves_no_cyclic_garbage(q):
+    # the middle pieces recurse through a module function, not a closure
+    # that refers to itself, so the search's tables are freed on return
+    assert cyclic_garbage(lambda: count_unlabelled(QUEEN, q, 8)) == []
 
 
 def test_count_pattern_board_size_bounds():
