@@ -30,7 +30,7 @@ class CacheConflictError(Exception):
 
 class CacheAccessError(Exception):
     """The cache file cannot be opened to read or to append; the message is
-    the operating system's reason."""
+    its path and the operating system's reason."""
 
 
 class CountCache:
@@ -101,7 +101,7 @@ class CountCache:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             return self.path.open(mode)
         except OSError as err:
-            raise CacheAccessError(err.strerror) from err
+            raise CacheAccessError(f"{self.path}: {err.strerror}") from err
 
     def __len__(self) -> int:
         return len(self._entries)

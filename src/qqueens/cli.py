@@ -26,6 +26,7 @@ flagged).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -119,10 +120,10 @@ def _budget(p: argparse.ArgumentParser) -> None:
 
 
 def _cache_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cache", default=os.environ.get(ENV_VAR) or None,
-                   help=f"count cache path (default: ${ENV_VAR} if set)")
+    p.add_argument("--cache", help=f"count cache path (default: ${ENV_VAR} if set)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qqueens",
@@ -170,7 +171,8 @@ def _moves(args: argparse.Namespace) -> MoveSet:
 
 
 def _cache(args: argparse.Namespace) -> Optional[CountCache]:
-    return CountCache(args.cache) if args.cache else None
+    path = os.environ.get(ENV_VAR) if args.cache is None else args.cache
+    return CountCache(path) if path else None
 
 
 def _fit(args: argparse.Namespace) -> tuple[list, QuasiPolynomial]:
@@ -293,7 +295,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"cache conflict: {err}", file=sys.stderr)
         return EXIT_FAIL
     except CacheAccessError as err:
-        print(f"error: cannot open --cache {args.cache}: {err}", file=sys.stderr)
+        print(f"error: cannot open --cache {err}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -33,15 +33,16 @@ For q >= 5, squares between the first piece and the last three are taken in
 increasing index order and pruned with per-square attack bitsets.
 
 ``count_pattern`` counts the ordered tuples of squares that meet a
-constraint pattern.  The count is the product of the counts of the
-connected components of the constraint graph, n^2 for a piece under no
-constraint.  Each component is counted in a canonical form, the least
-constraint list over the relabellings of its pieces and the eight board
-symmetries applied to its slopes, so isomorphic components share one count
-per n.  A component is folded one piece at a time through sparse
-per-square tables: a ``Collinear`` constraint carries the table's sums per
-line to the piece at its other end, and a piece on a cycle is fixed on one
-square at a time, which leaves each of its neighbours a single line.
+constraint pattern.  Pieces that must share a square are contracted into
+one, and the count is the product of the counts of the connected components
+of the ``Collinear`` graph left, n^2 for a piece under no constraint.  Each
+component is counted in a canonical form, the least constraint list over the
+relabellings of its pieces and the eight board symmetries applied to its
+slopes, so isomorphic components share one count per n.  A component is
+folded one piece at a time through sparse per-square tables: a constraint
+carries the table's sums per line to the piece at its other end, and a piece
+on a cycle is fixed on one square at a time, which leaves each of its
+neighbours a single line.
 """
 
 from __future__ import annotations
@@ -278,13 +279,11 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
         return leaf(full, 2, 0)
     if q == 3:
         return leaf(full, 3, 2)  # each pair is a node once per choice of first piece
-    # ok[i]: higher-indexed squares neither equal to nor attacked by square i
-    ok = [~masks[i] & (full >> (i + 1) << (i + 1)) for i in range(size)] if q > 4 else []
 
     total = 0
     for s, weight in _orbits(symmetry_group(moves), n):
         charge(weight)
-        total += weight * _subsets(full & ~masks[s], q - 1, ok, leaf, charge, weight)
+        total += weight * _subsets(full & ~masks[s], q - 1, masks, leaf, charge, weight)
     if total % q:
         raise RuntimeError(
             f"orbit-weighted sum {total} for q={q}, n={n} is not divisible by q"
@@ -292,10 +291,11 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
     return total // q
 
 
-def _subsets(allowed: int, k: int, ok: list[int], leaf, charge, weight: int) -> int:
+def _subsets(allowed: int, k: int, masks: tuple[int, ...], leaf, charge, weight: int) -> int:
     """Nonattacking k-subsets of ``allowed`` (k >= 3), lowest square first:
-    ``count_unlabelled``'s middle pieces, with its ``ok`` bitsets, ``leaf``
-    and ``charge``, and ``weight`` nodes per square placed."""
+    ``count_unlabelled``'s middle pieces, with its attack ``masks``, ``leaf``
+    and ``charge``, and ``weight`` nodes per square placed.  Squares are taken
+    lowest first, so those left in ``m`` all lie above the one placed."""
     if k == 3:
         return leaf(allowed, 3, weight)
     total = 0
@@ -304,9 +304,9 @@ def _subsets(allowed: int, k: int, ok: list[int], leaf, charge, weight: int) -> 
         lsb = m & -m
         m ^= lsb
         charge(weight)
-        rest = m & ok[lsb.bit_length() - 1]
+        rest = m & ~masks[lsb.bit_length() - 1]
         if rest:
-            total += _subsets(rest, k - 1, ok, leaf, charge, weight)
+            total += _subsets(rest, k - 1, masks, leaf, charge, weight)
     return total
 
 
@@ -384,20 +384,22 @@ def canonical_components(pat: ConstraintPattern) -> tuple[int, tuple[ConstraintP
     """(the pieces under no constraint, the canonical form of each connected
     component of the constraint graph), worked out once per pattern.
 
+    ``Equal`` is contracted first: each piece stands for the least piece it
+    must share a square with, and a ``Collinear`` whose ends merge is dropped
+    (a square is collinear with itself along every slope).
+
     A component on k pieces has as canonical form the least of its sorted,
-    duplicate-free constraint lists, each constraint read as (i, j, c, d)
-    with an ``Equal`` as slope (0, 0), over every element of ``D4`` applied
-    to its slopes and every relabelling of its pieces as 1..k that numbers
-    them in order of degree.  A relabelling or a board symmetry keeps every
-    piece's degree, so isomorphic components get one form.  The components
-    are listed in order of their forms.
+    duplicate-free constraint lists, each constraint read as (i, j, c, d),
+    over every element of ``D4`` applied to its slopes and every relabelling
+    of its pieces as 1..k that numbers them in order of degree.  A relabelling
+    or a board symmetry keeps every piece's degree, so isomorphic components
+    get one form.  The components are listed in order of their forms.
     """
-    constraints = list(dict.fromkeys(pat.constraints))
-    component_of = {p: {p} for c in constraints for p in (c.i, c.j)}
-    for c in constraints:
-        merged = component_of[c.i] | component_of[c.j]
-        for p in merged:
-            component_of[p] = merged
+    same = _linked([c for c in pat.constraints if isinstance(c, Equal)])
+    least = {p: min(same.get(p, (p,))) for p in range(1, pat.piece_count + 1)}
+    mapped = ((c, sorted((least[c.i], least[c.j]))) for c in pat.constraints if isinstance(c, Collinear))
+    constraints = list(dict.fromkeys(Collinear(i, j, c.slope) for c, (i, j) in mapped if i < j))
+    component_of = _linked(constraints)
     forms = []
     for component in {frozenset(pieces) for pieces in component_of.values()}:
         own = [c for c in constraints if c.i in component]
@@ -410,26 +412,26 @@ def canonical_components(pat: ConstraintPattern) -> tuple[int, tuple[ConstraintP
         ends = [(c.i, c.j) for c in own]
         forms.append((len(component), min(
             tuple(sorted(
-                (label[i], label[j], *image) if label[i] < label[j] else (label[j], label[i], *image)
-                for (i, j), image in zip(ends, images)
+                (label[i], label[j], m.c, m.d) if label[i] < label[j] else (label[j], label[i], m.c, m.d)
+                for (i, j), m in zip(ends, images)
             ))
-            for images in ([_slope_key(g, c) for c in own] for g in D4)
+            for images in ([_image(g, c.slope) for c in own] for g in D4)
             for label in labellings
         )))
-    return pat.piece_count - len(component_of), tuple(
-        ConstraintPattern(k, tuple(
-            Equal(i, j) if (c, d) == (0, 0) else Collinear(i, j, Move(c, d)) for i, j, c, d in form
-        ))
+    return len(set(least.values())) - len(component_of), tuple(
+        ConstraintPattern(k, tuple(Collinear(i, j, Move(c, d)) for i, j, c, d in form))
         for k, form in sorted(forms)
     )
 
 
-def _slope_key(g: tuple[int, int, int, int], c: Constraint) -> tuple[int, int]:
-    """The slope of c after the board symmetry g, as (c, d); (0, 0) for an ``Equal``."""
-    if isinstance(c, Equal):
-        return 0, 0
-    m = _image(g, c.slope)
-    return m.c, m.d
+def _linked(constraints: list[Constraint]) -> dict[int, set[int]]:
+    """Each piece on a constraint -> the set of pieces a chain of them links it to."""
+    linked = {p: {p} for c in constraints for p in (c.i, c.j)}
+    for c in constraints:
+        merged = linked[c.i] | linked[c.j]
+        for p in merged:
+            linked[p] = merged
+    return linked
 
 
 @functools.cache
@@ -442,16 +444,15 @@ def _component_count(comp: ConstraintPattern, n: int) -> int:
     Tables are dicts that hold only the nonzero squares (at the start, every
     square with weight 1).  Pieces are taken fewest constraints first.  One
     with no constraint left multiplies the total by the sum of its table.
-    One with a single constraint left carries its table into the other
-    piece: an ``Equal`` passes it on unchanged, a ``Collinear`` gives each
-    square the table's sum over that square's line of the slope, and the
-    other piece keeps only the squares that receive something.  One with two
-    or more (only cycles and repeated pairs leave such a piece) is fixed on
-    each square s of its table in turn and carries {s: 1}, which leaves each
-    neighbour one line; the rest is folded the same way.
+    One with a single constraint left carries its table into the other piece:
+    each square gets the table's sum over its line of the slope, and the other
+    piece keeps only the squares that receive something.  One with two or more
+    (only cycles and repeated pairs leave such a piece) is fixed on each square
+    s of its table in turn and carries {s: 1}, which leaves each neighbour one
+    line; the rest is folded the same way.
     """
     lines = {}  # slope -> (its board lines, the index of the line through each square)
-    for slope in {c.slope for c in comp.constraints if isinstance(c, Collinear)}:
+    for slope in {c.slope for c in comp.constraints}:
         board_lines = _board_lines(slope, n)
         line_of = [0] * (n * n)
         for k, line in enumerate(board_lines):
@@ -463,16 +464,11 @@ def _component_count(comp: ConstraintPattern, n: int) -> int:
     return _fold(lines, dict.fromkeys(range(1, comp.piece_count + 1), everywhere), list(comp.constraints))
 
 
-def _carry(lines: dict, table: dict[int, int], piece: int, c: Constraint, tables: dict[int, dict[int, int]]) -> None:
+def _carry(lines: dict, table: dict[int, int], piece: int, c: Collinear, tables: dict[int, dict[int, int]]) -> None:
     """Multiply the table of the piece at c's other end by ``table`` carried
     across c; ``lines`` is ``_component_count``'s line index per slope."""
     other = c.i + c.j - piece
     into = tables[other]
-    if isinstance(c, Equal):
-        if len(table) < len(into):
-            table, into = into, table
-        tables[other] = {s: ways * table[s] for s, ways in into.items() if s in table}
-        return
     board_lines, line_of = lines[c.slope]
     sums: dict[int, int] = {}
     for s, ways in table.items():
@@ -485,7 +481,7 @@ def _carry(lines: dict, table: dict[int, int], piece: int, c: Constraint, tables
         tables[other] = {s: ways * sums[line_of[s]] for s, ways in into.items() if line_of[s] in sums}
 
 
-def _fold(lines: dict, tables: dict[int, dict[int, int]], constraints: list[Constraint]) -> int:
+def _fold(lines: dict, tables: dict[int, dict[int, int]], constraints: list[Collinear]) -> int:
     """The number of ways to place every piece of ``tables`` under ``constraints``
     (see ``_component_count``)."""
     total = 1

@@ -8,6 +8,7 @@ import pytest
 
 import qqueens
 
+from conftest import cyclic_garbage
 from qqueens.cli import main
 from qqueens.cache import ENV_VAR
 
@@ -403,6 +404,41 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "count", "--piece", "1,0", "--q", "2", "--n", "1..3")
     assert code == 0
     assert cache_file.exists()
+
+
+def test_cache_env_var_is_read_at_each_call(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process, so the variable must not be its default
+    for name in ("first.jsonl", "second.jsonl"):
+        cache_file = tmp_path / name
+        monkeypatch.setenv(ENV_VAR, str(cache_file))
+        code, _, _ = run_cli(capsys, "count", "--piece", "1,0", "--q", "2", "--n", "1..3")
+        assert code == 0
+        assert cache_file.exists()
+
+
+def test_empty_cache_flag_overrides_the_env_var(tmp_path, capsys, monkeypatch):
+    cache_file = tmp_path / "env_cache.jsonl"
+    monkeypatch.setenv(ENV_VAR, str(cache_file))
+    code, _, _ = run_cli(capsys, "count", "--piece", "1,0", "--q", "2", "--n", "1..3", "--cache", "")
+    assert code == 0
+    assert not cache_file.exists()
+
+
+def test_cache_env_var_that_cannot_be_opened_names_its_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(ENV_VAR, str(tmp_path))
+    code, out, err = run_cli(capsys, "count", "--piece", "2,2", "--q", "2", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot open --cache {tmp_path}: ")
+
+
+def test_repeated_count_leaves_no_cyclic_garbage(capsys, monkeypatch):
+    # the parser is built once and kept, not rebuilt as garbage at each call
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    argv = ["count", "--piece", "2,2", "--q", "3", "--n", "1..4"]
+    assert main(argv) == 0
+    assert cyclic_garbage(lambda: main(argv)) == []
+    capsys.readouterr()
 
 
 def test_verify_exit_nonzero_on_failure(monkeypatch, capsys):

@@ -482,6 +482,30 @@ def test_triangle_relabelling_and_reflection_share_one_component_count():
     assert counts == [single, single, single, single * single]
 
 
+def test_equal_pieces_contract_into_one():
+    slope = Move(1, 2)
+    chained = pattern(3, Equal(1, 2), Collinear(2, 3, slope))
+    assert canonical_components(chained) == canonical_components(pattern(2, Collinear(1, 2, slope)))
+    _component_count.cache_clear()
+    assert count_pattern(chained, 4) == count_pattern(pattern(2, Collinear(1, 2, slope)), 4)
+    assert _component_count.cache_info().currsize == 1
+
+
+def test_equal_chain_is_one_free_piece():
+    chain = pattern(3, Equal(1, 2), Equal(2, 3))
+    assert canonical_components(chain) == (1, ())
+    _component_count.cache_clear()
+    assert count_pattern(chain, 4) == 16
+    assert _component_count.cache_info().misses == 0
+
+
+@given(constraint_patterns())
+@settings(max_examples=60)
+def test_canonical_components_hold_no_equal(pat):
+    _, components = canonical_components(pat)
+    assert all(isinstance(c, Collinear) for comp in components for c in comp.constraints)
+
+
 def test_single_move_symmetry_horizontal_vs_vertical():
     # one orthogonal move: the horizontal and vertical choices count alike
     horizontal = MoveSet.from_pairs([(1, 0)])
