@@ -8,10 +8,17 @@ count is not a decimal string, are skipped with a warning, never
 trusted.  A key repeated with the same count is accepted; a key repeated
 with a different count raises ``CacheConflictError``, since neither
 record can be trusted over the other.
+
+Every load reads and checks the whole file.  Within one process each
+distinct line is parsed once: ``_record`` is memoised on the line's exact
+bytes, so a later load of the same file (or of another file holding that
+line) reuses the parse, while a line rewritten in place is parsed afresh
+and a corrupt line, whose parse raises, warns on every load.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -33,6 +40,38 @@ class CacheAccessError(Exception):
     its path and the operating system's reason."""
 
 
+@functools.cache
+def _record(line: bytes) -> tuple[Key, int]:
+    """The key and count of one cache line; raises ``ValueError``,
+    ``KeyError`` or ``TypeError`` if the line is corrupt.
+
+    Memoised on the line's exact bytes for the life of the process, one
+    entry per distinct valid line read, the same order of size as the
+    entries of the caches that read it.  A raised error is not memoised."""
+    obj = json.loads(line.decode("utf-8"))
+    pairs = tuple(map(tuple, obj["moves"]))
+    if all(type(x) is int for pair in pairs for x in pair):
+        moves_key = _moves_key(pairs)
+    else:
+        moves_key = MoveSet.from_pairs(obj["moves"]).canonical_key()
+    q, n, count = obj["q"], obj["n"], obj["count"]
+    if type(q) is not int or type(n) is not int:
+        raise ValueError(f"q {q!r} and n {n!r} must be integers")
+    if not (isinstance(count, str) and count.isascii() and count.isdigit()):
+        raise ValueError(f"count {count!r} is not a decimal string")
+    return (moves_key, q, n), int(count)
+
+
+@functools.cache
+def _moves_key(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """The canonical key of a move list, each distinct list validated once.
+
+    Only lists of exact ints may be passed: ``(True, 0)`` and ``(1.0, 0)``
+    equal ``(1, 0)`` and hash alike, so they would be served the key made
+    for ``[1, 0]`` without being checked."""
+    return MoveSet.from_pairs(pairs).canonical_key()
+
+
 class CountCache:
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
@@ -43,29 +82,12 @@ class CountCache:
         if not self.path.exists():
             return
         first_line: dict[Key, int] = {}
-        # a line's move pairs -> their canonical key, so each distinct move
-        # list is validated once per load.  Only pairs of exact ints are
-        # stored (``from_pairs`` accepts nothing else) or looked up, so
-        # [true, 0] or [1.0, 0] never hits the entry that [1, 0] made.
-        move_keys: dict[tuple, tuple[tuple[int, int], ...]] = {}
         with self._open("rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    obj = json.loads(line.decode("utf-8"))
-                    pairs = tuple(map(tuple, obj["moves"]))
-                    exact = all(type(x) is int for pair in pairs for x in pair)
-                    moves_key = move_keys.get(pairs) if exact else None
-                    if moves_key is None:
-                        moves_key = move_keys[pairs] = MoveSet.from_pairs(obj["moves"]).canonical_key()
-                    q, n, count = obj["q"], obj["n"], obj["count"]
-                    if type(q) is not int or type(n) is not int:
-                        raise ValueError(f"q {q!r} and n {n!r} must be integers")
-                    if not (isinstance(count, str) and count.isascii() and count.isdigit()):
-                        raise ValueError(f"count {count!r} is not a decimal string")
-                    key = (moves_key, q, n)
-                    count = int(count)
+                    key, count = _record(line)
                 except (ValueError, KeyError, TypeError) as err:
                     print(
                         f"warning: skipping corrupt cache line {lineno} in {self.path}: {err}",
@@ -75,8 +97,9 @@ class CountCache:
                 known = self._entries.setdefault(key, count)
                 first = first_line.setdefault(key, lineno)
                 if known != count:
+                    moves, q, n = key
                     raise CacheConflictError(
-                        f"{self.path}: moves {[list(cd) for cd in key[0]]}, q={q}, n={n} "
+                        f"{self.path}: moves {[list(cd) for cd in moves]}, q={q}, n={n} "
                         f"has count {known} on line {first} and {count} on line {lineno}"
                     )
 

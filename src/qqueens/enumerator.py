@@ -98,11 +98,18 @@ class AttackTable:
         for m in moves:
             for squares in _board_lines(m, n):
                 if len(squares) > 1:
-                    line = sum(1 << i for i in squares)
+                    line = _line_mask(squares)
                     lines.append(line)
                     for i in squares:
                         masks[i] |= line
         return cls(tuple(masks), tuple(lines))
+
+
+def _line_mask(squares: range) -> int:
+    """The bitset of a line's squares: a base-2^step repunit of one digit per
+    square, shifted to the lowest square (the range may step downwards)."""
+    step = abs(squares.step)
+    return ((1 << step * len(squares)) - 1) // ((1 << step) - 1) << min(squares[0], squares[-1])
 
 
 def _board_lines(slope: Move, n: int) -> list[range]:

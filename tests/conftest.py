@@ -2,9 +2,12 @@
 
 import gc
 import itertools
+import json
 import math
+import sys
 from fractions import Fraction
 
+from qqueens.cache import CacheConflictError
 from qqueens.core import MoveSet, Square, attacks
 
 
@@ -53,6 +56,47 @@ def naive_board_lines(slope, n: int) -> tuple[tuple[int, ...], ...]:
                 x, y = x + slope.c, y + slope.d
             lines.append(tuple(squares))
     return tuple(lines)
+
+
+def naive_cache_load(path) -> dict:
+    """The count cache's entries as a fresh line-by-line parse reads them:
+    every line decoded, parsed and checked anew, corrupt lines skipped with
+    ``CountCache``'s warning, a conflicting count raising its
+    ``CacheConflictError``.  A path that does not exist holds no entries."""
+    entries, first_line, move_keys = {}, {}, {}
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return entries
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line.decode("utf-8"))
+                pairs = tuple(map(tuple, obj["moves"]))
+                exact = all(type(x) is int for pair in pairs for x in pair)
+                moves_key = move_keys.get(pairs) if exact else None
+                if moves_key is None:
+                    moves_key = move_keys[pairs] = MoveSet.from_pairs(obj["moves"]).canonical_key()
+                q, n, count = obj["q"], obj["n"], obj["count"]
+                if type(q) is not int or type(n) is not int:
+                    raise ValueError(f"q {q!r} and n {n!r} must be integers")
+                if not (isinstance(count, str) and count.isascii() and count.isdigit()):
+                    raise ValueError(f"count {count!r} is not a decimal string")
+                key = (moves_key, q, n)
+                count = int(count)
+            except (ValueError, KeyError, TypeError) as err:
+                print(f"warning: skipping corrupt cache line {lineno} in {path}: {err}", file=sys.stderr)
+                continue
+            known = entries.setdefault(key, count)
+            first = first_line.setdefault(key, lineno)
+            if known != count:
+                raise CacheConflictError(
+                    f"{path}: moves {[list(cd) for cd in key[0]]}, q={q}, n={n} "
+                    f"has count {known} on line {first} and {count} on line {lineno}"
+                )
+    return entries
 
 
 def naive_count_pattern(pattern, n: int) -> int:

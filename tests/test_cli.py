@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,12 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qqueens
 
-from conftest import cyclic_garbage
+from conftest import cyclic_garbage, naive_cache_load
 from qqueens.cli import main
-from qqueens.cache import ENV_VAR
+from qqueens.cache import ENV_VAR, CacheConflictError, CountCache
+from qqueens.core import MoveSet
 
 
 def run_cli(capsys, *argv):
@@ -338,7 +342,7 @@ def test_cache_line_with_non_integer_fields_skipped(tmp_path, capsys, record):
 
 
 def test_cache_line_equal_to_a_valid_one_but_not_integer_skipped(tmp_path, capsys):
-    # each distinct move list is validated once per load; [true, 0] and
+    # each distinct move list is validated once per process; [true, 0] and
     # [1.0, 0] compare equal to [1, 0], read earlier, and must still be checked
     cache_file = tmp_path / "counts.jsonl"
     cache_file.write_text(
@@ -396,6 +400,108 @@ def test_cache_identical_duplicate_records_accepted(tmp_path, capsys):
     assert code == 0
     assert err == ""
     assert json.loads(out) == [{"n": "2", "count": "999"}]
+
+
+def loaded(load, path):
+    """What one load of ``path`` yields: its entries or its conflict message,
+    and the warnings it printed."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            result = load(path)
+        except CacheConflictError as conflict:
+            result = str(conflict)
+    return result, err.getvalue()
+
+
+# Move lists drawn in several orders and signs; each key's true count is
+# q * 100 + n, so a record's count differs only when a conflict is drawn.
+CACHE_MOVES = ([[1, 0]], [[-1, 0]], [[0, 1], [1, 0]], [[1, 0], [0, 1]], [[1, 1], [1, -1]], [[1, -1], [-1, -1]])
+CORRUPT_LINES = (
+    b"\xff\n",
+    b'{"moves": [[true, 0]], "q": 2, "n": 1, "count": "201"}\n',
+    b'{"moves": [[1.0, 0]], "q": 2, "n": 1, "count": "201"}\n',
+    b'{"moves": [[1, 0]], "q": 2.0, "n": 1, "count": "201"}\n',
+    b'{"moves": [[1, 0]], "q": 2, "n": 1, "count": 999}\n',
+    b'{"moves": [[1, 0]], "q": 2, "n": 1, "count": "-1"}\n',
+    b'{"moves": [1, 0], "q": 2, "n": 1, "count": "201"}\n',
+    b"not json\n",
+    b"\n",
+)
+valid_lines = st.builds(
+    lambda moves, q, n, conflict: (
+        json.dumps({"moves": moves, "q": q, "n": n, "count": str(q * 100 + n + conflict)}) + "\n"
+    ).encode(),
+    st.sampled_from(CACHE_MOVES),
+    st.integers(2, 3),
+    st.integers(1, 3),
+    st.sampled_from((0,) * 7 + (1,)),
+)
+
+
+@given(st.lists(st.one_of(valid_lines, valid_lines, st.sampled_from(CORRUPT_LINES)), max_size=12))
+@settings(deadline=None)
+def test_cache_loads_match_a_fresh_parse(tmp_path_factory, lines):
+    # both loads of a file in one process agree with a parse that keeps
+    # nothing between loads: entries, warnings and conflict messages
+    path = tmp_path_factory.mktemp("cache") / "counts.jsonl"
+    path.write_bytes(b"".join(lines))
+    expected = loaded(naive_cache_load, path)
+    for _ in range(2):
+        result, err = loaded(lambda p: CountCache(p)._entries, path)
+        assert (result, err) == expected
+
+
+RECORD = '{{"moves": [[1, 0]], "q": 2, "n": {n}, "count": "{count}"}}\n'
+
+
+def test_cache_line_rewritten_in_place_is_read_again(tmp_path):
+    path = tmp_path / "counts.jsonl"
+    path.write_text(RECORD.format(n=2, count=4) + RECORD.format(n=3, count=18))
+    moves = MoveSet.from_pairs([[1, 0]])
+    assert CountCache(path).get(moves, 2, 3) == 18
+    path.write_text(RECORD.format(n=2, count=4) + RECORD.format(n=3, count=19))
+    assert CountCache(path).get(moves, 2, 3) == 19
+
+
+def test_cache_conflict_appended_after_a_warm_load_exits_1(tmp_path, capsys):
+    path = tmp_path / "counts.jsonl"
+    path.write_text(RECORD.format(n=2, count=4))
+    args = ["count", "--moves", "[[1,0]]", "--q", "2", "--n", "2", "--cache", str(path)]
+    assert run_cli(capsys, *args)[0] == 0
+    with path.open("a") as fh:
+        fh.write(RECORD.format(n=2, count=5))
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert "has count 4 on line 1 and 5 on line 2" in err
+
+
+def test_cache_corrupt_line_warns_on_every_load(tmp_path, capsys):
+    path = tmp_path / "counts.jsonl"
+    path.write_text(RECORD.format(n=2, count=4) + RECORD.format(n=3, count="-1"))
+    args = ["count", "--moves", "[[1,0]]", "--q", "2", "--n", "2", "--cache", str(path)]
+    for _ in range(2):
+        code, _, err = run_cli(capsys, *args)
+        assert code == 0
+        assert "skipping corrupt cache line 2" in err
+
+
+@pytest.mark.parametrize("moves", ["[[true, 0]]", "[[1.0, 0]]"])
+def test_cache_move_list_equal_to_one_read_earlier_is_still_checked(tmp_path, capsys, moves):
+    # [true, 0] and [1.0, 0] equal [1, 0], which a load earlier in the
+    # process read, and must not be served its checked key
+    valid = tmp_path / "valid.jsonl"
+    valid.write_text(RECORD.format(n=2, count=4))
+    assert len(CountCache(valid)) == 1
+    path = tmp_path / "counts.jsonl"
+    path.write_text(f'{{"moves": {moves}, "q": 2, "n": 3, "count": "999"}}\n')
+    code, out, err = run_cli(
+        capsys, "count", "--moves", "[[1,0]]", "--q", "2", "--n", "3", "--cache", str(path), "--format", "json"
+    )
+    assert code == 0
+    assert "skipping corrupt cache line 1" in err
+    assert json.loads(out) == [{"n": "3", "count": "27"}]
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

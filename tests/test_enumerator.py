@@ -21,6 +21,7 @@ from qqueens.enumerator import (
     Equal,
     _board_lines,
     _component_count,
+    _line_mask,
     canonical_components,
     count_pattern,
     count_unlabelled,
@@ -211,6 +212,21 @@ def test_rider_line_lengths_match_naive_pair_count(slope):
 @settings(deadline=None)
 def test_board_lines_match_naive_walk(slope, n):
     assert [tuple(r) for r in _board_lines(slope, n)] == list(naive_board_lines(slope, n))
+
+
+@given(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    .filter(lambda v: math.gcd(*v) == 1)
+    .map(lambda v: Move.from_vector(*v)),
+    st.integers(0, 9),
+)
+# (1, -1) lines step down by n - 1 squares: the lowest square is the last
+@example(Move(1, -1), 5)
+@example(Move(2, -1), 4)
+@settings(deadline=None)
+def test_line_mask_is_the_sum_of_its_squares(slope, n):
+    for squares in _board_lines(slope, n):
+        assert _line_mask(squares) == sum(1 << i for i in squares)
 
 
 def test_alpha_examples():
