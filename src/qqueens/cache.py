@@ -14,6 +14,9 @@ distinct line is parsed once: ``_record`` is memoised on the line's exact
 bytes, so a later load of the same file (or of another file holding that
 line) reuses the parse, while a line rewritten in place is parsed afresh
 and a corrupt line, whose parse raises, warns on every load.
+
+``put`` holds a new record in memory and ``flush`` appends the records held
+in one write; ``enumerator.sequence`` flushes once per call.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ class CountCache:
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self._entries: dict[Key, int] = {}
+        self._pending: list[bytes] = []  # lines put since the last flush
         self._load()
 
     def _load(self) -> None:
@@ -107,6 +111,7 @@ class CountCache:
         return self._entries.get((moves.canonical_key(), q, n))
 
     def put(self, moves: MoveSet, q: int, n: int, count: int) -> None:
+        """Hold a new record; ``flush`` appends it to the file."""
         key = (moves.canonical_key(), q, n)
         if key in self._entries:
             return
@@ -114,8 +119,15 @@ class CountCache:
         line = json.dumps(
             {"moves": [list(cd) for cd in key[0]], "q": q, "n": n, "count": str(count)}
         )
+        self._pending.append(line.encode("utf-8") + b"\n")
+
+    def flush(self) -> None:
+        """Append the records held since the last flush, in one write."""
+        if not self._pending:
+            return
         with self._open("ab") as fh:
-            fh.write(line.encode("utf-8") + b"\n")
+            fh.write(b"".join(self._pending))
+        self._pending.clear()
 
     def _open(self, mode: str):
         """The cache file opened in binary ``mode``, its directory made if

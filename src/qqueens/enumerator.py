@@ -17,10 +17,13 @@ identities.
   where T counts the triangles on three distinct slopes.  For each triple
   of slopes those are the scaled copies of one primitive triangle, one
   big-integer AND of shifted copies of S per scale (see
-  ``_triangle_steps``).  The leaf reads deg v off S & (attack mask of v),
-  one popcount per square, and C(c_L, j) off one popcount per board line
-  (about 6n for the queen).  So the last three pieces cost one leaf
-  evaluation, and q = 2 and q = 3 are read off the full board.
+  ``_triangle_steps``).  On the full board c_L is the length of L and deg v
+  the sum of (length - 1) over the lines through v, so q = 2 and q = 3 are
+  read off the line lengths of ``_board_lines``, with no attack masks.  For
+  q >= 4 the leaf reads deg v off S & (attack mask of v), one popcount per
+  square, and C(c_L, j) off one popcount per board line (about 6n for the
+  queen), so the last three pieces cost one leaf evaluation.  The attack
+  masks and the leaf serve q >= 4 only.
 * Board symmetry.  Each nonattacking q-set is counted once from each of its
   squares, so u(q) = (1/q) sum_s N_{q-1}(T_s), where T_s holds the squares
   that s does not attack and N_k counts nonattacking k-subsets.  A symmetry
@@ -209,13 +212,13 @@ def _triangle_steps(moves: MoveSet, n: int) -> tuple[tuple[int, int, int], ...]:
 def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of q-subsets of distinct squares of the n x n board, pairwise nonattacking.
 
-    One leaf evaluation counts the nonattacking k-subsets (k <= 3) of an
-    allowed set S: C(N, 2) - E pairs, and
-    C(N, 3) - E (N - 2) + 2 sum_L C(c_L, 3) + X - T triples (the module
-    docstring defines the terms).  q = 2 and q = 3 are one leaf on the full
-    board.  For q >= 4 the first piece runs over one square per
+    q = 2 and q = 3 are read off the board's line lengths
+    (``_pairs_and_triples``), with no attack table.  The attack masks and the
+    leaf serve q >= 4 only: the first piece runs over one square per
     board-symmetry orbit, any middle pieces run in increasing index order,
-    and the leaf counts the last three.
+    and one leaf evaluation counts the last three, the
+    C(N, 3) - E (N - 2) + 2 sum_L C(c_L, 3) + X - T nonattacking triples of
+    the allowed set S (the module docstring defines the terms).
 
     Raises ``BudgetExceededError`` once the search passes ``budget`` nodes
     (see there for what a node is).
@@ -228,6 +231,8 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
         return 0
     if q == 1:
         return n * n
+    if q <= 3:
+        return _pairs_and_triples(moves, q, n, budget)
     size = n * n
     full = (1 << size) - 1
     table = AttackTable.build(moves, n)
@@ -245,7 +250,7 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
     c2 = [j * (j - 1) // 2 for j in range(n + 1)]
     c3 = [j * (j - 1) * (j - 2) // 6 for j in range(n + 1)]
     wedges_at = [(d - 1) * (d - 2) // 2 for d in range(len(moves) * (n - 1) + 2)]
-    steps = _triangle_steps(moves, n) if q >= 3 else ()
+    steps = _triangle_steps(moves, n)
     nodes = 0
     weight = 1  # size of the first square's orbit: every node found stands for this many
 
@@ -255,11 +260,11 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
         if nodes > budget:
             raise BudgetExceededError(nodes, budget)
 
-    def leaf(allowed: int, k: int, pair_nodes: int) -> int:
-        """Nonattacking k-subsets of ``allowed`` (k = 2 or 3), by line occupancy.
+    def leaf(allowed: int) -> int:
+        """Nonattacking triples of ``allowed``, by line occupancy.
 
-        Charges ``weight`` nodes per square of ``allowed`` and ``pair_nodes``
-        per nonattacking pair in it: the nodes a piece-by-piece search would
+        Charges ``weight`` nodes per square of ``allowed`` and per
+        nonattacking pair in it: the nodes a piece-by-piece search would
         visit placing pieces into ``allowed``.
         """
         count = allowed.bit_count()
@@ -269,10 +274,7 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
         low = (allowed & -allowed).bit_length() - 1
         on_lines = list(map(int.bit_count, map(allowed.__and__, lines[start[low]:])))
         attacking = sum(map(c2.__getitem__, on_lines))
-        pairs = count * (count - 1) // 2 - attacking
-        charge(weight * count + pair_nodes * pairs)
-        if k == 2:
-            return pairs
+        charge(weight * (count + count * (count - 1) // 2 - attacking))
         # wedges = sum_v C(deg v, 2) = 3 sum_L C(c_L, 3) + X, over the attack
         # masks of the squares of ``allowed``, picked by its binary digits
         members = itertools.compress(masks, map("1".__eq__, bin(allowed)[:1:-1]))
@@ -281,11 +283,6 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
         collinear = sum(map(c3.__getitem__, on_lines))
         skew = sum((allowed & allowed >> o1 & allowed >> o2 & mask).bit_count() for o1, o2, mask in steps)
         return math.comb(count, 3) - attacking * (count - 2) + wedges - collinear - skew
-
-    if q == 2:
-        return leaf(full, 2, 0)
-    if q == 3:
-        return leaf(full, 3, 2)  # each pair is a node once per choice of first piece
 
     total = 0
     for s, weight in _orbits(symmetry_group(moves), n):
@@ -298,13 +295,41 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
     return total // q
 
 
+def _pairs_and_triples(moves: MoveSet, q: int, n: int, budget: int) -> int:
+    """``count_unlabelled`` for q = 2 or 3 and n >= 1: the module docstring's
+    identities on the full board, each c_L the length of L.  Charges N = n^2
+    nodes, and for q = 3 two more per nonattacking pair (one per choice of
+    its first piece)."""
+    size = n * n
+    attacking = collinear = 0
+    degree = [0] * size
+    for slope in moves:
+        for line in _board_lines(slope, n):
+            j = len(line)
+            attacking += j * (j - 1) // 2
+            collinear += j * (j - 1) * (j - 2) // 6
+            if q == 3 and j > 1:
+                for i in line:
+                    degree[i] += j - 1
+    pairs = size * (size - 1) // 2 - attacking
+    nodes = size + 2 * pairs if q == 3 else size
+    if nodes > budget:
+        raise BudgetExceededError(nodes, budget)
+    if q == 2:
+        return pairs
+    full = (1 << size) - 1  # a triangle's anchor needs its other two vertices below bit size
+    skew = sum((mask & full >> max(o1, o2)).bit_count() for o1, o2, mask in _triangle_steps(moves, n))
+    wedges = sum(d * (d - 1) for d in degree) // 2
+    return math.comb(size, 3) - attacking * (size - 2) + wedges - collinear - skew
+
+
 def _subsets(allowed: int, k: int, masks: tuple[int, ...], leaf, charge, weight: int) -> int:
     """Nonattacking k-subsets of ``allowed`` (k >= 3), lowest square first:
     ``count_unlabelled``'s middle pieces, with its attack ``masks``, ``leaf``
     and ``charge``, and ``weight`` nodes per square placed.  Squares are taken
     lowest first, so those left in ``m`` all lie above the one placed."""
     if k == 3:
-        return leaf(allowed, 3, weight)
+        return leaf(allowed)
     total = 0
     m = allowed
     while m:
@@ -524,20 +549,26 @@ def sequence(
     deterministic.
 
     A budget error propagates with the samples completed before it attached.
+    The new counts go to the cache in one append at the end, also when a
+    budget error ends the run.
     """
     if n_lo > n_hi:
         raise ValueError("empty range")
     if n_lo < 0:
         raise ValueError("n must be >= 0")
     samples = []
-    for n in range(n_lo, n_hi + 1):
-        count = cache.get(moves, q, n) if cache is not None else None
-        if count is None:
-            try:
-                count = count_unlabelled(moves, q, n, budget=budget)
-            except BudgetExceededError as err:
-                raise BudgetExceededError(err.nodes, err.budget, tuple(samples)) from err
-            if cache is not None:
-                cache.put(moves, q, n, count)
-        samples.append((n, count))
+    try:
+        for n in range(n_lo, n_hi + 1):
+            count = cache.get(moves, q, n) if cache is not None else None
+            if count is None:
+                try:
+                    count = count_unlabelled(moves, q, n, budget=budget)
+                except BudgetExceededError as err:
+                    raise BudgetExceededError(err.nodes, err.budget, tuple(samples)) from err
+                if cache is not None:
+                    cache.put(moves, q, n, count)
+            samples.append((n, count))
+    finally:
+        if cache is not None:
+            cache.flush()
     return samples

@@ -127,6 +127,42 @@ def test_many_slope_riders_match_naive_oracle(rider):
         assert count_unlabelled(rider, 4, n) == naive_count_unlabelled(rider, 4, n)
 
 
+def _no_attack_table(moves, n):
+    raise AssertionError("q <= 3 must not build an attack table")
+
+
+@given(
+    st.lists(st.sampled_from(CANONICAL_MOVES), min_size=1, max_size=5, unique=True),
+    st.integers(2, 3),
+    st.integers(0, 7),
+)
+@example([Move(1, 2), Move(2, 1), Move(1, -2), Move(2, -1)], 3, 7)  # the nightrider
+@example([Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1), Move(1, 2)], 3, 7)
+@settings(deadline=None, max_examples=60)
+def test_two_and_three_pieces_from_line_lengths_match_naive_oracle(moves, q, n):
+    rider = MoveSet(tuple(moves))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AttackTable, "build", _no_attack_table)
+        count = count_unlabelled(rider, q, n)
+    assert count == naive_count_unlabelled(rider, q, n)
+
+
+@given(
+    st.lists(st.sampled_from(CANONICAL_MOVES), min_size=1, max_size=5, unique=True),
+    st.integers(2, 3),
+    st.integers(1, 12),
+)
+@settings(deadline=None)
+def test_two_and_three_piece_budget_is_the_search_nodes(moves, q, n):
+    # n^2 first squares, and for q = 3 each nonattacking pair once per choice of first piece
+    rider = MoveSet(tuple(moves))
+    nodes = n * n + (2 * count_unlabelled(rider, 2, n) if q == 3 else 0)
+    count_unlabelled(rider, q, n, budget=nodes)
+    with pytest.raises(BudgetExceededError) as exc:
+        count_unlabelled(rider, q, n, budget=nodes - 1)
+    assert (exc.value.nodes, exc.value.budget) == (nodes, nodes - 1)
+
+
 def test_count_labelled_matches_naive_permutation_count():
     # the q! relation is checked against an independent ordered enumeration
     for spec in (PartialQueenSpec(2, 2), PartialQueenSpec(1, 1)):
@@ -377,6 +413,26 @@ def test_oracle_rejects_negative_n(tmp_path):
     seeded.write_text(json.dumps({"moves": [[1, 0], [0, 1], [1, 1], [1, -1]], "q": 2, "n": -2, "count": "6"}) + "\n")
     with pytest.raises(ValueError, match="n must be >= 0"):
         sequence(QUEEN, 2, -2, -2, cache=CountCache(seeded))
+
+
+def test_sequence_appends_once_and_keeps_the_samples_before_a_budget_stop(tmp_path, monkeypatch):
+    from qqueens.cache import CountCache
+
+    path = tmp_path / "counts.jsonl"
+    opens = []
+    real_open = CountCache._open
+    monkeypatch.setattr(CountCache, "_open", lambda self, mode: opens.append(mode) or real_open(self, mode))
+    with pytest.raises(BudgetExceededError) as exc:
+        sequence(QUEEN, 3, 1, 9, budget=2000, cache=CountCache(path))
+    completed = exc.value.completed
+    assert completed and opens == ["ab"]
+    fresh = CountCache(path)
+    assert len(fresh) == len(completed)
+    assert [(n, fresh.get(QUEEN, 3, n)) for n, _ in completed] == list(completed)
+    # a warm rerun over the completed sizes appends nothing
+    opens.clear()
+    assert sequence(QUEEN, 3, 1, len(completed), cache=CountCache(path)) == list(completed)
+    assert opens == ["rb"]
 
 
 def test_equal_patterns_built_apart_share_one_count():
