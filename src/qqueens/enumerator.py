@@ -15,11 +15,13 @@ identities.
   (c_L - 1)(c_L' - 1) over the pairs of lines through each square of S.
   So the triples number C(N, 3) - E (N - 2) + 2 sum_L C(c_L, 3) + X - T,
   where T counts the triangles on three distinct slopes.  For each triple
-  of slopes those are the scaled copies of one primitive triangle, one
-  big-integer AND of shifted copies of S per scale (see
-  ``_triangle_steps``).  On the full board c_L is the length of L and deg v
-  the sum of (length - 1) over the lines through v, so q = 2 and q = 3 are
-  read off the line lengths of ``_board_lines``, with no attack masks.  For
+  of slopes those are the scaled copies of one primitive triangle
+  (``_triangle_shapes``): one big-integer AND of shifted copies of S per
+  scale, and on the full board (n - w)(n - h) copies of a shape w wide and
+  h high.  On the full board c_L is the length of L and deg v the sum of
+  (length - 1) over the lines through v, so q = 2 and q = 3 are read off
+  the line lengths of ``_board_lines`` and the triangle shapes, with no
+  attack masks.  For
   q >= 4 the leaf reads deg v off S & (attack mask of v), one popcount per
   square, and C(c_L, j) off one popcount per board line (about 6n for the
   queen), so the last three pieces cost one leaf evaluation.  The attack
@@ -41,7 +43,10 @@ one, and the count is the product of the counts of the connected components
 of the ``Collinear`` graph left, n^2 for a piece under no constraint.  Each
 component is counted in a canonical form, the least constraint list over the
 relabellings of its pieces and the eight board symmetries applied to its
-slopes, so isomorphic components share one count per n.  A component is
+slopes, so isomorphic components share one count per n.  Forms are worked
+out on plain (i, j, c, d) tuples, once per component shape, and each form
+is one shared ``ConstraintPattern``, so the side-by-side products of the
+audit reuse their factors' forms.  A component is
 folded one piece at a time through sparse per-square tables: a constraint
 carries the table's sums per line to the piece at its other end, and a piece
 on a cycle is fixed on one square at a time, which leaves each of its
@@ -53,6 +58,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -145,10 +151,17 @@ D4 = (
 )
 
 
+def _slope_image(g: tuple[int, int, int, int], c: int, d: int) -> tuple[int, int]:
+    """The slope (c, d) after the board symmetry g, as the sign-canonical pair
+    ``Move`` holds."""
+    a, b, e, f = g
+    x, y = a * c + b * d, e * c + f * d
+    return (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
+
+
 def _image(g: tuple[int, int, int, int], m: Move) -> Move:
     """The slope of m after the board symmetry g."""
-    a, b, c, d = g
-    return Move.from_vector(a * m.c + b * m.d, c * m.c + d * m.d)
+    return Move(*_slope_image(g, m.c, m.d))
 
 
 def symmetry_group(moves: MoveSet) -> tuple[tuple[int, int, int, int], ...]:
@@ -174,20 +187,20 @@ def _orbits(group: tuple[tuple[int, int, int, int], ...], n: int) -> list[tuple[
     return out
 
 
-def _triangle_steps(moves: MoveSet, n: int) -> tuple[tuple[int, int, int], ...]:
-    """One (o1, o2, mask) per triangle shape on the n x n board whose sides lie
-    on three distinct slopes of the move set.
+def _triangle_shapes(moves: MoveSet, n: int) -> list[tuple[int, int, int, int, int]]:
+    """One (o1, o2, lo, w, h) per triangle shape on the n x n board whose sides
+    lie on three distinct slopes of the move set.
 
     For slopes a, b, c, with s = (b x c)/g and t = (a x c)/g (g their gcd),
     s*a - t*b is a multiple of c, so P, P + l*s*a and P + l*t*b (l != 0) is
     such a triangle, and each one arises from exactly one (P, l): P is the
-    vertex where its a and b sides meet.  A step anchors the shape at its
-    lowest-indexed vertex: that vertex has bit i, the others bits i + o1 and
-    i + o2, and ``mask`` keeps the squares whose column leaves all three on
-    the board, so the shifted bitsets do not wrap from one row to the next.
+    vertex where its a and b sides meet.  A shape is anchored at its
+    lowest-indexed vertex: that vertex has index i, the others i + o1 and
+    i + o2.  Its bounding box is w wide and h high (both below n), and the
+    anchor lies lo columns right of the box's left edge, so on the full board
+    the shape has (n - w)(n - h) anchors, in columns lo .. lo + n - w - 1.
     """
-    rows = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit 0 of every row
-    steps = []
+    shapes = []
     for a, b, c in itertools.combinations(moves, 3):
         bc, ac = b.c * c.d - b.d * c.c, a.c * c.d - a.d * c.c
         g = math.gcd(bc, ac)
@@ -197,16 +210,13 @@ def _triangle_steps(moves: MoveSet, n: int) -> tuple[tuple[int, int, int], ...]:
             if scale == 0:
                 continue
             su, tv = scale * s, scale * t
-            (x0, y0), (x1, y1), (x2, y2) = sorted(
-                [(0, 0), (su * a.c, su * a.d), (tv * b.c, tv * b.d)],
-                key=lambda p: (p[1], p[0]),
-            )
-            lo, hi = x0 - min(x0, x1, x2), n - 1 + x0 - max(x0, x1, x2)
-            if lo > hi or max(y1, y2) - y0 >= n:
-                continue
-            o1, o2 = (y1 - y0) * n + x1 - x0, (y2 - y0) * n + x2 - x0
-            steps.append((o1, o2, ((1 << hi + 1) - (1 << lo)) * rows))
-    return tuple(steps)
+            # the vertices as (y, x), so that sorting puts them in index order
+            (y0, x0), (y1, x1), (y2, x2) = sorted([(0, 0), (su * a.d, su * a.c), (tv * b.d, tv * b.c)])
+            left = min(x0, x1, x2)
+            w, h = max(x0, x1, x2) - left, max(y1, y2) - y0
+            if w < n and h < n:
+                shapes.append(((y1 - y0) * n + x1 - x0, (y2 - y0) * n + x2 - x0, x0 - left, w, h))
+    return shapes
 
 
 def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -250,7 +260,11 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
     c2 = [j * (j - 1) // 2 for j in range(n + 1)]
     c3 = [j * (j - 1) * (j - 2) // 6 for j in range(n + 1)]
     wedges_at = [(d - 1) * (d - 2) // 2 for d in range(len(moves) * (n - 1) + 2)]
-    steps = _triangle_steps(moves, n)
+    # each triangle shape as (o1, o2, mask): ``mask`` keeps the anchors whose
+    # column leaves all three vertices on the board, so the shifted bitsets of
+    # the leaf do not wrap from one row to the next
+    rows = ((1 << size) - 1) // ((1 << n) - 1)  # bit 0 of every row
+    steps = [(o1, o2, ((1 << n - w) - 1 << lo) * rows) for o1, o2, lo, w, _ in _triangle_shapes(moves, n)]
     nodes = 0
     weight = 1  # size of the first square's orbit: every node found stands for this many
 
@@ -317,8 +331,7 @@ def _pairs_and_triples(moves: MoveSet, q: int, n: int, budget: int) -> int:
         raise BudgetExceededError(nodes, budget)
     if q == 2:
         return pairs
-    full = (1 << size) - 1  # a triangle's anchor needs its other two vertices below bit size
-    skew = sum((mask & full >> max(o1, o2)).bit_count() for o1, o2, mask in _triangle_steps(moves, n))
+    skew = sum((n - w) * (n - h) for _, _, _, w, h in _triangle_shapes(moves, n))
     wedges = sum(d * (d - 1) for d in degree) // 2
     return math.comb(size, 3) - attacking * (size - 2) + wedges - collinear - skew
 
@@ -425,42 +438,71 @@ def canonical_components(pat: ConstraintPattern) -> tuple[int, tuple[ConstraintP
     over every element of ``D4`` applied to its slopes and every relabelling
     of its pieces as 1..k that numbers them in order of degree.  A relabelling
     or a board symmetry keeps every piece's degree, so isomorphic components
-    get one form.  The components are listed in order of their forms.
+    get one form.  The form depends only on the component's shape, its
+    constraints with the pieces renumbered 1..k in increasing order, so it is
+    worked out once per shape (``_shape_form``), and every component with one
+    form is the same ``ConstraintPattern`` object.  The components are listed
+    in order of their forms.
     """
-    same = _linked([c for c in pat.constraints if isinstance(c, Equal)])
+    same = _linked([(c.i, c.j) for c in pat.constraints if isinstance(c, Equal)])
     least = {p: min(same.get(p, (p,))) for p in range(1, pat.piece_count + 1)}
-    mapped = ((c, sorted((least[c.i], least[c.j]))) for c in pat.constraints if isinstance(c, Collinear))
-    constraints = list(dict.fromkeys(Collinear(i, j, c.slope) for c, (i, j) in mapped if i < j))
-    component_of = _linked(constraints)
+    edges = set()  # (i, j, c, d) per Collinear left, i < j
+    for con in pat.constraints:
+        if isinstance(con, Collinear):
+            i, j = sorted((least[con.i], least[con.j]))
+            if i < j:
+                edges.add((i, j, con.slope.c, con.slope.d))
+    component_of = _linked([(i, j) for i, j, _, _ in edges])
     forms = []
     for component in {frozenset(pieces) for pieces in component_of.values()}:
-        own = [c for c in constraints if c.i in component]
-        degree = {p: sum(p in (c.i, c.j) for c in own) for p in component}
-        groups = [sorted(p for p in component if degree[p] == d) for d in sorted(set(degree.values()))]
-        labellings = [
-            {p: label for label, p in enumerate(itertools.chain.from_iterable(order), 1)}
-            for order in itertools.product(*map(itertools.permutations, groups))
-        ]
-        ends = [(c.i, c.j) for c in own]
-        forms.append((len(component), min(
-            tuple(sorted(
-                (label[i], label[j], m.c, m.d) if label[i] < label[j] else (label[j], label[i], m.c, m.d)
-                for (i, j), m in zip(ends, images)
-            ))
-            for images in ([_image(g, c.slope) for c in own] for g in D4)
-            for label in labellings
-        )))
+        rank = {p: r for r, p in enumerate(sorted(component), 1)}
+        forms.append(_shape_form(len(component), tuple(sorted(
+            (rank[i], rank[j], c, d) for i, j, c, d in edges if i in component
+        ))))
     return len(set(least.values())) - len(component_of), tuple(
-        ConstraintPattern(k, tuple(Collinear(i, j, Move(c, d)) for i, j, c, d in form))
-        for k, form in sorted(forms)
+        comp for _, comp in sorted(forms, key=operator.itemgetter(0))
     )
 
 
-def _linked(constraints: list[Constraint]) -> dict[int, set[int]]:
-    """Each piece on a constraint -> the set of pieces a chain of them links it to."""
-    linked = {p: {p} for c in constraints for p in (c.i, c.j)}
-    for c in constraints:
-        merged = linked[c.i] | linked[c.j]
+@functools.cache
+def _shape_form(k: int, shape: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple, ConstraintPattern]:
+    """((k, canonical form), its ``ConstraintPattern``) of a component on pieces
+    1..k with the constraints (i, j, c, d) of ``shape``; see
+    ``canonical_components``.  Slopes are mapped as plain (c, d) pairs, with
+    no ``Move`` built per image."""
+    degree = [0] * (k + 1)
+    for i, j, _, _ in shape:
+        degree[i] += 1
+        degree[j] += 1
+    groups = [[p for p in range(1, k + 1) if degree[p] == d] for d in sorted(set(degree[1:]))]
+    labellings = [
+        {p: label for label, p in enumerate(itertools.chain.from_iterable(order), 1)}
+        for order in itertools.product(*map(itertools.permutations, groups))
+    ]
+    slopes = {(c, d) for _, _, c, d in shape}
+    images = [{slope: _slope_image(g, *slope) for slope in slopes} for g in D4]
+    form = min(
+        tuple(sorted(
+            (label[i], label[j], *image[c, d]) if label[i] < label[j] else (label[j], label[i], *image[c, d])
+            for i, j, c, d in shape
+        ))
+        for image in images
+        for label in labellings
+    )
+    return (k, form), _form_pattern(k, form)
+
+
+@functools.cache
+def _form_pattern(k: int, form: tuple[tuple[int, int, int, int], ...]) -> ConstraintPattern:
+    """The one ``ConstraintPattern`` of a canonical form."""
+    return ConstraintPattern(k, tuple(Collinear(i, j, Move(c, d)) for i, j, c, d in form))
+
+
+def _linked(pairs: list[tuple[int, int]]) -> dict[int, set[int]]:
+    """Each piece on a pair -> the set of pieces a chain of pairs links it to."""
+    linked = {p: {p} for pair in pairs for p in pair}
+    for i, j in pairs:
+        merged = linked[i] | linked[j]
         for p in merged:
             linked[p] = merged
     return linked
@@ -483,17 +525,21 @@ def _component_count(comp: ConstraintPattern, n: int) -> int:
     s of its table in turn and carries {s: 1}, which leaves each neighbour one
     line; the rest is folded the same way.
     """
-    lines = {}  # slope -> (its board lines, the index of the line through each square)
-    for slope in {c.slope for c in comp.constraints}:
-        board_lines = _board_lines(slope, n)
-        line_of = [0] * (n * n)
-        for k, line in enumerate(board_lines):
-            for s in line:
-                line_of[s] = k
-        lines[slope] = board_lines, line_of
-
+    lines = {slope: _line_index(slope, n) for slope in {c.slope for c in comp.constraints}}
     everywhere = dict.fromkeys(range(n * n), 1)
     return _fold(lines, dict.fromkeys(range(1, comp.piece_count + 1), everywhere), list(comp.constraints))
+
+
+@functools.cache
+def _line_index(slope: Move, n: int) -> tuple[list[range], list[int]]:
+    """(the board lines of the slope, the index of the line through each
+    square), built once per (slope, n) in a process; ``_fold`` only reads them."""
+    board_lines = _board_lines(slope, n)
+    line_of = [0] * (n * n)
+    for k, line in enumerate(board_lines):
+        for s in line:
+            line_of[s] = k
+    return board_lines, line_of
 
 
 def _carry(lines: dict, table: dict[int, int], piece: int, c: Collinear, tables: dict[int, dict[int, int]]) -> None:

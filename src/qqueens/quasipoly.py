@@ -4,8 +4,10 @@ A quasipolynomial of period ``p`` is a cyclic list of ``p`` polynomial
 constituents; constituent ``r`` applies to arguments congruent to ``r``
 mod ``p`` (with nonnegative residues, so -1 selects constituent ``p - 1``).
 The list is always held at its minimal period.
-Coefficients are ``fractions.Fraction``s; ``fit`` eliminates over
-integers and makes only its results ``Fraction``s.  Nothing ever rounds.
+Coefficients are ``fractions.Fraction``s.  The exact kernels run on plain
+ints and make only their results ``Fraction``s: a polynomial is evaluated
+and multiplied over one common denominator of its coefficients, and ``fit``
+eliminates on dense integer rows.  Nothing ever rounds.
 """
 
 from __future__ import annotations
@@ -40,6 +42,13 @@ class InconsistentSamplesError(FitError):
 
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(integer numerators, den) with coeffs[k] == numerators[k] / den, den the
+    least common denominator (1 for no coefficients)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,14 +94,14 @@ class Polynomial:
 
     def __call__(self, x) -> Fraction:
         """The value at x by Horner's rule in integers: with the coefficients
-        over one common denominator and x = p/q, the sum of a_k p^k q^(d-k)
-        over den * q^d, made a ``Fraction`` once at the end."""
+        a_k over one common denominator den and x = p/q, the sum of
+        a_k p^k q^(d-k) over den * q^d, made a ``Fraction`` once at the end."""
         x = _as_fraction(x)
         p, q = x.numerator, x.denominator
-        den = math.lcm(*(c.denominator for c in self.coeffs))
+        ints, den = _over_common_denominator(self.coeffs)
         acc, q_power = 0, 1
-        for c in reversed(self.coeffs):
-            acc = acc * p + c.numerator * (den // c.denominator) * q_power
+        for a in reversed(ints):
+            acc = acc * p + a * q_power
             q_power *= q
         return Fraction(acc * q, den * q_power)
 
@@ -109,15 +118,20 @@ class Polynomial:
         return self + other.scale(-1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """The product in integers, the way ``__call__`` evaluates: each
+        factor's coefficients over its common denominator, the integer
+        convolution over the product of the two, made ``Fraction``s once."""
         if self.is_zero() or other.is_zero():
             return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial.make(out)
+        a, a_den = _over_common_denominator(self.coeffs)
+        b, b_den = _over_common_denominator(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        den = a_den * b_den
+        return Polynomial(tuple(Fraction(v, den) for v in out))
 
     def scale(self, factor) -> "Polynomial":
         f = _as_fraction(factor)
@@ -269,20 +283,12 @@ def lagrange(points: Sequence[tuple[int, Fraction]]) -> Polynomial:
     return result
 
 
-def _combine(a: int, row: dict, b: int, other: dict) -> dict:
-    """The sparse integer row ``a * row - b * other``, zeros dropped."""
-    out = {c: a * v for c, v in row.items()}
-    for c, v in other.items():
-        out[c] = out.get(c, 0) - b * v
-    return {c: v for c, v in out.items() if v}
-
-
-def _primitive(row: dict, col) -> dict:
+def _primitive(row: list[int], col: int) -> list[int]:
     """``row`` divided by the gcd of its entries, with a positive entry at ``col``."""
-    g = math.gcd(*row.values())
+    g = math.gcd(*row)
     if row[col] < 0:
         g = -g
-    return {c: v // g for c, v in row.items()}
+    return [v // g for v in row]
 
 
 def fit(
@@ -298,8 +304,10 @@ def fit(
     unknowns, eliminated exactly in increasing n: a sample independent of
     the earlier ones interpolates, any other is a check.  The elimination
     is fraction-free over integers (each sample scaled by its value's
-    denominator), so it is exact; only the coefficients and the values the
-    checks are held to are made ``Fraction``s.  The fit needs every unknown
+    denominator), so it is exact.  A row is a dense list of ints, one column
+    per unknown in order of (k, r) and the value in the last; only the
+    coefficients and the values the checks are held to are made
+    ``Fraction``s.  The fit needs every unknown
     fixed and a check in every residue class mod L = lcm(periods), which is
     ``degree + 2`` samples per class for one period.  Otherwise
     :class:`InsufficientSamplesError` names the first class short, even if
@@ -317,13 +325,14 @@ def fit(
         raise ValueError("period must be >= 1")
     big = math.lcm(*periods)
 
-    # Column (k, r) is the n**k coefficient on residue class r mod periods[k];
-    # the sample's value rides along in column `value_col`, which sorts last.
-    # `pivots` is in reduced row echelon form over the integers: each row has
-    # a positive entry (its lead) at its own column, 0 at every other pivot's
-    # column, and no common factor.
-    value_col = (degree + 1, 0)
-    pivots: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    # Column offset[k] + r is the n**k coefficient on residue class r mod
+    # periods[k]; the sample's value rides along in the last column, `value_col`.
+    # `pivots` maps a column to its row, in reduced row echelon form over the
+    # integers: each row has a positive entry (its lead) at its own column, 0 at
+    # every other pivot's column, and no common factor.
+    offset = list(itertools.accumulate(periods[:-1], initial=0))
+    value_col = sum(periods)
+    pivots: dict[int, list[int]] = {}
     checked = [False] * big
     failed = previous = None
     for n, value in sorted(samples):
@@ -335,38 +344,42 @@ def fit(
         # the sample's equation times its value's denominator; `scale` is the
         # factor the row has been multiplied by since
         scale = value.denominator
-        row = {(k, n % p): scale * n**k for k, p in enumerate(periods) if n**k}
-        if value:
-            row[value_col] = value.numerator
-        for col in [c for c in row if c in pivots]:
-            pivot = pivots[col]
-            lead = pivot[col]
-            row = _combine(lead, row, row[col], pivot)
-            scale *= lead
-        col = min(row, default=value_col)
+        cols = [offset[k] + n % p for k, p in enumerate(periods)]
+        row = [0] * (value_col + 1)
+        for k, col in enumerate(cols):
+            row[col] = scale * n**k
+        row[value_col] = value.numerator
+        for col in cols:
+            if row[col] and col in pivots:
+                pivot = pivots[col]
+                lead, factor = pivot[col], row[col]
+                row = [lead * v - factor * w for v, w in zip(row, pivot)]
+                scale *= lead
+        col = next((c for c, v in enumerate(row) if v), value_col)
         if col == value_col:  # a check: the earlier rows force this value
             checked[n % big] = True
-            if row and failed is None:
+            if row[value_col] and failed is None:
                 failed = (n, value - Fraction(row[value_col], scale), _as_fraction(value))
             continue
         row = _primitive(row, col)
         lead = row[col]
         for c, other in pivots.items():
-            if col in other:
-                pivots[c] = _primitive(_combine(lead, other, other[col], row), c)
+            if other[col]:
+                factor = other[col]
+                pivots[c] = _primitive([lead * v - factor * w for v, w in zip(other, row)], c)
         pivots[col] = row
 
     for r in range(big):
-        if not checked[r] or any((k, r % p) not in pivots for k, p in enumerate(periods)):
+        if not checked[r] or any(offset[k] + r % p not in pivots for k, p in enumerate(periods)):
             raise InsufficientSamplesError(
                 f"residue class {r} mod {big} has {sum(n % big == r for n, _ in samples)} "
                 f"samples, too few to fix and check its degree-{degree} constituent"
             )
     if failed:
         raise InconsistentSamplesError(*failed)
-    coeffs = {col: Fraction(row.get(value_col, 0), row[col]) for col, row in pivots.items()}
+    coeffs = {col: Fraction(row[value_col], row[col]) for col, row in pivots.items()}
     return QuasiPolynomial.make(
-        Polynomial.make(coeffs[k, r % p] for k, p in enumerate(periods)) for r in range(big)
+        Polynomial.make(coeffs[offset[k] + r % p] for k, p in enumerate(periods)) for r in range(big)
     )
 
 

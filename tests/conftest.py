@@ -124,6 +124,57 @@ def naive_count_pattern(pattern, n: int) -> int:
     return total
 
 
+def naive_canonical_components(pat):
+    """``enumerator.canonical_components`` as first written: Equal contracted,
+    then each component's least sorted (i, j, c, d) list over every element
+    of D4 applied to its slopes (each image a validated ``Move``) and every
+    degree-ordered relabelling of its own pieces, one fresh
+    ``ConstraintPattern`` per component, the components in order of their
+    forms."""
+    from qqueens.core import Move
+    from qqueens.enumerator import D4, Collinear, ConstraintPattern, Equal
+
+    def image(g, m):
+        a, b, c, d = g
+        return Move.from_vector(a * m.c + b * m.d, c * m.c + d * m.d)
+
+    def linked(constraints):
+        out = {p: {p} for c in constraints for p in (c.i, c.j)}
+        for c in constraints:
+            merged = out[c.i] | out[c.j]
+            for p in merged:
+                out[p] = merged
+        return out
+
+    same = linked([c for c in pat.constraints if isinstance(c, Equal)])
+    least = {p: min(same.get(p, (p,))) for p in range(1, pat.piece_count + 1)}
+    mapped = ((c, sorted((least[c.i], least[c.j]))) for c in pat.constraints if isinstance(c, Collinear))
+    constraints = list(dict.fromkeys(Collinear(i, j, c.slope) for c, (i, j) in mapped if i < j))
+    component_of = linked(constraints)
+    forms = []
+    for component in {frozenset(pieces) for pieces in component_of.values()}:
+        own = [c for c in constraints if c.i in component]
+        degree = {p: sum(p in (c.i, c.j) for c in own) for p in component}
+        groups = [sorted(p for p in component if degree[p] == d) for d in sorted(set(degree.values()))]
+        labellings = [
+            {p: label for label, p in enumerate(itertools.chain.from_iterable(order), 1)}
+            for order in itertools.product(*map(itertools.permutations, groups))
+        ]
+        ends = [(c.i, c.j) for c in own]
+        forms.append((len(component), min(
+            tuple(sorted(
+                (label[i], label[j], m.c, m.d) if label[i] < label[j] else (label[j], label[i], m.c, m.d)
+                for (i, j), m in zip(ends, images)
+            ))
+            for images in ([image(g, c.slope) for c in own] for g in D4)
+            for label in labellings
+        )))
+    return len(set(least.values())) - len(component_of), tuple(
+        ConstraintPattern(k, tuple(Collinear(i, j, Move(c, d)) for i, j, c, d in form))
+        for k, form in sorted(forms)
+    )
+
+
 def naive_fit(samples, degree, period):
     """``quasipoly.fit`` by dense Gauss-Jordan elimination over ``Fraction``s.
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     cyclic_garbage,
     naive_board_lines,
+    naive_canonical_components,
     naive_count_labelled,
     naive_count_pattern,
     naive_count_unlabelled,
@@ -21,7 +22,9 @@ from qqueens.enumerator import (
     Equal,
     _board_lines,
     _component_count,
+    _line_index,
     _line_mask,
+    _triangle_shapes,
     canonical_components,
     count_pattern,
     count_unlabelled,
@@ -161,6 +164,22 @@ def test_two_and_three_piece_budget_is_the_search_nodes(moves, q, n):
     with pytest.raises(BudgetExceededError) as exc:
         count_unlabelled(rider, q, n, budget=nodes - 1)
     assert (exc.value.nodes, exc.value.budget) == (nodes, nodes - 1)
+
+
+@given(
+    st.lists(st.sampled_from(CANONICAL_MOVES), min_size=3, max_size=5, unique=True),
+    st.integers(1, 12),
+)
+@settings(deadline=None)
+def test_full_board_triangles_by_arithmetic_match_the_mask_popcount(moves, n):
+    # q = 3 counts a shape's anchors as (n - w)(n - h); the q >= 4 leaf turns
+    # the same shapes into column masks, whose popcount on the full board
+    # (anchors whose highest vertex stays below bit n^2) must agree
+    rows = ((1 << n * n) - 1) // ((1 << n) - 1)
+    full = (1 << n * n) - 1
+    for o1, o2, lo, w, h in _triangle_shapes(MoveSet(tuple(moves)), n):
+        mask = ((1 << n - w) - 1 << lo) * rows
+        assert (mask & full >> max(o1, o2)).bit_count() == (n - w) * (n - h)
 
 
 def test_count_labelled_matches_naive_permutation_count():
@@ -561,6 +580,63 @@ def test_equal_pieces_contract_into_one():
     _component_count.cache_clear()
     assert count_pattern(chained, 4) == count_pattern(pattern(2, Collinear(1, 2, slope)), 4)
     assert _component_count.cache_info().currsize == 1
+
+
+def _catalog_patterns() -> set[ConstraintPattern]:
+    from qqueens.audit import case_catalog
+
+    return {
+        p
+        for case in case_catalog()
+        for spec in ALL_PIECE_SPECS
+        if case.applicable(spec.h, spec.k)
+        for p in case.pattern_family(spec.h, spec.k)
+    }
+
+
+def _one_object_per_form(results) -> None:
+    """Components that are equal are one object."""
+    first = {}
+    for _, components in results:
+        for comp in components:
+            assert first.setdefault(comp, comp) is comp
+
+
+def test_canonical_components_of_the_catalog_match_first_written_algorithm():
+    pats = _catalog_patterns()
+    results = [canonical_components(p) for p in pats]
+    assert results == [naive_canonical_components(p) for p in pats]
+    _one_object_per_form(results)
+
+
+@given(constraint_patterns(), constraint_patterns(max_pieces=3), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_canonical_components_match_first_written_algorithm(pat, other, gap):
+    # side by side with a copy of itself and with another pattern, the later
+    # pieces numbered after ``gap`` unconstrained ones, so each component
+    # recurs under other piece numbers
+    spaced = replace(pat, piece_count=pat.piece_count + gap)
+    pats = [pat, side_by_side(spaced, pat), side_by_side(spaced, other), side_by_side(other, spaced)]
+    results = [canonical_components(p) for p in pats]
+    assert results == [naive_canonical_components(p) for p in pats]
+    _one_object_per_form(results)
+    for comp in results[0][1]:
+        assert any(comp is c for c in results[1][1])
+
+
+def test_component_counts_build_one_line_index_per_slope_and_size(monkeypatch):
+    import qqueens.enumerator as enumerator
+
+    built = []
+    real = enumerator._board_lines
+    monkeypatch.setattr(enumerator, "_board_lines", lambda slope, n: built.append((slope, n)) or real(slope, n))
+    _component_count.cache_clear()
+    _line_index.cache_clear()
+    pats = _catalog_patterns()
+    for n in range(1, 6):
+        for p in pats:
+            count_pattern(p, n)
+    assert built and len(built) == len(set(built))
 
 
 def test_equal_chain_is_one_free_piece():

@@ -153,6 +153,15 @@ def test_fit_names_the_class_without_a_check():
     assert qp == QuasiPolynomial((P(-4, 3), P(5, 3)))
 
 
+def test_fit_names_the_class_the_lowest_column_pivots_leave_short():
+    # too few samples to fix every unknown; which unknowns stay without a
+    # pivot, and so which class is named first, follows from taking each new
+    # row's lowest column as its pivot (the highest column would name class 1)
+    samples = [(0, 1), (2, 2), (3, 0), (5, 3), (6, 1), (8, 0), (13, 2)]
+    with pytest.raises(InsufficientSamplesError, match="residue class 0 mod 4 has 2 samples"):
+        fit(samples, 2, (4, 2, 2))
+
+
 def test_fit_needs_one_period_per_power():
     with pytest.raises(ValueError):
         fit([(n, n) for n in range(1, 9)], 1, (1, 1, 1))
@@ -217,6 +226,35 @@ def test_polynomial_value_matches_fraction_horner(coeffs, x):
         expected = expected * x + c
     value = poly(x)
     assert type(value) is F and value == expected
+
+
+# numerators and denominators up to 2^70 as well as small ones, so that a
+# product over one common denominator meets large, coprime and zero entries
+wide_fractions = st.one_of(
+    fractions,
+    st.builds(F, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+)
+
+
+@given(st.lists(wide_fractions, max_size=7), st.lists(wide_fractions, max_size=7))
+def test_polynomial_product_matches_schoolbook_fraction_product(a, b):
+    pa, pb = P(*a), P(*b)
+    expected = [F(0)] * max(len(pa.coeffs) + len(pb.coeffs) - 1, 0)
+    for i, x in enumerate(pa.coeffs):
+        for j, y in enumerate(pb.coeffs):
+            expected[i + j] += x * y
+    product = pa * pb
+    assert product == P(*expected) == pb * pa
+    assert all(type(c) is F for c in product.coeffs)
+
+
+def test_polynomial_product_examples():
+    assert P() * P(1, 2) == P(1, 2) * P() == P()
+    assert P(0, 0, F(-3, 7)) * P(F(7, 3)) == P(0, 0, -1)
+    # inner zeros and a cancelling sum: (1 - x)(1 + x) = 1 - x^2
+    assert P(1, -1) * P(1, 1) == P(1, 0, -1)
+    big = F(1, 2**80 + 1)
+    assert P(big, -big) * P(F(2**80 + 1, 3), 1) == P(F(1, 3), big - F(1, 3), -big)
 
 
 @settings(max_examples=40, deadline=None)
