@@ -43,14 +43,13 @@ one, and the count is the product of the counts of the connected components
 of the ``Collinear`` graph left, n^2 for a piece under no constraint.  Each
 component is counted in a canonical form, the least constraint list over the
 relabellings of its pieces and the eight board symmetries applied to its
-slopes, so isomorphic components share one count per n.  Forms are worked
-out on plain (i, j, c, d) tuples, once per component shape, and each form
-is one shared ``ConstraintPattern``, so the side-by-side products of the
-audit reuse their factors' forms.  A component is
-folded one piece at a time through sparse per-square tables: a constraint
-carries the table's sums per line to the piece at its other end, and a piece
-on a cycle is fixed on one square at a time, which leaves each of its
-neighbours a single line.
+slopes, so isomorphic components share one count per n.  A form is plain
+ints, (k, ((i, j, c, d), ...)), worked out once per component shape, so the
+side-by-side products of the audit reuse their factors' forms, and it is all
+the count reads.  A component is folded one piece at a time through sparse
+per-square tables: a constraint carries the table's sums per line to the
+piece at its other end, and a piece on a cycle is fixed on one square at a
+time, which leaves each of its neighbours a single line.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -159,14 +157,10 @@ def _slope_image(g: tuple[int, int, int, int], c: int, d: int) -> tuple[int, int
     return (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
 
 
-def _image(g: tuple[int, int, int, int], m: Move) -> Move:
-    """The slope of m after the board symmetry g."""
-    return Move(*_slope_image(g, m.c, m.d))
-
-
 def symmetry_group(moves: MoveSet) -> tuple[tuple[int, int, int, int], ...]:
     """The elements of D4 that map the move set onto itself, slope for slope."""
-    return tuple(g for g in D4 if all(_image(g, m) in moves for m in moves))
+    slopes = set(moves.canonical_key())
+    return tuple(g for g in D4 if all(_slope_image(g, c, d) in slopes for c, d in slopes))
 
 
 def _orbits(group: tuple[tuple[int, int, int, int], ...], n: int) -> list[tuple[int, int]]:
@@ -385,6 +379,11 @@ class Equal:
 
 Constraint = Union[Collinear, Equal]
 
+# A Collinear of a canonical component as plain ints (i, j, c, d), i < j, and
+# the component as (k, its edges on pieces 1..k).
+Edge = tuple[int, int, int, int]
+Form = tuple[int, tuple[Edge, ...]]
+
 
 @dataclass(frozen=True)
 class ConstraintPattern:
@@ -425,7 +424,7 @@ def count_pattern(pat: ConstraintPattern, n: int) -> int:
 
 
 @functools.cache
-def canonical_components(pat: ConstraintPattern) -> tuple[int, tuple[ConstraintPattern, ...]]:
+def canonical_components(pat: ConstraintPattern) -> tuple[int, tuple[Form, ...]]:
     """(the pieces under no constraint, the canonical form of each connected
     component of the constraint graph), worked out once per pattern.
 
@@ -440,9 +439,8 @@ def canonical_components(pat: ConstraintPattern) -> tuple[int, tuple[ConstraintP
     or a board symmetry keeps every piece's degree, so isomorphic components
     get one form.  The form depends only on the component's shape, its
     constraints with the pieces renumbered 1..k in increasing order, so it is
-    worked out once per shape (``_shape_form``), and every component with one
-    form is the same ``ConstraintPattern`` object.  The components are listed
-    in order of their forms.
+    worked out once per shape (``_shape_form``).  Each component is given as
+    (k, form), and the components are listed in sorted order.
     """
     same = _linked([(c.i, c.j) for c in pat.constraints if isinstance(c, Equal)])
     least = {p: min(same.get(p, (p,))) for p in range(1, pat.piece_count + 1)}
@@ -459,17 +457,14 @@ def canonical_components(pat: ConstraintPattern) -> tuple[int, tuple[ConstraintP
         forms.append(_shape_form(len(component), tuple(sorted(
             (rank[i], rank[j], c, d) for i, j, c, d in edges if i in component
         ))))
-    return len(set(least.values())) - len(component_of), tuple(
-        comp for _, comp in sorted(forms, key=operator.itemgetter(0))
-    )
+    return len(set(least.values())) - len(component_of), tuple(sorted(forms))
 
 
 @functools.cache
-def _shape_form(k: int, shape: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple, ConstraintPattern]:
-    """((k, canonical form), its ``ConstraintPattern``) of a component on pieces
-    1..k with the constraints (i, j, c, d) of ``shape``; see
-    ``canonical_components``.  Slopes are mapped as plain (c, d) pairs, with
-    no ``Move`` built per image."""
+def _shape_form(k: int, shape: tuple[Edge, ...]) -> Form:
+    """(k, canonical form) of a component on pieces 1..k with the constraints
+    (i, j, c, d) of ``shape``; see ``canonical_components``.  Slopes are
+    mapped as plain (c, d) pairs, with no ``Move`` built per image."""
     degree = [0] * (k + 1)
     for i, j, _, _ in shape:
         degree[i] += 1
@@ -489,13 +484,7 @@ def _shape_form(k: int, shape: tuple[tuple[int, int, int, int], ...]) -> tuple[t
         for image in images
         for label in labellings
     )
-    return (k, form), _form_pattern(k, form)
-
-
-@functools.cache
-def _form_pattern(k: int, form: tuple[tuple[int, int, int, int], ...]) -> ConstraintPattern:
-    """The one ``ConstraintPattern`` of a canonical form."""
-    return ConstraintPattern(k, tuple(Collinear(i, j, Move(c, d)) for i, j, c, d in form))
+    return k, form
 
 
 def _linked(pairs: list[tuple[int, int]]) -> dict[int, set[int]]:
@@ -509,9 +498,9 @@ def _linked(pairs: list[tuple[int, int]]) -> dict[int, set[int]]:
 
 
 @functools.cache
-def _component_count(comp: ConstraintPattern, n: int) -> int:
-    """``count_pattern`` of one canonical component, once per (component, n)
-    in a process.
+def _component_count(form: Form, n: int) -> int:
+    """``count_pattern`` of one canonical component (k, constraints), once per
+    (form, n) in a process.
 
     Each piece carries a table: for each square it may stand on, the number
     of ways to place the pieces folded into it so far, given that square.
@@ -525,16 +514,18 @@ def _component_count(comp: ConstraintPattern, n: int) -> int:
     s of its table in turn and carries {s: 1}, which leaves each neighbour one
     line; the rest is folded the same way.
     """
-    lines = {slope: _line_index(slope, n) for slope in {c.slope for c in comp.constraints}}
+    k, constraints = form
+    lines = {(c, d): _line_index(c, d, n) for _, _, c, d in constraints}
     everywhere = dict.fromkeys(range(n * n), 1)
-    return _fold(lines, dict.fromkeys(range(1, comp.piece_count + 1), everywhere), list(comp.constraints))
+    return _fold(lines, dict.fromkeys(range(1, k + 1), everywhere), list(constraints))
 
 
 @functools.cache
-def _line_index(slope: Move, n: int) -> tuple[list[range], list[int]]:
-    """(the board lines of the slope, the index of the line through each
-    square), built once per (slope, n) in a process; ``_fold`` only reads them."""
-    board_lines = _board_lines(slope, n)
+def _line_index(c: int, d: int, n: int) -> tuple[list[range], list[int]]:
+    """(the board lines of the slope (c, d), the index of the line through each
+    square), built once per (slope, n) in a process; the slope's ``Move`` is
+    made only here.  ``_fold`` only reads them."""
+    board_lines = _board_lines(Move(c, d), n)
     line_of = [0] * (n * n)
     for k, line in enumerate(board_lines):
         for s in line:
@@ -542,12 +533,14 @@ def _line_index(slope: Move, n: int) -> tuple[list[range], list[int]]:
     return board_lines, line_of
 
 
-def _carry(lines: dict, table: dict[int, int], piece: int, c: Collinear, tables: dict[int, dict[int, int]]) -> None:
-    """Multiply the table of the piece at c's other end by ``table`` carried
-    across c; ``lines`` is ``_component_count``'s line index per slope."""
-    other = c.i + c.j - piece
+def _carry(lines: dict, table: dict[int, int], piece: int, con: Edge, tables: dict[int, dict[int, int]]) -> None:
+    """Multiply the table of the piece at the other end of the constraint
+    (i, j, c, d) by ``table`` carried across it; ``lines`` is
+    ``_component_count``'s line index per slope (c, d)."""
+    i, j, c, d = con
+    other = i + j - piece
     into = tables[other]
-    board_lines, line_of = lines[c.slope]
+    board_lines, line_of = lines[c, d]
     sums: dict[int, int] = {}
     for s, ways in table.items():
         k = line_of[s]
@@ -559,14 +552,14 @@ def _carry(lines: dict, table: dict[int, int], piece: int, c: Collinear, tables:
         tables[other] = {s: ways * sums[line_of[s]] for s, ways in into.items() if line_of[s] in sums}
 
 
-def _fold(lines: dict, tables: dict[int, dict[int, int]], constraints: list[Collinear]) -> int:
+def _fold(lines: dict, tables: dict[int, dict[int, int]], constraints: list[Edge]) -> int:
     """The number of ways to place every piece of ``tables`` under ``constraints``
     (see ``_component_count``)."""
     total = 1
     while tables:
-        piece = min(tables, key=lambda p: sum(p in (c.i, c.j) for c in constraints))
-        own = [c for c in constraints if piece in (c.i, c.j)]
-        constraints = [c for c in constraints if piece not in (c.i, c.j)]
+        piece = min(tables, key=lambda p: sum(p in c[:2] for c in constraints))
+        own = [c for c in constraints if piece in c[:2]]
+        constraints = [c for c in constraints if piece not in c[:2]]
         table = tables.pop(piece)
         if not own:
             total *= sum(table.values())

@@ -343,13 +343,7 @@ def _terms_to_quasipoly(const_terms: dict[int, Fraction], alt_terms: dict[int, F
         for p in live:
             if p < 0:
                 raise ArithmeticError(f"negative power n^{p} with nonzero coefficient")
-        if not live:
-            return Polynomial.zero()
-        size = max(live) + 1
-        coeffs = [F(0)] * size
-        for p, c in live.items():
-            coeffs[p] = c
-        return Polynomial.make(coeffs)
+        return Polynomial.make(live.get(p, 0) for p in range(max(live, default=-1) + 1))
 
     return QuasiPolynomial.from_parity_split(build(const_terms), build(alt_terms))
 

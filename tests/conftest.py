@@ -128,11 +128,10 @@ def naive_canonical_components(pat):
     """``enumerator.canonical_components`` as first written: Equal contracted,
     then each component's least sorted (i, j, c, d) list over every element
     of D4 applied to its slopes (each image a validated ``Move``) and every
-    degree-ordered relabelling of its own pieces, one fresh
-    ``ConstraintPattern`` per component, the components in order of their
-    forms."""
+    degree-ordered relabelling of its own pieces, each component as its
+    (k, form) pair, the pairs sorted."""
     from qqueens.core import Move
-    from qqueens.enumerator import D4, Collinear, ConstraintPattern, Equal
+    from qqueens.enumerator import D4, Collinear, Equal
 
     def image(g, m):
         a, b, c, d = g
@@ -169,10 +168,16 @@ def naive_canonical_components(pat):
             for images in ([image(g, c.slope) for c in own] for g in D4)
             for label in labellings
         )))
-    return len(set(least.values())) - len(component_of), tuple(
-        ConstraintPattern(k, tuple(Collinear(i, j, Move(c, d)) for i, j, c, d in form))
-        for k, form in sorted(forms)
-    )
+    return len(set(least.values())) - len(component_of), tuple(sorted(forms))
+
+
+def form_pattern(k, form):
+    """The pattern on pieces 1..k with the constraints (i, j, c, d) of a
+    canonical form, for the naive counter."""
+    from qqueens.core import Move
+    from qqueens.enumerator import Collinear, ConstraintPattern
+
+    return ConstraintPattern(k, tuple(Collinear(i, j, Move(c, d)) for i, j, c, d in form))
 
 
 def naive_fit(samples, degree, period):

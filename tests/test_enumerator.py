@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     cyclic_garbage,
+    form_pattern,
     naive_board_lines,
     naive_canonical_components,
     naive_count_labelled,
@@ -532,8 +533,8 @@ def test_count_pattern_relabelling_invariance_four_pieces(perm, n):
 @settings(max_examples=40, deadline=None)
 def test_canonical_components_count_as_the_pattern(pat, n):
     free, components = canonical_components(pat)
-    assert all(len(c.constraints) for c in components)
-    product = math.prod((naive_count_pattern(c, n) for c in components), start=n ** (2 * free))
+    assert all(form for _, form in components)
+    product = math.prod((naive_count_pattern(form_pattern(*c), n) for c in components), start=n ** (2 * free))
     assert naive_count_pattern(pat, n) == product
 
 
@@ -594,19 +595,10 @@ def _catalog_patterns() -> set[ConstraintPattern]:
     }
 
 
-def _one_object_per_form(results) -> None:
-    """Components that are equal are one object."""
-    first = {}
-    for _, components in results:
-        for comp in components:
-            assert first.setdefault(comp, comp) is comp
-
-
 def test_canonical_components_of_the_catalog_match_first_written_algorithm():
     pats = _catalog_patterns()
     results = [canonical_components(p) for p in pats]
     assert results == [naive_canonical_components(p) for p in pats]
-    _one_object_per_form(results)
 
 
 @given(constraint_patterns(), constraint_patterns(max_pieces=3), st.integers(0, 2))
@@ -619,9 +611,6 @@ def test_canonical_components_match_first_written_algorithm(pat, other, gap):
     pats = [pat, side_by_side(spaced, pat), side_by_side(spaced, other), side_by_side(other, spaced)]
     results = [canonical_components(p) for p in pats]
     assert results == [naive_canonical_components(p) for p in pats]
-    _one_object_per_form(results)
-    for comp in results[0][1]:
-        assert any(comp is c for c in results[1][1])
 
 
 def test_component_counts_build_one_line_index_per_slope_and_size(monkeypatch):
@@ -651,7 +640,12 @@ def test_equal_chain_is_one_free_piece():
 @settings(max_examples=60)
 def test_canonical_components_hold_no_equal(pat):
     _, components = canonical_components(pat)
-    assert all(isinstance(c, Collinear) for comp in components for c in comp.constraints)
+    for k, form in components:
+        for con in form:
+            assert len(con) == 4 and all(type(x) is int for x in con)
+            i, j, c, d = con
+            assert 1 <= i < j <= k
+            Move(c, d)  # raises unless (c, d) is a canonical move
 
 
 def test_single_move_symmetry_horizontal_vs_vertical():
