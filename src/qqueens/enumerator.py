@@ -15,17 +15,17 @@ identities.
   (c_L - 1)(c_L' - 1) over the pairs of lines through each square of S.
   So the triples number C(N, 3) - E (N - 2) + 2 sum_L C(c_L, 3) + X - T,
   where T counts the triangles on three distinct slopes.  For each triple
-  of slopes those are the scaled copies of one primitive triangle
-  (``_triangle_shapes``): one big-integer AND of shifted copies of S per
-  scale, and on the full board (n - w)(n - h) copies of a shape w wide and
-  h high.  On the full board c_L is the length of L and deg v the sum of
-  (length - 1) over the lines through v, so q = 2 and q = 3 are read off
-  the line lengths of ``_board_lines`` and the triangle shapes, with no
-  attack masks.  For
-  q >= 4 the leaf reads deg v off S & (attack mask of v), one popcount per
-  square, and C(c_L, j) off one popcount per board line (about 6n for the
-  queen), so the last three pieces cost one leaf evaluation.  The attack
-  masks and the leaf serve q >= 4 only.
+  of slopes those are two primitive triangles scaled by l = 1, 2, ...
+  (``_primitive_triangles``).  On the full board c_L is the length of L,
+  deg v the sum of (length - 1) over the lines through v, and T the sum
+  over primitive triangles w wide and h high of sum_{l<=L} (n - l w)(n - l h),
+  L = (n - 1) // max(w, h), read off the power sums of l and l^2; so q = 2
+  and q = 3 need only the line lengths of ``_board_lines``.  For q >= 4 the
+  leaf reads deg v off S & (attack mask of v), one popcount per square,
+  C(c_L, j) off one popcount per board line (about 6n for the queen) and
+  T off one big-integer AND of shifted copies of S per scaled triangle
+  (``_triangle_shapes``), so the last three pieces cost one leaf
+  evaluation.  The attack masks and the leaf serve q >= 4 only.
 * Board symmetry.  Each nonattacking q-set is counted once from each of its
   squares, so u(q) = (1/q) sum_s N_{q-1}(T_s), where T_s holds the squares
   that s does not attack and N_k counts nonattacking k-subsets.  A symmetry
@@ -57,7 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .core import Move, MoveSet
@@ -181,36 +181,41 @@ def _orbits(group: tuple[tuple[int, int, int, int], ...], n: int) -> list[tuple[
     return out
 
 
-def _triangle_shapes(moves: MoveSet, n: int) -> list[tuple[int, int, int, int, int]]:
-    """One (o1, o2, lo, w, h) per triangle shape on the n x n board whose sides
-    lie on three distinct slopes of the move set.
+def _primitive_triangles(moves: MoveSet) -> list[tuple[int, int, int, int, int, int, int]]:
+    """One (y1, x1, y2, x2, lo, w, h) per primitive triangle whose sides lie
+    on three distinct slopes of the move set, two per triple of slopes.
 
     For slopes a, b, c, with s = (b x c)/g and t = (a x c)/g (g their gcd),
     s*a - t*b is a multiple of c, so P, P + l*s*a and P + l*t*b (l != 0) is
     such a triangle, and each one arises from exactly one (P, l): P is the
-    vertex where its a and b sides meet.  A shape is anchored at its
-    lowest-indexed vertex: that vertex has index i, the others i + o1 and
-    i + o2.  Its bounding box is w wide and h high (both below n), and the
-    anchor lies lo columns right of the box's left edge, so on the full board
-    the shape has (n - w)(n - h) anchors, in columns lo .. lo + n - w - 1.
+    vertex where its a and b sides meet.  The one at l is the primitive one
+    at l = 1 or -1 scaled by |l|.  Its other vertices lie (x1, y1) and
+    (x2, y2) from its lowest-indexed one, the anchor, which lies lo columns
+    right of the left edge of the triangle's box, w wide and h high.
     """
-    shapes = []
+    out = []
     for a, b, c in itertools.combinations(moves, 3):
         bc, ac = b.c * c.d - b.d * c.c, a.c * c.d - a.d * c.c
         g = math.gcd(bc, ac)
         s, t = bc // g, ac // g
-        reach = max(abs(s * a.c), abs(s * a.d), abs(t * b.c), abs(t * b.d))
-        for scale in range(-((n - 1) // reach), (n - 1) // reach + 1):
-            if scale == 0:
-                continue
-            su, tv = scale * s, scale * t
+        for l in (1, -1):
             # the vertices as (y, x), so that sorting puts them in index order
-            (y0, x0), (y1, x1), (y2, x2) = sorted([(0, 0), (su * a.d, su * a.c), (tv * b.d, tv * b.c)])
+            (y0, x0), (y1, x1), (y2, x2) = sorted([(0, 0), (l * s * a.d, l * s * a.c), (l * t * b.d, l * t * b.c)])
             left = min(x0, x1, x2)
-            w, h = max(x0, x1, x2) - left, max(y1, y2) - y0
-            if w < n and h < n:
-                shapes.append(((y1 - y0) * n + x1 - x0, (y2 - y0) * n + x2 - x0, x0 - left, w, h))
-    return shapes
+            out.append((y1 - y0, x1 - x0, y2 - y0, x2 - x0, x0 - left, max(x0, x1, x2) - left, y2 - y0))
+    return out
+
+
+def _triangle_shapes(moves: MoveSet, n: int) -> list[tuple[int, int, int, int, int]]:
+    """One (o1, o2, lo, w, h) per triangle shape on the n x n board: each of
+    ``_primitive_triangles`` scaled by l = 1, 2, ... while its box fits.  With
+    the anchor at index i the others are at i + o1 and i + o2, so on the
+    full board the shape has (n - w)(n - h) anchors, in columns lo .. lo + n - w - 1."""
+    return [
+        (l * (y1 * n + x1), l * (y2 * n + x2), l * lo, l * w, l * h)
+        for y1, x1, y2, x2, lo, w, h in _primitive_triangles(moves)
+        for l in range(1, (n - 1) // max(w, h) + 1)
+    ]
 
 
 def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -325,9 +330,19 @@ def _pairs_and_triples(moves: MoveSet, q: int, n: int, budget: int) -> int:
         raise BudgetExceededError(nodes, budget)
     if q == 2:
         return pairs
-    skew = sum((n - w) * (n - h) for _, _, _, w, h in _triangle_shapes(moves, n))
     wedges = sum(d * (d - 1) for d in degree) // 2
-    return math.comb(size, 3) - attacking * (size - 2) + wedges - collinear - skew
+    return math.comb(size, 3) - attacking * (size - 2) + wedges - collinear - _skew_triangles(moves, n)
+
+
+def _skew_triangles(moves: MoveSet, n: int) -> int:
+    """T on the full n x n board: each primitive triangle, w wide and h high,
+    has (n - l w)(n - l h) copies at scale l = 1..top, summed by the power sums of l and l^2."""
+    total = 0
+    for *_, w, h in _primitive_triangles(moves):
+        top = (n - 1) // max(w, h)
+        s1, s2 = top * (top + 1) // 2, top * (top + 1) * (2 * top + 1) // 6
+        total += top * n * n - n * (w + h) * s1 + w * h * s2
+    return total
 
 
 def _subsets(allowed: int, k: int, masks: tuple[int, ...], leaf, charge, weight: int) -> int:
@@ -388,10 +403,12 @@ Form = tuple[int, tuple[Edge, ...]]
 @dataclass(frozen=True)
 class ConstraintPattern:
     """A placement pattern on ``piece_count`` pieces; counting it means counting
-    ordered tuples of squares (repetition allowed) meeting every constraint."""
+    ordered tuples of squares (repetition allowed) meeting every constraint.
+    Its hash is worked out once, when it is built."""
 
     piece_count: int
     constraints: tuple[Constraint, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.constraints:
@@ -399,6 +416,10 @@ class ConstraintPattern:
         for c in self.constraints:
             if not (1 <= c.i < c.j <= self.piece_count):
                 raise ValueError(f"constraint indices {(c.i, c.j)} out of range")
+        object.__setattr__(self, "_hash", hash((self.piece_count, self.constraints)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def pattern(piece_count: int, *constraints: Constraint) -> ConstraintPattern:
@@ -557,7 +578,8 @@ def _fold(lines: dict, tables: dict[int, dict[int, int]], constraints: list[Edge
     (see ``_component_count``)."""
     total = 1
     while tables:
-        piece = min(tables, key=lambda p: sum(p in c[:2] for c in constraints))
+        ends = [p for c in constraints for p in c[:2]]  # each piece once per constraint on it
+        piece = min(tables, key=ends.count)
         own = [c for c in constraints if piece in c[:2]]
         constraints = [c for c in constraints if piece not in c[:2]]
         table = tables.pop(piece)

@@ -61,15 +61,10 @@ class GammaExpr:
             raise ValueError(f"gamma{self.index} needs q >= 2, got {q}")
         return self.numerator(q) / (self.denominator_constant * math.factorial(q - 2))
 
-    def times_q_factorial(self) -> Polynomial:
-        """q! * gamma as a polynomial in q (factorial quotient becomes a falling factorial)."""
-        return (self.numerator * falling_poly(2)).scale(F(1, self.denominator_constant))
-
     def leading_q_coefficient(self) -> Fraction:
-        poly = self.times_q_factorial()
-        if poly.is_zero():
-            return F(0)
-        return poly.coeffs[-1]
+        """The leading coefficient of q! * gamma, numerator(q) q (q - 1) / denom
+        (the factorial quotient is a monic falling factorial); 0 for gamma = 0."""
+        return self.numerator.coefficient(self.numerator.degree) / self.denominator_constant
 
     def same_value(self, other: "GammaExpr") -> bool:
         """Equality as rational functions of q (normal forms may differ)."""
@@ -425,6 +420,4 @@ def coincident_triple_contribution(h: int, k: int, q: int) -> QuasiPolynomial:
         raise ValueError("q must be >= 2")
     mu = (h + k - 1) ** 2 * (h + k + 2)
     coeff = F(math.comb(q, 3) * mu, math.factorial(q))
-    if coeff == 0:
-        return QuasiPolynomial.constant_poly(Polynomial.zero())
     return QuasiPolynomial.constant_poly(Polynomial.monomial(coeff, 2 * q - 4))

@@ -4,10 +4,11 @@ A quasipolynomial of period ``p`` is a cyclic list of ``p`` polynomial
 constituents; constituent ``r`` applies to arguments congruent to ``r``
 mod ``p`` (with nonnegative residues, so -1 selects constituent ``p - 1``).
 The list is always held at its minimal period.
-Coefficients are ``fractions.Fraction``s.  The exact kernels run on plain
-ints and make only their results ``Fraction``s: a polynomial is evaluated
-and multiplied over one common denominator of its coefficients, and ``fit``
-eliminates on dense integer rows.  Nothing ever rounds.
+A polynomial holds its coefficients as integer numerators over one common
+denominator, so its arithmetic, evaluation, equality and hashing run on
+plain ints; coefficients and values are handed out as
+``fractions.Fraction``s.  ``fit`` eliminates on dense integer rows and reads
+each constituent off them.  Nothing ever rounds.
 """
 
 from __future__ import annotations
@@ -40,33 +41,35 @@ class InconsistentSamplesError(FitError):
         )
 
 
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(integer numerators, den) with coeffs[k] == numerators[k] / den, den the
-    least common denominator (1 for no coefficients)."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 @dataclass(frozen=True, slots=True)
 class Polynomial:
-    """Coefficients indexed by power; no trailing zeros (zero poly is empty)."""
+    """The coefficient of x^k is nums[k] / den.  The representation is
+    canonical: den >= 1, the pair is in lowest terms and there is no
+    trailing zero (the zero polynomial is ((), 1)), so equality and hashing
+    are structural.  ``make`` builds one from int or ``Fraction``
+    coefficients, and ``coeffs`` hands them out as ``Fraction``s."""
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("trailing zero coefficient; use Polynomial.make")
+        if self.den < 1 or (self.nums and not self.nums[-1]) or math.gcd(self.den, *self.nums) != 1:
+            raise ValueError(f"{self.nums} over {self.den} is not canonical; use Polynomial.make")
+
+    @classmethod
+    def _reduced(cls, nums: list[int], den: int) -> "Polynomial":
+        """``nums`` over ``den`` >= 1, trimmed and in lowest terms."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        return cls(tuple(v // g for v in nums), den // g) if g > 1 else cls(tuple(nums), den)
 
     @classmethod
     def make(cls, coeffs: Iterable) -> "Polynomial":
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
+        """The polynomial of int or ``Fraction`` coefficients indexed by power."""
+        cs = list(coeffs)
+        den = math.lcm(*(c.denominator for c in cs))
+        return cls._reduced([c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -74,70 +77,64 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, coeff, power: int) -> "Polynomial":
-        c = _as_fraction(coeff)
-        if c == 0:
-            return cls.zero()
-        return cls(tuple([Fraction(0)] * power + [c]))
+        if power < 0:
+            raise ValueError(f"power must be >= 0, got {power}")
+        return cls.make([0] * power + [coeff])
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients indexed by power."""
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
+        return Fraction(self.nums[power], self.den) if 0 <= power < len(self.nums) else Fraction(0)
 
     def __call__(self, x) -> Fraction:
-        """The value at x by Horner's rule in integers: with the coefficients
-        a_k over one common denominator den and x = p/q, the sum of
-        a_k p^k q^(d-k) over den * q^d, made a ``Fraction`` once at the end."""
-        x = _as_fraction(x)
+        """The value at an int or ``Fraction`` x = p/q by Horner's rule in
+        integers: the sum of nums[k] p^k q^(d-k) over den * q^d, made a
+        ``Fraction`` once at the end."""
         p, q = x.numerator, x.denominator
-        ints, den = _over_common_denominator(self.coeffs)
         acc, q_power = 0, 1
-        for a in reversed(ints):
+        for a in reversed(self.nums):
             acc = acc * p + a * q_power
             q_power *= q
-        return Fraction(acc * q, den * q_power)
+        return Fraction(acc * q, self.den * q_power)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
+        """The sum over the lcm of the two denominators."""
+        den = math.lcm(self.den, other.den)
+        a = [v * (den // self.den) for v in self.nums]
+        b = [v * (den // other.den) for v in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial.make(out)
+        for i, v in enumerate(b):
+            a[i] += v
+        return Polynomial._reduced(a, den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        """The product in integers, the way ``__call__`` evaluates: each
-        factor's coefficients over its common denominator, the integer
-        convolution over the product of the two, made ``Fraction``s once."""
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero()
-        a, a_den = _over_common_denominator(self.coeffs)
-        b, b_den = _over_common_denominator(other.coeffs)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
+        """The convolution of the numerators over the product of the denominators."""
+        b = other.nums
+        out = [0] * (len(self.nums) + len(b) - 1)
+        for i, x in enumerate(self.nums):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        den = a_den * b_den
-        return Polynomial(tuple(Fraction(v, den) for v in out))
+        return Polynomial._reduced(out, self.den * other.den)
 
     def scale(self, factor) -> "Polynomial":
-        f = _as_fraction(factor)
-        if f == 0:
-            return Polynomial.zero()
-        return Polynomial(tuple(c * f for c in self.coeffs))
+        """This polynomial times an int or ``Fraction``."""
+        return Polynomial._reduced([v * factor.numerator for v in self.nums], self.den * factor.denominator)
 
 
 def _minimal_period(cycle: Sequence) -> int:
@@ -202,7 +199,7 @@ class QuasiPolynomial:
             "period": self.period,
             "degree": self.degree,
             "constituents": [
-                [format_fraction(c) for c in poly.coeffs] for poly in self.constituents
+                [format_fraction(v, poly.den) for v in poly.nums] for poly in self.constituents
             ],
         }
 
@@ -216,11 +213,11 @@ class QuasiPolynomial:
         return cls.make(constituents)
 
 
-def format_fraction(x: Fraction) -> str:
-    x = _as_fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def format_fraction(x: Fraction, den: int = 1) -> str:
+    """x / den as "p/q" in lowest terms, or "p" when q is 1; x an int or ``Fraction``."""
+    num, den = x.numerator, x.denominator * den
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def evaluate(qp: QuasiPolynomial, n: int) -> Fraction:
@@ -305,8 +302,9 @@ def fit(
     the earlier ones interpolates, any other is a check.  The elimination
     is fraction-free over integers (each sample scaled by its value's
     denominator), so it is exact.  A row is a dense list of ints, one column
-    per unknown in order of (k, r) and the value in the last; only the
-    coefficients and the values the checks are held to are made
+    per unknown in order of (k, r) and the value in the last.  Each
+    constituent is read off the rows as integer numerators over one
+    denominator, and only the values the checks are held to are made
     ``Fraction``s.  The fit needs every unknown
     fixed and a check in every residue class mod L = lcm(periods), which is
     ``degree + 2`` samples per class for one period.  Otherwise
@@ -339,8 +337,6 @@ def fit(
         if n == previous:
             raise ValueError(f"duplicate sample at n={n}")
         previous = n
-        if not isinstance(value, int):
-            value = _as_fraction(value)
         # the sample's equation times its value's denominator; `scale` is the
         # factor the row has been multiplied by since
         scale = value.denominator
@@ -359,7 +355,7 @@ def fit(
         if col == value_col:  # a check: the earlier rows force this value
             checked[n % big] = True
             if row[value_col] and failed is None:
-                failed = (n, value - Fraction(row[value_col], scale), _as_fraction(value))
+                failed = (n, value - Fraction(row[value_col], scale), Fraction(value))
             continue
         row = _primitive(row, col)
         lead = row[col]
@@ -377,10 +373,14 @@ def fit(
             )
     if failed:
         raise InconsistentSamplesError(*failed)
-    coeffs = {col: Fraction(row[value_col], row[col]) for col, row in pivots.items()}
-    return QuasiPolynomial.make(
-        Polynomial.make(coeffs[offset[k] + r % p] for k, p in enumerate(periods)) for r in range(big)
-    )
+    # every unknown is fixed, so a pivot row holds only its lead and its value:
+    # the coefficient is row[value_col] / row[col], in lowest terms
+    constituents = []
+    for r in range(big):
+        cols = [offset[k] + r % p for k, p in enumerate(periods)]
+        den = math.lcm(*(pivots[c][c] for c in cols))
+        constituents.append(Polynomial._reduced([pivots[c][value_col] * (den // pivots[c][c]) for c in cols], den))
+    return QuasiPolynomial.make(constituents)
 
 
 def detect_period(samples: Sequence[tuple[int, int]], degree: int) -> int:

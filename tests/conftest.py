@@ -235,6 +235,38 @@ def naive_fit(samples, degree, period):
     )
 
 
+def naive_poly(coeffs) -> tuple:
+    """A polynomial as the plain tuple of its ``Fraction`` coefficients,
+    indexed by power, with no trailing zero: the oracle of ``Polynomial``."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def naive_poly_add(a: tuple, b: tuple) -> tuple:
+    return naive_poly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(max(len(a), len(b))))
+
+
+def naive_poly_scale(a: tuple, factor) -> tuple:
+    return naive_poly(c * factor for c in a)
+
+
+def naive_poly_mul(a: tuple, b: tuple) -> tuple:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return naive_poly(out)
+
+
+def naive_poly_value(a: tuple, x) -> Fraction:
+    value = Fraction(0)
+    for c in reversed(a):
+        value = value * x + c
+    return value
+
+
 def cyclic_garbage(call) -> list:
     """The objects that only the cyclic collector would free after ``call()``."""
     gc.collect()

@@ -265,7 +265,8 @@ def _type_route(h: int, k: int, q: int, codims) -> QuasiPolynomial:
     for case in case_catalog():
         if case.codim in codims and case.applicable(h, k):
             weight = case.multiplicity(q) * case.moebius(h, k)
-            total = total + term(weight, 2 * q - 2 * case.kappa) * case.closed_form(h, k)
+            if weight:  # a type of more than q pieces has weight 0 and a negative power
+                total = total + term(weight, 2 * q - 2 * case.kappa) * case.closed_form(h, k)
     return total
 
 

@@ -25,6 +25,7 @@ from qqueens.enumerator import (
     _component_count,
     _line_index,
     _line_mask,
+    _skew_triangles,
     _triangle_shapes,
     canonical_components,
     count_pattern,
@@ -173,14 +174,36 @@ def test_two_and_three_piece_budget_is_the_search_nodes(moves, q, n):
 )
 @settings(deadline=None)
 def test_full_board_triangles_by_arithmetic_match_the_mask_popcount(moves, n):
-    # q = 3 counts a shape's anchors as (n - w)(n - h); the q >= 4 leaf turns
-    # the same shapes into column masks, whose popcount on the full board
-    # (anchors whose highest vertex stays below bit n^2) must agree
+    # a shape has (n - w)(n - h) anchors, which the q = 3 closed form sums;
+    # the q >= 4 leaf turns the same shapes into column masks, whose popcount
+    # on the full board (anchors whose highest vertex stays below bit n^2)
+    # must agree
     rows = ((1 << n * n) - 1) // ((1 << n) - 1)
     full = (1 << n * n) - 1
     for o1, o2, lo, w, h in _triangle_shapes(MoveSet(tuple(moves)), n):
         mask = ((1 << n - w) - 1 << lo) * rows
         assert (mask & full >> max(o1, o2)).bit_count() == (n - w) * (n - h)
+
+
+def _skew_by_shapes(moves, n):
+    """T as the q = 3 count read it before the closed form: (n - w)(n - h)
+    anchors for each scaled shape of ``_triangle_shapes``."""
+    return sum((n - w) * (n - h) for _, _, _, w, h in _triangle_shapes(moves, n))
+
+
+def test_triangle_closed_form_matches_the_scaled_shapes_on_the_five_slope_rider():
+    rider = MANY_SLOPE_RIDERS[2]  # H, V, both diagonals and (1, 2)
+    assert [_skew_triangles(rider, n) for n in range(1, 81)] == [_skew_by_shapes(rider, n) for n in range(1, 81)]
+
+
+@given(
+    st.lists(st.sampled_from(CANONICAL_MOVES), min_size=1, max_size=6, unique=True),
+    st.integers(1, 40),
+)
+@settings(deadline=None)
+def test_triangle_closed_form_matches_the_scaled_shapes(moves, n):
+    rider = MoveSet(tuple(moves))
+    assert _skew_triangles(rider, n) == _skew_by_shapes(rider, n)
 
 
 def test_count_labelled_matches_naive_permutation_count():
@@ -453,6 +476,23 @@ def test_sequence_appends_once_and_keeps_the_samples_before_a_budget_stop(tmp_pa
     opens.clear()
     assert sequence(QUEEN, 3, 1, len(completed), cache=CountCache(path)) == list(completed)
     assert opens == ["rb"]
+
+
+def test_repeated_counts_of_a_built_pattern_hash_no_constraint(monkeypatch):
+    pat = pattern(4, Collinear(1, 2, Move(1, 1)), Collinear(2, 3, Move(1, -1)), Equal(3, 4))
+    calls = []
+    for cls in (Collinear, Move):
+        monkeypatch.setattr(cls, "__hash__", lambda self, real=cls.__hash__: calls.append(self) or real(self))
+    hash(Collinear(1, 2, Move(1, 0)))
+    assert len(calls) == 2  # the wrappers see a hash of a constraint and of its move
+    calls.clear()
+    counts = {count_pattern(pat, n % 5) for n in range(100)}
+    assert calls == [] and len(counts) == 5
+    # built apart, equal patterns still hash and compare equal; a different slope differs
+    twin = pattern(4, Collinear(1, 2, Move(1, 1)), Collinear(2, 3, Move(1, -1)), Equal(3, 4))
+    other = pattern(4, Collinear(1, 2, Move(1, 1)), Collinear(2, 3, Move(1, 0)), Equal(3, 4))
+    assert twin is not pat and twin == pat and hash(twin) == hash(pat)
+    assert other != pat and {pat: 1}.get(twin) == 1 and {pat: 1}.get(other) is None
 
 
 def test_equal_patterns_built_apart_share_one_count():

@@ -4,7 +4,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cyclic_garbage, naive_fit
+from conftest import (
+    cyclic_garbage,
+    naive_fit,
+    naive_poly,
+    naive_poly_add,
+    naive_poly_mul,
+    naive_poly_scale,
+    naive_poly_value,
+)
 from qqueens.quasipoly import (
     CoeffDecomposition,
     InconsistentSamplesError,
@@ -220,12 +228,8 @@ fractions = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
 
 @given(st.lists(fractions, max_size=9), st.one_of(st.integers(-40, 40), fractions))
 def test_polynomial_value_matches_fraction_horner(coeffs, x):
-    poly = P(*coeffs)
-    expected = F(0)
-    for c in reversed(poly.coeffs):
-        expected = expected * x + c
-    value = poly(x)
-    assert type(value) is F and value == expected
+    value = P(*coeffs)(x)
+    assert type(value) is F and value == naive_poly_value(naive_poly(coeffs), x)
 
 
 # numerators and denominators up to 2^70 as well as small ones, so that a
@@ -238,14 +242,65 @@ wide_fractions = st.one_of(
 
 @given(st.lists(wide_fractions, max_size=7), st.lists(wide_fractions, max_size=7))
 def test_polynomial_product_matches_schoolbook_fraction_product(a, b):
-    pa, pb = P(*a), P(*b)
-    expected = [F(0)] * max(len(pa.coeffs) + len(pb.coeffs) - 1, 0)
-    for i, x in enumerate(pa.coeffs):
-        for j, y in enumerate(pb.coeffs):
-            expected[i + j] += x * y
-    product = pa * pb
-    assert product == P(*expected) == pb * pa
+    product = P(*a) * P(*b)
+    assert product.coeffs == naive_poly_mul(naive_poly(a), naive_poly(b)) and product == P(*b) * P(*a)
     assert all(type(c) is F for c in product.coeffs)
+
+
+# ints and fractions with 0, negative values and numerators and denominators up to 2^70
+coefficients = st.one_of(st.just(0), st.integers(-(2**70), 2**70), wide_fractions)
+
+
+@given(
+    st.lists(coefficients, max_size=7),
+    st.lists(coefficients, max_size=7),
+    coefficients,
+    st.integers(-(2**20), 2**20),
+    wide_fractions,
+)
+def test_polynomial_matches_the_fraction_tuple_oracle(a, b, factor, n, x):
+    pa, pb = P(*a), P(*b)
+    na, nb = naive_poly(a), naive_poly(b)
+    cases = [
+        (pa, na),
+        (pb, nb),
+        (pa + pb, naive_poly_add(na, nb)),
+        (pa - pb, naive_poly_add(na, naive_poly_scale(nb, -1))),
+        (pa * pb, naive_poly_mul(na, nb)),
+        (pa.scale(factor), naive_poly_scale(na, factor)),
+    ]
+    for poly, naive in cases:
+        assert poly.den >= 1 and math.gcd(poly.den, *poly.nums) == 1
+        assert not poly.nums or poly.nums[-1] != 0
+        assert poly.coeffs == naive and all(type(c) is F for c in poly.coeffs)
+        assert poly.degree == len(naive) - 1
+        for power in range(-1, len(naive) + 1):
+            c = poly.coefficient(power)
+            assert type(c) is F and c == (naive[power] if 0 <= power < len(naive) else 0)
+        for at in (n, x):
+            value = poly(at)
+            assert type(value) is F and value == naive_poly_value(naive, at)
+        # equality and hashing are value equality, however the polynomial was built
+        rebuilt = P(*naive)
+        assert rebuilt == poly and hash(rebuilt) == hash(poly)
+    assert (pa == pb) == (na == nb)
+    assert (pa + pb) - pb == pa and hash((pa + pb) - pb) == hash(pa)
+
+
+def test_polynomial_constructor_takes_only_the_canonical_pair():
+    assert Polynomial((1, 2), 3) == P(F(1, 3), F(2, 3))
+    assert Polynomial(()) == P() == P(0, F(0, 5))
+    for nums, den in (((2, 4), 2), ((), 2), ((1, 0), 1), ((1,), 0), ((1,), -1), ((-1,), -1)):
+        with pytest.raises(ValueError, match="not canonical"):
+            Polynomial(nums, den)
+
+
+def test_monomial_rejects_a_negative_power():
+    assert Polynomial.monomial(F(1, 2), 3).coeffs == (0, 0, 0, F(1, 2))
+    assert Polynomial.monomial(0, 2) == P()
+    for coeff in (1, 0):
+        with pytest.raises(ValueError, match="power"):
+            Polynomial.monomial(coeff, -1)
 
 
 def test_polynomial_product_examples():
