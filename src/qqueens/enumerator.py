@@ -17,10 +17,16 @@ identities.
   where T counts the triangles on three distinct slopes.  For each triple
   of slopes those are two primitive triangles scaled by l = 1, 2, ...
   (``_primitive_triangles``).  On the full board c_L is the length of L,
-  deg v the sum of (length - 1) over the lines through v, and T the sum
-  over primitive triangles w wide and h high of sum_{l<=L} (n - l w)(n - l h),
-  L = (n - 1) // max(w, h), read off the power sums of l and l^2; so q = 2
-  and q = 3 need only the line lengths of ``_board_lines``.  For q >= 4 the
+  and q = 2 and q = 3 are arithmetic plus C-level list operations
+  (``_pairs_and_triples``).  Two squares l steps apart along the slope
+  (c, d), or the ends of l - 1 collinear triples, span a box |c| l wide and
+  |d| l high, which has (n - l |c|)(n - l |d|) places; so do the copies of a
+  primitive triangle w wide and h high at scale l, with w and h for |c| and
+  |d|.  So E, sum_L C(c_L, 3) and T are read off the power sums of l
+  (``_box_sums``) and walk no line.  X sums e_s(v) e_s'(v) over the pairs
+  of slopes, e_s(v) the length of v's line of slope s minus 1: that is n - 1
+  on every square for an orthogonal slope, and a cached per-square table
+  (``_excess``, at most ``EXCESS_TABLES`` kept) for any other.  For q >= 4 the
   leaf reads deg v off S & (attack mask of v), one popcount per square,
   C(c_L, j) off one popcount per board line (about 6n for the queen) and
   T off one big-integer AND of shifted copies of S per scaled triangle
@@ -57,6 +63,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -221,8 +228,10 @@ def _triangle_shapes(moves: MoveSet, n: int) -> list[tuple[int, int, int, int, i
 def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of q-subsets of distinct squares of the n x n board, pairwise nonattacking.
 
-    q = 2 and q = 3 are read off the board's line lengths
-    (``_pairs_and_triples``), with no attack table.  The attack masks and the
+    q = 2 and q = 3 are read off closed-form sums over the board's lines and,
+    for q = 3 with two or more oblique slopes, cached per-square excess
+    tables (``_pairs_and_triples``), with no attack table and no walk of the
+    lines.  The attack masks and the
     leaf serve q >= 4 only: the first piece runs over one square per
     board-symmetry orbit, any middle pieces run in increasing index order,
     and one leaf evaluation counts the last three, the
@@ -312,37 +321,95 @@ def _pairs_and_triples(moves: MoveSet, q: int, n: int, budget: int) -> int:
     """``count_unlabelled`` for q = 2 or 3 and n >= 1: the module docstring's
     identities on the full board, each c_L the length of L.  Charges N = n^2
     nodes, and for q = 3 two more per nonattacking pair (one per choice of
-    its first piece)."""
+    its first piece), on every call and before any table is read.
+
+    E and sum_L C(c_L, 3) are closed forms per slope (``_box_sums``), so
+    q = 2 reads no line.  X sums e_s(v) e_s'(v) over each pair of slopes s, s'
+    and each square v, where the excess e_s(v) is the length of v's line of
+    slope s minus 1, and sum_v e_s(v) = 2 E_s.  An orthogonal slope has excess
+    o = n - 1 on every square, so a pair of them adds N o^2 and a pair of one
+    and another slope s' adds 2 o E_s'.  A pair of two oblique slopes (c and d
+    both nonzero) reads their excess tables (``_excess``): with r the sum of
+    the tables of the oblique slopes, those pairs add
+    (sum_v r(v)^2 - sum_s sum_v e_s(v)^2) / 2, where
+    sum_v e_s(v)^2 = sum_L c_L (c_L - 1)^2 = 6 sum_L C(c_L, 3) + 2 E_s."""
     size = n * n
-    attacking = collinear = 0
-    degree = [0] * size
-    for slope in moves:
-        for line in _board_lines(slope, n):
-            j = len(line)
-            attacking += j * (j - 1) // 2
-            collinear += j * (j - 1) * (j - 2) // 6
-            if q == 3 and j > 1:
-                for i in line:
-                    degree[i] += j - 1
+    attacking = collinear = orthogonal = 0
+    oblique = []  # (slope, E_s, sum_v e_s(v)^2) per oblique slope with a line of two squares
+    for m in moves:
+        pairs_s, triples_s = _box_sums(m.c, abs(m.d), n)
+        attacking += pairs_s
+        collinear += triples_s
+        if not (m.c and m.d):
+            orthogonal += 1
+        elif pairs_s:
+            oblique.append((m, pairs_s, 6 * triples_s + 2 * pairs_s))
     pairs = size * (size - 1) // 2 - attacking
     nodes = size + 2 * pairs if q == 3 else size
     if nodes > budget:
         raise BudgetExceededError(nodes, budget)
     if q == 2:
         return pairs
-    wedges = sum(d * (d - 1) for d in degree) // 2
-    return math.comb(size, 3) - attacking * (size - 2) + wedges - collinear - _skew_triangles(moves, n)
+    o = n - 1
+    cross = orthogonal * (orthogonal - 1) // 2 * size * o * o + 2 * orthogonal * o * sum(e for _, e, _ in oblique)
+    if len(oblique) > 1:
+        tables = [_excess(m.c, m.d, n) for m, _, _ in oblique]
+        r = list(functools.reduce(functools.partial(map, operator.add), tables))
+        cross += (sum(map(operator.mul, r, r)) - sum(own for *_, own in oblique)) // 2
+    return math.comb(size, 3) - attacking * (size - 2) + 2 * collinear + cross - _skew_triangles(moves, n)
+
+
+def _box_sums(w: int, h: int, n: int) -> tuple[int, int]:
+    """(sum_l (n - l w)(n - l h), sum_l (l - 1)(n - l w)(n - l h)) over
+    l = 1..(n - 1) // max(w, h), read off the power sums of l, l^2 and l^3:
+    the copies on the n x n board of a box w wide and h high scaled by l,
+    plain and weighted by l - 1.  For the box (|c|, |d|) of a slope these are
+    E_s and sum_L C(c_L, 3) along it: two squares l steps apart span the box
+    at scale l, and so do the ends of l - 1 collinear triples."""
+    top = (n - 1) // max(w, h)
+    s1 = top * (top + 1) // 2
+    s2 = s1 * (2 * top + 1) // 3
+    a, b = n * (w + h), w * h
+    return top * n * n - a * s1 + b * s2, (s1 - top) * n * n - a * (s2 - s1) + b * (s1 * s1 - s2)
+
+
+# The excess tables kept at once.  ``verify --scope all`` reads 32 distinct
+# ones (both diagonals at n = 2..17), each again after at most 31 others, so
+# it builds each once; a table holds n^2 entries, 51 KB at n = 80.
+EXCESS_TABLES = 32
+
+
+@functools.lru_cache(maxsize=EXCESS_TABLES)
+def _excess(c: int, d: int, n: int) -> tuple[int, ...]:
+    """Per square of the n x n board, in index order, the length of its line
+    of the oblique slope (c, d) minus 1.  That is the steps back from the
+    square to the board's edge plus the steps forward, and the steps forward
+    from a square are the steps back from its image under the half turn,
+    which reverses the index order.  Row y of the steps back,
+    min(x // c, a) with a the steps back in y, is the first a * c of the
+    x // c followed by copies of a.  A tuple, so no reader can change a
+    cached table."""
+    quotients = [x // c for x in range(n)]
+    back = []
+    for y in range(n):
+        a = y // d if d > 0 else (n - 1 - y) // -d
+        back += quotients[:a * c]
+        back += [a] * (n - a * c)
+    return tuple(map(operator.add, back, reversed(back)))
 
 
 def _skew_triangles(moves: MoveSet, n: int) -> int:
     """T on the full n x n board: each primitive triangle, w wide and h high,
-    has (n - l w)(n - l h) copies at scale l = 1..top, summed by the power sums of l and l^2."""
-    total = 0
-    for *_, w, h in _primitive_triangles(moves):
-        top = (n - 1) // max(w, h)
-        s1, s2 = top * (top + 1) // 2, top * (top + 1) * (2 * top + 1) // 6
-        total += top * n * n - n * (w + h) * s1 + w * h * s2
-    return total
+    has (n - l w)(n - l h) copies at scale l = 1, 2, ... (``_box_sums``)."""
+    return sum(_box_sums(w, h, n)[0] for w, h in _triangle_boxes(moves.canonical_key()))
+
+
+@functools.cache
+def _triangle_boxes(key: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """(w, h) of each of ``_primitive_triangles`` of the move set with the
+    canonical key ``key``, worked out once per key: the triangles depend on
+    the set of slopes only."""
+    return tuple((w, h) for *_, w, h in _primitive_triangles(MoveSet.from_pairs(key)))
 
 
 def _subsets(allowed: int, k: int, masks: tuple[int, ...], leaf, charge, weight: int) -> int:

@@ -158,9 +158,15 @@ class QuasiPolynomial:
 
     @classmethod
     def make(cls, constituents: Iterable[Polynomial]) -> "QuasiPolynomial":
-        """The quasipolynomial of the cycle, cut to one repetition."""
+        """The quasipolynomial of the cycle, cut to one repetition.  A cycle
+        cut at its minimal period is minimal, so it is stored without the
+        scan of ``__post_init__``."""
         cycle = tuple(constituents)
-        return cls(cycle[:_minimal_period(cycle)])
+        if not cycle:
+            raise ValueError("need a nonempty cycle")
+        qp = object.__new__(cls)
+        object.__setattr__(qp, "constituents", cycle[:_minimal_period(cycle)])
+        return qp
 
     @classmethod
     def constant_poly(cls, poly: Polynomial) -> "QuasiPolynomial":

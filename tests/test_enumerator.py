@@ -16,13 +16,16 @@ from conftest import (
 from qqueens.core import ALL_PIECE_SPECS, Move, MoveSet, PartialQueenSpec, is_multiple, partial_queen
 from qqueens.enumerator import (
     D4,
+    EXCESS_TABLES,
     AttackTable,
     BudgetExceededError,
     Collinear,
     ConstraintPattern,
     Equal,
     _board_lines,
+    _box_sums,
     _component_count,
+    _excess,
     _line_index,
     _line_mask,
     _skew_triangles,
@@ -136,6 +139,10 @@ def _no_attack_table(moves, n):
     raise AssertionError("q <= 3 must not build an attack table")
 
 
+def _no_line_walk(slope, n):
+    raise AssertionError("q <= 3 must not walk the board's lines")
+
+
 @given(
     st.lists(st.sampled_from(CANONICAL_MOVES), min_size=1, max_size=5, unique=True),
     st.integers(2, 3),
@@ -148,6 +155,7 @@ def test_two_and_three_pieces_from_line_lengths_match_naive_oracle(moves, q, n):
     rider = MoveSet(tuple(moves))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(AttackTable, "build", _no_attack_table)
+        patch.setattr("qqueens.enumerator._board_lines", _no_line_walk)
         count = count_unlabelled(rider, q, n)
     assert count == naive_count_unlabelled(rider, q, n)
 
@@ -204,6 +212,81 @@ def test_triangle_closed_form_matches_the_scaled_shapes_on_the_five_slope_rider(
 def test_triangle_closed_form_matches_the_scaled_shapes(moves, n):
     rider = MoveSet(tuple(moves))
     assert _skew_triangles(rider, n) == _skew_by_shapes(rider, n)
+
+
+ANY_SLOPE = (
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+    .filter(lambda v: math.gcd(*v) == 1)
+    .map(lambda v: Move.from_vector(*v))
+)
+
+
+@given(ANY_SLOPE, st.integers(0, 60))
+@example(Move(5, -4), 4)  # longer than the board: no line of two squares
+@example(Move(1, 0), 0)
+@settings(deadline=None)
+def test_per_slope_line_sums_match_the_line_lengths(slope, n):
+    lengths = line_lengths(slope, n)
+    pairs = sum(math.comb(length, 2) for length in lengths)
+    triples = sum(math.comb(length, 3) for length in lengths)
+    assert _box_sums(slope.c, abs(slope.d), n) == (pairs, triples)
+
+
+@given(ANY_SLOPE.filter(lambda m: m.c and m.d), st.integers(0, 30))
+@example(Move(5, -4), 4)
+@example(Move(1, -1), 1)
+@settings(deadline=None)
+def test_excess_table_is_each_squares_line_length_minus_one(slope, n):
+    table = [None] * (n * n)
+    for line in _board_lines(slope, n):
+        for i in line:
+            table[i] = len(line) - 1
+    assert _excess(slope.c, slope.d, n) == tuple(table)
+
+
+def _triples_by_degree_loop(moves, n):
+    """u(3; n) as the q = 3 count read it before the closed forms: E and
+    sum_L C(c_L, 3) added up line by line, each square's degree added up
+    square by square, and T from the scaled shapes."""
+    size = n * n
+    attacking = collinear = 0
+    degree = [0] * size
+    for slope in moves:
+        for line in _board_lines(slope, n):
+            j = len(line)
+            attacking += j * (j - 1) // 2
+            collinear += j * (j - 1) * (j - 2) // 6
+            for i in line:
+                degree[i] += j - 1
+    wedges = sum(d * (d - 1) for d in degree) // 2
+    return math.comb(size, 3) - attacking * (size - 2) + wedges - collinear - _skew_by_shapes(moves, n)
+
+
+@given(
+    st.lists(st.sampled_from(CANONICAL_MOVES), min_size=1, max_size=6, unique=True),
+    st.integers(1, 40),
+)
+@example([Move(1, 0), Move(0, 1)], 40)  # the rook: orthogonal slopes only
+@example([Move(1, 2), Move(2, 1), Move(1, -2), Move(2, -1)], 40)  # the nightrider: none
+@example([Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1), Move(1, 2)], 40)
+@settings(deadline=None, max_examples=60)
+def test_three_piece_closed_forms_match_the_degree_loop(moves, n):
+    rider = MoveSet(tuple(moves))
+    assert count_unlabelled(rider, 3, n) == _triples_by_degree_loop(rider, n)
+
+
+def test_excess_tables_stay_bounded_and_are_read_only():
+    _excess.cache_clear()
+    sequence(MoveSet.from_pairs([(1, 1), (1, -1), (1, 2)]), 3, 1, EXCESS_TABLES + 1)
+    assert _excess.cache_info().currsize <= EXCESS_TABLES
+    # one oblique slope among orthogonal ones pairs with no other table
+    _excess.cache_clear()
+    count_unlabelled(MoveSet.from_pairs([(1, 0), (0, 1), (1, 1)]), 3, 9)
+    assert _excess.cache_info().misses == 0
+    # the diagonal's table is summed with another one and stays as built
+    count_unlabelled(MoveSet.from_pairs([(1, 1), (1, 2)]), 3, 9)
+    assert _excess.cache_info().currsize == 2
+    assert _excess(1, 1, 9) == _excess.__wrapped__(1, 1, 9)
 
 
 def test_count_labelled_matches_naive_permutation_count():

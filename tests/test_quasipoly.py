@@ -60,6 +60,23 @@ def test_quasipoly_is_held_at_its_minimal_period():
         QuasiPolynomial.make(())
 
 
+def test_make_scans_its_cycle_once(monkeypatch):
+    import qqueens.quasipoly as quasipoly
+
+    scans = []
+    real = quasipoly._minimal_period
+    monkeypatch.setattr(quasipoly, "_minimal_period", lambda cycle: scans.append(cycle) or real(cycle))
+    p, r = P(0, 1), P(1, 1)
+    assert QuasiPolynomial.make((p, r, p, r)).constituents == (p, r)
+    assert scans == [(p, r, p, r)]
+    assert QuasiPolynomial.make((p, p, p)).constituents == (p,)
+    assert scans == [(p, r, p, r), (p, p, p)]
+    with pytest.raises(ValueError):
+        QuasiPolynomial((p, p))
+    with pytest.raises(ValueError):
+        QuasiPolynomial.make(())
+
+
 def test_parity_split_round_trip():
     qp = QuasiPolynomial.from_parity_split(P(1, 2), P(F(1, 2)))
     assert qp.period == 2
