@@ -73,8 +73,6 @@ def test_make_scans_its_cycle_once(monkeypatch):
     assert scans == [(p, r, p, r), (p, p, p)]
     with pytest.raises(ValueError):
         QuasiPolynomial((p, p))
-    with pytest.raises(ValueError):
-        QuasiPolynomial.make(())
 
 
 def test_parity_split_round_trip():
