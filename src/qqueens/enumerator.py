@@ -16,21 +16,30 @@ identities.
   So the triples number C(N, 3) - E (N - 2) + 2 sum_L C(c_L, 3) + X - T,
   where T counts the triangles on three distinct slopes.  For each triple
   of slopes those are two primitive triangles scaled by l = 1, 2, ...
-  (``_primitive_triangles``).  On the full board c_L is the length of L,
-  and q = 2 and q = 3 are arithmetic plus C-level list operations
-  (``_pairs_and_triples``).  Two squares l steps apart along the slope
-  (c, d), or the ends of l - 1 collinear triples, span a box |c| l wide and
-  |d| l high, which has (n - l |c|)(n - l |d|) places; so do the copies of a
-  primitive triangle w wide and h high at scale l, with w and h for |c| and
-  |d|.  So E, sum_L C(c_L, 3) and T are read off the power sums of l
-  (``_box_sums``) and walk no line.  X sums e_s(v) e_s'(v) over the pairs
-  of slopes, e_s(v) the length of v's line of slope s minus 1: that is n - 1
-  on every square for an orthogonal slope, and a cached per-square table
-  (``_excess``, at most ``EXCESS_TABLES`` kept) for any other.  For q >= 4 the
-  leaf reads deg v off S & (attack mask of v), one popcount per square,
-  C(c_L, j) off one popcount per board line (about 6n for the queen) and
-  T off one big-integer AND of shifted copies of S per scaled triangle
-  (``_triangle_shapes``), so the last three pieces cost one leaf
+  (``_primitive_triangles``, one table per move set that both paths below
+  read).
+
+  For q = 2 and q = 3 S is the full board, c_L is the length of L, and the
+  count is arithmetic plus C-level list operations (``_pairs_and_triples``).
+  Two squares l steps apart along the slope (c, d), or the ends of l - 1
+  collinear triples, span a box |c| l wide and |d| l high, which has
+  (n - l |c|)(n - l |d|) places; so do the copies of a primitive triangle
+  w wide and h high at scale l, with w and h for |c| and |d|.  So E,
+  sum_L C(c_L, 3) and T are read off the power sums of l (``_box_sums``)
+  and walk no line.  X sums e_s(v) e_s'(v) over the pairs of slopes s, s'
+  and the squares v, where the excess e_s(v) is the length of v's line of
+  slope s minus 1, and sum_v e_s(v) = 2 E_s.  An orthogonal slope has
+  excess o = n - 1 on every square, so a pair of two adds N o^2 and a pair
+  of one and another slope s' adds 2 o E_s'.  The pairs of oblique slopes
+  (c and d both nonzero) read one per-square excess table per slope
+  (``_excess``): with r the sum of those tables they add
+  (sum_v r(v)^2 - sum_s sum_v e_s(v)^2) / 2, where
+  sum_v e_s(v)^2 = sum_L c_L (c_L - 1)^2 = 6 sum_L C(c_L, 3) + 2 E_s.
+
+  For q >= 4 the leaf reads deg v off S & (attack mask of v), one popcount
+  per square, C(c_L, j) off one popcount per board line (about 6n for the
+  queen) and T off one big-integer AND of shifted copies of S per scaled
+  triangle (``_triangle_shapes``), so the last three pieces cost one leaf
   evaluation.  The attack masks and the leaf serve q >= 4 only.
 * Board symmetry.  Each nonattacking q-set is counted once from each of its
   squares, so u(q) = (1/q) sum_s N_{q-1}(T_s), where T_s holds the squares
@@ -110,7 +119,7 @@ class AttackTable:
         masks = [1 << i for i in range(n * n)]
         lines = []
         for m in moves:
-            for squares in _board_lines(m, n):
+            for squares in _board_lines(m.c, m.d, n):
                 if len(squares) > 1:
                     line = _line_mask(squares)
                     lines.append(line)
@@ -126,8 +135,8 @@ def _line_mask(squares: range) -> int:
     return ((1 << step * len(squares)) - 1) // ((1 << step) - 1) << min(squares[0], squares[-1])
 
 
-def _board_lines(slope: Move, n: int) -> list[range]:
-    """The maximal lines of the given slope on the n x n board, single squares
+def _board_lines(c: int, d: int, n: int) -> list[range]:
+    """The maximal lines of the slope (c, d) on the n x n board, single squares
     included, each as the range of the indices (y-1)*n + (x-1) of its squares,
     in the order of their first squares.
 
@@ -136,7 +145,6 @@ def _board_lines(slope: Move, n: int) -> list[range]:
     squares (c >= 0 for a canonical move).  Its length is 1 + the fewest
     steps from there to the board's edge, and its index step is d*n + c.
     That step is 0 only for (n, -1), whose lines are single squares."""
-    c, d = slope.c, slope.d
     step = d * n + c or 1
     lines = []
     for y0 in range(n):
@@ -188,9 +196,11 @@ def _orbits(group: tuple[tuple[int, int, int, int], ...], n: int) -> list[tuple[
     return out
 
 
-def _primitive_triangles(moves: MoveSet) -> list[tuple[int, int, int, int, int, int, int]]:
+@functools.cache
+def _primitive_triangles(key: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int, int, int, int, int, int], ...]:
     """One (y1, x1, y2, x2, lo, w, h) per primitive triangle whose sides lie
-    on three distinct slopes of the move set, two per triple of slopes.
+    on three distinct slopes of the move set with the canonical key ``key``,
+    two per triple of slopes, worked out once per key.
 
     For slopes a, b, c, with s = (b x c)/g and t = (a x c)/g (g their gcd),
     s*a - t*b is a multiple of c, so P, P + l*s*a and P + l*t*b (l != 0) is
@@ -201,16 +211,16 @@ def _primitive_triangles(moves: MoveSet) -> list[tuple[int, int, int, int, int, 
     right of the left edge of the triangle's box, w wide and h high.
     """
     out = []
-    for a, b, c in itertools.combinations(moves, 3):
-        bc, ac = b.c * c.d - b.d * c.c, a.c * c.d - a.d * c.c
-        g = math.gcd(bc, ac)
-        s, t = bc // g, ac // g
+    for (ax, ay), (bx, by), (cx, cy) in itertools.combinations(key, 3):
+        bxc, axc = bx * cy - by * cx, ax * cy - ay * cx
+        g = math.gcd(bxc, axc)
+        s, t = bxc // g, axc // g
         for l in (1, -1):
             # the vertices as (y, x), so that sorting puts them in index order
-            (y0, x0), (y1, x1), (y2, x2) = sorted([(0, 0), (l * s * a.d, l * s * a.c), (l * t * b.d, l * t * b.c)])
+            (y0, x0), (y1, x1), (y2, x2) = sorted([(0, 0), (l * s * ay, l * s * ax), (l * t * by, l * t * bx)])
             left = min(x0, x1, x2)
             out.append((y1 - y0, x1 - x0, y2 - y0, x2 - x0, x0 - left, max(x0, x1, x2) - left, y2 - y0))
-    return out
+    return tuple(out)
 
 
 def _triangle_shapes(moves: MoveSet, n: int) -> list[tuple[int, int, int, int, int]]:
@@ -220,7 +230,7 @@ def _triangle_shapes(moves: MoveSet, n: int) -> list[tuple[int, int, int, int, i
     full board the shape has (n - w)(n - h) anchors, in columns lo .. lo + n - w - 1."""
     return [
         (l * (y1 * n + x1), l * (y2 * n + x2), l * lo, l * w, l * h)
-        for y1, x1, y2, x2, lo, w, h in _primitive_triangles(moves)
+        for y1, x1, y2, x2, lo, w, h in _primitive_triangles(moves.canonical_key())
         for l in range(1, (n - 1) // max(w, h) + 1)
     ]
 
@@ -228,15 +238,10 @@ def _triangle_shapes(moves: MoveSet, n: int) -> list[tuple[int, int, int, int, i
 def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of q-subsets of distinct squares of the n x n board, pairwise nonattacking.
 
-    q = 2 and q = 3 are read off closed-form sums over the board's lines and,
-    for q = 3 with two or more oblique slopes, cached per-square excess
-    tables (``_pairs_and_triples``), with no attack table and no walk of the
-    lines.  The attack masks and the
-    leaf serve q >= 4 only: the first piece runs over one square per
-    board-symmetry orbit, any middle pieces run in increasing index order,
-    and one leaf evaluation counts the last three, the
-    C(N, 3) - E (N - 2) + 2 sum_L C(c_L, 3) + X - T nonattacking triples of
-    the allowed set S (the module docstring defines the terms).
+    q = 2 and q = 3 are arithmetic (``_pairs_and_triples``).  For q >= 4 the
+    first piece runs over one square per board-symmetry orbit, any middle
+    pieces run in increasing index order, and one leaf evaluation counts the
+    last three (the module docstring gives both routes).
 
     Raises ``BudgetExceededError`` once the search passes ``budget`` nodes
     (see there for what a node is).
@@ -318,24 +323,13 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
 
 
 def _pairs_and_triples(moves: MoveSet, q: int, n: int, budget: int) -> int:
-    """``count_unlabelled`` for q = 2 or 3 and n >= 1: the module docstring's
-    identities on the full board, each c_L the length of L.  Charges N = n^2
-    nodes, and for q = 3 two more per nonattacking pair (one per choice of
-    its first piece), on every call and before any table is read.
-
-    E and sum_L C(c_L, 3) are closed forms per slope (``_box_sums``), so
-    q = 2 reads no line.  X sums e_s(v) e_s'(v) over each pair of slopes s, s'
-    and each square v, where the excess e_s(v) is the length of v's line of
-    slope s minus 1, and sum_v e_s(v) = 2 E_s.  An orthogonal slope has excess
-    o = n - 1 on every square, so a pair of them adds N o^2 and a pair of one
-    and another slope s' adds 2 o E_s'.  A pair of two oblique slopes (c and d
-    both nonzero) reads their excess tables (``_excess``): with r the sum of
-    the tables of the oblique slopes, those pairs add
-    (sum_v r(v)^2 - sum_s sum_v e_s(v)^2) / 2, where
-    sum_v e_s(v)^2 = sum_L c_L (c_L - 1)^2 = 6 sum_L C(c_L, 3) + 2 E_s."""
+    """``count_unlabelled`` for q = 2 or 3 and n >= 1, by the module
+    docstring's closed forms on the full board.  Charges N = n^2 nodes, and
+    for q = 3 two more per nonattacking pair (one per choice of its first
+    piece), on every call and before any table is built."""
     size = n * n
     attacking = collinear = orthogonal = 0
-    oblique = []  # (slope, E_s, sum_v e_s(v)^2) per oblique slope with a line of two squares
+    oblique = []  # (c, d, E_s, sum_v e_s(v)^2) per oblique slope with a line of two squares
     for m in moves:
         pairs_s, triples_s = _box_sums(m.c, abs(m.d), n)
         attacking += pairs_s
@@ -343,7 +337,7 @@ def _pairs_and_triples(moves: MoveSet, q: int, n: int, budget: int) -> int:
         if not (m.c and m.d):
             orthogonal += 1
         elif pairs_s:
-            oblique.append((m, pairs_s, 6 * triples_s + 2 * pairs_s))
+            oblique.append((m.c, m.d, pairs_s, 6 * triples_s + 2 * pairs_s))
     pairs = size * (size - 1) // 2 - attacking
     nodes = size + 2 * pairs if q == 3 else size
     if nodes > budget:
@@ -351,9 +345,9 @@ def _pairs_and_triples(moves: MoveSet, q: int, n: int, budget: int) -> int:
     if q == 2:
         return pairs
     o = n - 1
-    cross = orthogonal * (orthogonal - 1) // 2 * size * o * o + 2 * orthogonal * o * sum(e for _, e, _ in oblique)
+    cross = orthogonal * (orthogonal - 1) // 2 * size * o * o + 2 * orthogonal * o * sum(e for _, _, e, _ in oblique)
     if len(oblique) > 1:
-        tables = [_excess(m.c, m.d, n) for m, _, _ in oblique]
+        tables = [_excess(c, d, n) for c, d, _, _ in oblique]
         r = list(functools.reduce(functools.partial(map, operator.add), tables))
         cross += (sum(map(operator.mul, r, r)) - sum(own for *_, own in oblique)) // 2
     return math.comb(size, 3) - attacking * (size - 2) + 2 * collinear + cross - _skew_triangles(moves, n)
@@ -373,43 +367,26 @@ def _box_sums(w: int, h: int, n: int) -> tuple[int, int]:
     return top * n * n - a * s1 + b * s2, (s1 - top) * n * n - a * (s2 - s1) + b * (s1 * s1 - s2)
 
 
-# The excess tables kept at once.  ``verify --scope all`` reads 32 distinct
-# ones (both diagonals at n = 2..17), each again after at most 31 others, so
-# it builds each once; a table holds n^2 entries, 51 KB at n = 80.
-EXCESS_TABLES = 32
-
-
-@functools.lru_cache(maxsize=EXCESS_TABLES)
-def _excess(c: int, d: int, n: int) -> tuple[int, ...]:
+def _excess(c: int, d: int, n: int) -> list[int]:
     """Per square of the n x n board, in index order, the length of its line
-    of the oblique slope (c, d) minus 1.  That is the steps back from the
-    square to the board's edge plus the steps forward, and the steps forward
-    from a square are the steps back from its image under the half turn,
-    which reverses the index order.  Row y of the steps back,
-    min(x // c, a) with a the steps back in y, is the first a * c of the
-    x // c followed by copies of a.  A tuple, so no reader can change a
-    cached table."""
+    of the oblique slope (c, d) minus 1."""
+    # The steps back from a square to the board's edge plus the steps
+    # forward, which are the steps back from its half-turn image: the
+    # reversed list.  Row y of the steps back, min(x // c, a) with a the
+    # steps back in y, is the first a * c of the x // c, then copies of a.
     quotients = [x // c for x in range(n)]
     back = []
     for y in range(n):
         a = y // d if d > 0 else (n - 1 - y) // -d
         back += quotients[:a * c]
         back += [a] * (n - a * c)
-    return tuple(map(operator.add, back, reversed(back)))
+    return list(map(operator.add, back, reversed(back)))
 
 
 def _skew_triangles(moves: MoveSet, n: int) -> int:
     """T on the full n x n board: each primitive triangle, w wide and h high,
     has (n - l w)(n - l h) copies at scale l = 1, 2, ... (``_box_sums``)."""
-    return sum(_box_sums(w, h, n)[0] for w, h in _triangle_boxes(moves.canonical_key()))
-
-
-@functools.cache
-def _triangle_boxes(key: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """(w, h) of each of ``_primitive_triangles`` of the move set with the
-    canonical key ``key``, worked out once per key: the triangles depend on
-    the set of slopes only."""
-    return tuple((w, h) for *_, w, h in _primitive_triangles(MoveSet.from_pairs(key)))
+    return sum(_box_sums(w, h, n)[0] for *_, w, h in _primitive_triangles(moves.canonical_key()))
 
 
 def _subsets(allowed: int, k: int, masks: tuple[int, ...], leaf, charge, weight: int) -> int:
@@ -439,7 +416,7 @@ def line_lengths(slope: Move, n: int) -> list[int]:
     (coincidences allowed in both)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return list(map(len, _board_lines(slope, n)))
+    return list(map(len, _board_lines(slope.c, slope.d, n)))
 
 
 @dataclass(frozen=True)
@@ -611,9 +588,8 @@ def _component_count(form: Form, n: int) -> int:
 @functools.cache
 def _line_index(c: int, d: int, n: int) -> tuple[list[range], list[int]]:
     """(the board lines of the slope (c, d), the index of the line through each
-    square), built once per (slope, n) in a process; the slope's ``Move`` is
-    made only here.  ``_fold`` only reads them."""
-    board_lines = _board_lines(Move(c, d), n)
+    square), built once per (slope, n) in a process.  ``_fold`` only reads them."""
+    board_lines = _board_lines(c, d, n)
     line_of = [0] * (n * n)
     for k, line in enumerate(board_lines):
         for s in line:

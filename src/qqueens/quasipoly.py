@@ -47,7 +47,7 @@ class Polynomial:
     canonical: den >= 1, the pair is in lowest terms and there is no
     trailing zero (the zero polynomial is ((), 1)), so equality and hashing
     are structural.  ``make`` builds one from int or ``Fraction``
-    coefficients, and ``coeffs`` hands them out as ``Fraction``s."""
+    coefficients, and ``coefficient`` hands each out as a ``Fraction``."""
 
     nums: tuple[int, ...]
     den: int = 1
@@ -85,11 +85,6 @@ class Polynomial:
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.nums) - 1
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients indexed by power."""
-        return tuple(Fraction(v, self.den) for v in self.nums)
 
     def is_zero(self) -> bool:
         return not self.nums

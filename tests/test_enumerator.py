@@ -16,7 +16,6 @@ from conftest import (
 from qqueens.core import ALL_PIECE_SPECS, Move, MoveSet, PartialQueenSpec, is_multiple, partial_queen
 from qqueens.enumerator import (
     D4,
-    EXCESS_TABLES,
     AttackTable,
     BudgetExceededError,
     Collinear,
@@ -135,11 +134,34 @@ def test_many_slope_riders_match_naive_oracle(rider):
         assert count_unlabelled(rider, 4, n) == naive_count_unlabelled(rider, 4, n)
 
 
+# q = 5 and q = 6 place one and two middle pieces (``_subsets``) before the leaf
+MIDDLE_PIECE_CASES = [
+    (partial_queen(PartialQueenSpec(0, 1)), 5, 4, 904),
+    (partial_queen(PartialQueenSpec(0, 1)), 6, 4, 564),
+    (BISHOP, 5, 4, 112),
+    (BISHOP, 6, 4, 16),
+    (NIGHTRIDER, 5, 4, 340),
+    (NIGHTRIDER, 6, 4, 170),
+    (LOPSIDED_RIDERS[0], 5, 4, 2364),
+    (LOPSIDED_RIDERS[0], 6, 4, 2972),
+    (QUEEN, 5, 5, 10),
+    (ROOK, 5, 5, 120),
+    (BISHOP, 5, 5, 3368),
+]
+
+
+@pytest.mark.parametrize(
+    "rider, q, n, count", MIDDLE_PIECE_CASES, ids=lambda v: str([[m.c, m.d] for m in v]) if isinstance(v, MoveSet) else None
+)
+def test_middle_piece_search_matches_naive_oracle(rider, q, n, count):
+    assert count_unlabelled(rider, q, n) == naive_count_unlabelled(rider, q, n) == count
+
+
 def _no_attack_table(moves, n):
     raise AssertionError("q <= 3 must not build an attack table")
 
 
-def _no_line_walk(slope, n):
+def _no_line_walk(c, d, n):
     raise AssertionError("q <= 3 must not walk the board's lines")
 
 
@@ -238,10 +260,10 @@ def test_per_slope_line_sums_match_the_line_lengths(slope, n):
 @settings(deadline=None)
 def test_excess_table_is_each_squares_line_length_minus_one(slope, n):
     table = [None] * (n * n)
-    for line in _board_lines(slope, n):
+    for line in _board_lines(slope.c, slope.d, n):
         for i in line:
             table[i] = len(line) - 1
-    assert _excess(slope.c, slope.d, n) == tuple(table)
+    assert _excess(slope.c, slope.d, n) == table
 
 
 def _triples_by_degree_loop(moves, n):
@@ -252,7 +274,7 @@ def _triples_by_degree_loop(moves, n):
     attacking = collinear = 0
     degree = [0] * size
     for slope in moves:
-        for line in _board_lines(slope, n):
+        for line in _board_lines(slope.c, slope.d, n):
             j = len(line)
             attacking += j * (j - 1) // 2
             collinear += j * (j - 1) * (j - 2) // 6
@@ -275,18 +297,16 @@ def test_three_piece_closed_forms_match_the_degree_loop(moves, n):
     assert count_unlabelled(rider, 3, n) == _triples_by_degree_loop(rider, n)
 
 
-def test_excess_tables_stay_bounded_and_are_read_only():
-    _excess.cache_clear()
-    sequence(MoveSet.from_pairs([(1, 1), (1, -1), (1, 2)]), 3, 1, EXCESS_TABLES + 1)
-    assert _excess.cache_info().currsize <= EXCESS_TABLES
-    # one oblique slope among orthogonal ones pairs with no other table
-    _excess.cache_clear()
-    count_unlabelled(MoveSet.from_pairs([(1, 0), (0, 1), (1, 1)]), 3, 9)
-    assert _excess.cache_info().misses == 0
-    # the diagonal's table is summed with another one and stays as built
-    count_unlabelled(MoveSet.from_pairs([(1, 1), (1, 2)]), 3, 9)
-    assert _excess.cache_info().currsize == 2
-    assert _excess(1, 1, 9) == _excess.__wrapped__(1, 1, 9)
+def _no_excess_table(c, d, n):
+    raise AssertionError("a lone oblique slope pairs with no other table")
+
+
+def test_a_lone_oblique_slope_reads_no_excess_table(monkeypatch):
+    # its pairs with the orthogonal slopes are closed forms
+    rider = MoveSet.from_pairs([(1, 0), (0, 1), (1, 1)])
+    expected = naive_count_unlabelled(rider, 3, 6)
+    monkeypatch.setattr("qqueens.enumerator._excess", _no_excess_table)
+    assert count_unlabelled(rider, 3, 6) == expected
 
 
 def test_count_labelled_matches_naive_permutation_count():
@@ -373,7 +393,7 @@ def test_rider_line_lengths_match_naive_pair_count(slope):
 @example(Move(3, -1), 3)
 @settings(deadline=None)
 def test_board_lines_match_naive_walk(slope, n):
-    assert [tuple(r) for r in _board_lines(slope, n)] == list(naive_board_lines(slope, n))
+    assert [tuple(r) for r in _board_lines(slope.c, slope.d, n)] == list(naive_board_lines(slope, n))
 
 
 @given(
@@ -387,7 +407,7 @@ def test_board_lines_match_naive_walk(slope, n):
 @example(Move(2, -1), 4)
 @settings(deadline=None)
 def test_line_mask_is_the_sum_of_its_squares(slope, n):
-    for squares in _board_lines(slope, n):
+    for squares in _board_lines(slope.c, slope.d, n):
         assert _line_mask(squares) == sum(1 << i for i in squares)
 
 
@@ -741,7 +761,7 @@ def test_component_counts_build_one_line_index_per_slope_and_size(monkeypatch):
 
     built = []
     real = enumerator._board_lines
-    monkeypatch.setattr(enumerator, "_board_lines", lambda slope, n: built.append((slope, n)) or real(slope, n))
+    monkeypatch.setattr(enumerator, "_board_lines", lambda c, d, n: built.append((c, d, n)) or real(c, d, n))
     _component_count.cache_clear()
     _line_index.cache_clear()
     pats = _catalog_patterns()
