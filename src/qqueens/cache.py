@@ -9,19 +9,28 @@ trusted.  A key repeated with the same count is accepted; a key repeated
 with a different count raises ``CacheConflictError``, since neither
 record can be trusted over the other.
 
-Every load reads and checks the whole file.  Within one process each
-distinct line is parsed once: ``_record`` is memoised on the line's exact
-bytes, so a later load of the same file (or of another file holding that
-line) reuses the parse, while a line rewritten in place is parsed afresh
-and a corrupt line, whose parse raises, warns on every load.
+Every load reads the whole file.  Lines end at ``\n`` only, as binary
+file iteration splits them.  For each path, the process holds the
+complete lines it has parsed, as bytes, and what they gave: the entries,
+the line each key was first read on, the warnings and the line count.  A
+later load of that path whose file starts with the held bytes prints the
+held warnings again and parses only the lines after them; a file that no
+longer starts with them (rewritten or truncated) is parsed from scratch.
+So a load gives the entries, warnings and conflict of a fresh parse, and
+a line rewritten in place or a conflict appended is never missed.  A last
+line without its ``\n`` is parsed on every load and never held, so it is
+read again once it is completed.
 
 ``put`` holds a new record in memory and ``flush`` appends the records held
-in one write; ``enumerator.sequence`` flushes once per call.
+in one write, after a ``\n`` if the file as loaded ended in a line without
+one, so a new record is never glued onto a torn line;
+``enumerator.sequence`` flushes once per call.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import json
 import sys
 from pathlib import Path
@@ -43,14 +52,9 @@ class CacheAccessError(Exception):
     its path and the operating system's reason."""
 
 
-@functools.cache
 def _record(line: bytes) -> tuple[Key, int]:
     """The key and count of one cache line; raises ``ValueError``,
-    ``KeyError`` or ``TypeError`` if the line is corrupt.
-
-    Memoised on the line's exact bytes for the life of the process, one
-    entry per distinct valid line read, the same order of size as the
-    entries of the caches that read it.  A raised error is not memoised."""
+    ``KeyError`` or ``TypeError`` if the line is corrupt."""
     obj = json.loads(line.decode("utf-8"))
     pairs = tuple(map(tuple, obj["moves"]))
     if all(type(x) is int for pair in pairs for x in pair):
@@ -75,37 +79,66 @@ def _moves_key(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...
     return MoveSet.from_pairs(pairs).canonical_key()
 
 
+# Per path loaded in this process: the bytes of the complete lines parsed,
+# and the entries, first line per key, warnings and line count they gave.
+_held: dict[Path, tuple[bytes, dict[Key, int], dict[Key, int], tuple[str, ...], int]] = {}
+_UNREAD = (b"", {}, {}, (), 0)
+
+
 class CountCache:
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self._entries: dict[Key, int] = {}
         self._pending: list[bytes] = []  # lines put since the last flush
+        self._torn = False  # the file as loaded ends in a line without its \n
         self._load()
 
     def _load(self) -> None:
         if not self.path.exists():
             return
-        first_line: dict[Key, int] = {}
         with self._open("rb") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    key, count = _record(line)
-                except (ValueError, KeyError, TypeError) as err:
-                    print(
-                        f"warning: skipping corrupt cache line {lineno} in {self.path}: {err}",
-                        file=sys.stderr,
-                    )
-                    continue
-                known = self._entries.setdefault(key, count)
-                first = first_line.setdefault(key, lineno)
-                if known != count:
-                    moves, q, n = key
-                    raise CacheConflictError(
-                        f"{self.path}: moves {[list(cd) for cd in moves]}, q={q}, n={n} "
-                        f"has count {known} on line {first} and {count} on line {lineno}"
-                    )
+            data = fh.read()
+        held, entries, first_line, warnings, lineno = _held.get(self.path, _UNREAD)
+        if not data.startswith(held):
+            held, entries, first_line, warnings, lineno = _UNREAD
+        for warning in warnings:
+            print(warning, file=sys.stderr)
+        end = data.rfind(b"\n") + 1  # the complete lines end here
+        if end > len(held):
+            entries, first_line, warnings = dict(entries), dict(first_line), list(warnings)
+            lineno = self._parse(data[len(held):end], lineno, entries, first_line, warnings)
+            _held[self.path] = (data[:end], entries, first_line, tuple(warnings), lineno)
+        self._entries = dict(entries)
+        self._torn = end < len(data)
+        if self._torn:
+            self._parse(data[end:], lineno, self._entries, dict(first_line), [])
+
+    def _parse(
+        self, chunk: bytes, lineno: int, entries: dict[Key, int], first_line: dict[Key, int], warnings: list[str]
+    ) -> int:
+        """Read the lines of ``chunk``, numbered after ``lineno``, into
+        ``entries``, warning of each corrupt one and raising
+        ``CacheConflictError`` on a count that differs from the key's
+        first; returns the number of the last line."""
+        for lineno, line in enumerate(io.BytesIO(chunk), start=lineno + 1):
+            if not line.strip():
+                continue
+            try:
+                key, count = _record(line)
+            except (ValueError, KeyError, TypeError) as err:
+                warning = f"warning: skipping corrupt cache line {lineno} in {self.path}: {err}"
+                print(warning, file=sys.stderr)
+                warnings.append(warning)
+                continue
+            known = entries.setdefault(key, count)
+            first = first_line.setdefault(key, lineno)
+            if known != count:
+                moves, q, n = key
+                raise CacheConflictError(
+                    f"{self.path}: moves {[list(cd) for cd in moves]}, q={q}, n={n} "
+                    f"has count {known} on line {first} and {count} on line {lineno}"
+                )
+        return lineno
 
     def get(self, moves: MoveSet, q: int, n: int) -> Optional[int]:
         return self._entries.get((moves.canonical_key(), q, n))
@@ -126,8 +159,9 @@ class CountCache:
         if not self._pending:
             return
         with self._open("ab") as fh:
-            fh.write(b"".join(self._pending))
+            fh.write(b"\n" * self._torn + b"".join(self._pending))
         self._pending.clear()
+        self._torn = False
 
     def _open(self, mode: str):
         """The cache file opened in binary ``mode``, its directory made if

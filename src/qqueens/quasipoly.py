@@ -13,6 +13,7 @@ each constituent off them.  Nothing ever rounds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -314,6 +315,11 @@ def fit(
     If no class is short, a check that differs from the value the earlier
     samples force raises :class:`InconsistentSamplesError` at the first
     such n.  The result has its minimal period, a divisor of L.
+
+    The last fit made is held in one slot, keyed on the samples and periods
+    as tuples: a call equal to it in value, such as a refit at the period
+    ``detect_period`` has just accepted, returns the held result without
+    eliminating again.  A fit that raised is never held.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -322,6 +328,14 @@ def fit(
         raise ValueError(f"need one period per power 0..{degree}, got {len(periods)}")
     if min(periods) < 1:
         raise ValueError("period must be >= 1")
+    return _eliminate(tuple(map(tuple, samples)), degree, periods)
+
+
+@functools.lru_cache(maxsize=1)
+def _eliminate(
+    samples: tuple[tuple[int, int], ...], degree: int, periods: tuple[int, ...]
+) -> QuasiPolynomial:
+    """The elimination of ``fit``, on samples and periods as tuples."""
     big = math.lcm(*periods)
 
     # Column offset[k] + r is the n**k coefficient on residue class r mod

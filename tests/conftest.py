@@ -100,28 +100,39 @@ def naive_cache_load(path) -> dict:
 
 
 def naive_count_pattern(pattern, n: int) -> int:
-    """Nested product enumeration of every constrained tuple."""
+    """Every constrained tuple of squares, enumerated one piece at a time.
+    Pieces are placed in the order the constraints name them, unconstrained
+    ones last, and each constraint is checked once both its pieces are
+    placed, so a tuple that breaks one is cut off there."""
     from qqueens.core import is_multiple
     from qqueens.enumerator import Collinear
 
     squares = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
-    total = 0
-    for tup in itertools.product(squares, repeat=pattern.piece_count):
-        ok = True
-        for c in pattern.constraints:
-            (xi, yi), (xj, yj) = tup[c.i - 1], tup[c.j - 1]
-            dx, dy = xj - xi, yj - yi
-            if isinstance(c, Collinear):
-                if not is_multiple(dx, dy, c.slope):
-                    ok = False
+    named = [p for c in pattern.constraints for p in (c.i, c.j)]
+    order = list(dict.fromkeys(named + list(range(1, pattern.piece_count + 1))))
+    at = {piece: t for t, piece in enumerate(order)}
+    # closing[t]: the constraints whose later piece is the t-th placed, each as
+    # the place of its earlier piece and its slope (None for Equal)
+    closing = [[] for _ in order]
+    for c in pattern.constraints:
+        first, second = sorted((at[c.i], at[c.j]))
+        closing[second].append((first, c.slope if isinstance(c, Collinear) else None))
+    placed = [None] * len(order)
+    last = len(order) - 1
+
+    def extend(t: int) -> int:
+        total = 0
+        for x, y in squares:
+            for other, slope in closing[t]:
+                ox, oy = placed[other]
+                if (x, y) != (ox, oy) if slope is None else not is_multiple(x - ox, y - oy, slope):
                     break
             else:
-                if (dx, dy) != (0, 0):
-                    ok = False
-                    break
-        if ok:
-            total += 1
-    return total
+                placed[t] = (x, y)
+                total += 1 if t == last else extend(t + 1)
+        return total
+
+    return extend(0)
 
 
 def naive_canonical_components(pat):

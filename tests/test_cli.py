@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import qqueens
 
 from conftest import cyclic_garbage, naive_cache_load
+import qqueens.cache as cache
 from qqueens.cli import main
 from qqueens.cache import ENV_VAR, CacheConflictError, CountCache
 from qqueens.core import MoveSet
@@ -293,6 +294,47 @@ def test_cache_line_that_is_not_utf8_skipped(tmp_path, capsys):
     assert json.loads(out) == [{"n": "2", "count": "999"}, {"n": "3", "count": "888"}]
 
 
+def test_cache_lines_end_at_newline_only(tmp_path, capsys):
+    # a carriage return does not end a line, so the record after one is part
+    # of corrupt line 2, and the lines after it keep their numbers
+    cache_file = tmp_path / "counts.jsonl"
+    cache_file.write_bytes(
+        b'{"moves": [[1, 0]], "q": 2, "n": 2, "count": "999"}\n'
+        b'junk\r{"moves": [[1, 0]], "q": 2, "n": 3, "count": "9"}\n'
+        b"not json\n"
+        b'{"moves": [[1, 0]], "q": 2, "n": 4, "count": "777"}\n'
+    )
+    args = ["count", "--moves", "[[1,0]]", "--q", "2", "--n", "2..4", "--cache", str(cache_file), "--format", "json"]
+    for _ in range(2):  # a fresh load and one that reads what the first held
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0
+        assert [line.startswith(f"warning: skipping corrupt cache line {k} in {cache_file}: ")
+                for k, line in zip((2, 3), err.splitlines())] == [True, True]
+        assert len(err.splitlines()) == 2
+        assert json.loads(out) == [{"n": "2", "count": "999"}, {"n": "3", "count": "27"}, {"n": "4", "count": "777"}]
+
+
+def test_cache_record_appended_after_a_torn_line_is_read_back(tmp_path, capsys):
+    # the file ends in a line without its newline: the record appended after
+    # it starts a line of its own, and the torn line still warns
+    cache_file = tmp_path / "counts.jsonl"
+    torn = '{"moves": [[1, 0]], "q": 2, "n": 2, "count": "4"}\n{"moves": [[1, 0]], "q"'
+    cache_file.write_text(torn)
+    args = ["count", "--moves", "[[1,0]]", "--q", "2", "--n", "2..3", "--cache", str(cache_file), "--format", "json"]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0
+    assert "skipping corrupt cache line 2" in err
+    assert json.loads(out) == [{"n": "2", "count": "4"}, {"n": "3", "count": "27"}]
+    written = cache_file.read_text()
+    assert written == torn + "\n" + '{"moves": [[1, 0]], "q": 2, "n": 3, "count": "27"}\n'
+    moves = MoveSet.from_pairs([[1, 0]])
+    assert naive_cache_load(cache_file)[(moves.canonical_key(), 2, 3)] == 27
+    code, out2, err = run_cli(capsys, *args)
+    assert (code, out2) == (0, out)
+    assert "skipping corrupt cache line 2" in err and "line 3" not in err
+    assert cache_file.read_text() == written  # the record was read back, not counted again
+
+
 def test_cache_path_that_cannot_be_opened_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "count", "--piece", "2,2", "--q", "2", "--n", "3", "--cache", str(tmp_path))
     assert code == 2
@@ -452,7 +494,59 @@ def test_cache_loads_match_a_fresh_parse(tmp_path_factory, lines):
         assert (result, err) == expected
 
 
+# An edit of the cache file between two loads: lines appended (a line may
+# arrive in two parts, loaded in between), one byte rewritten in place, or
+# the file cut at some length.
+cache_edits = st.one_of(
+    st.tuples(st.just("append"), st.one_of(valid_lines, valid_lines, st.sampled_from(CORRUPT_LINES)),
+              st.none() | st.integers(0, 60)),
+    st.tuples(st.just("rewrite"), st.integers(0, 2000), st.sampled_from(b"0123456789 \n")),
+    st.tuples(st.just("truncate"), st.integers(0, 2000)),
+)
+
+
+@given(st.lists(cache_edits, max_size=10))
+@settings(deadline=None)
+def test_cache_loads_after_edits_match_a_fresh_parse(tmp_path_factory, edits):
+    # every load in one process after each edit agrees with a fresh parse:
+    # what an earlier load held is reused only while the file starts with it
+    path = tmp_path_factory.mktemp("cache") / "counts.jsonl"
+    data = b""
+
+    def check(new: bytes) -> None:
+        path.write_bytes(new)
+        assert loaded(lambda p: CountCache(p)._entries, path) == loaded(naive_cache_load, path)
+
+    for kind, *args in edits:
+        if kind == "append":
+            line, cut = args
+            if cut is not None and cut < len(line):
+                check(data + line[:cut])  # a partial last line, completed below
+            data += line
+        elif kind == "rewrite" and data:
+            at, byte = args[0] % len(data), args[1]
+            data = data[:at] + bytes([byte]) + data[at + 1:]
+        elif kind == "truncate":
+            data = data[: args[0] % (len(data) + 1)]
+        check(data)
+
+
 RECORD = '{{"moves": [[1, 0]], "q": 2, "n": {n}, "count": "{count}"}}\n'
+
+
+def test_cache_reload_parses_only_the_appended_lines(tmp_path, monkeypatch):
+    path = tmp_path / "counts.jsonl"
+    path.write_text("".join(RECORD.format(n=n, count=100 + n) for n in range(1, 6)))
+    assert len(CountCache(path)) == 5
+    parsed = []
+    record = cache._record
+    monkeypatch.setattr(cache, "_record", lambda line: parsed.append(line) or record(line))
+    with path.open("a") as fh:
+        fh.write("".join(RECORD.format(n=n, count=100 + n) for n in range(6, 9)))
+    reloaded = CountCache(path)
+    assert len(parsed) == 3
+    assert reloaded.get(MoveSet.from_pairs([[1, 0]]), 2, 8) == 108 and len(reloaded) == 8
+    assert len(CountCache(path)) == 8 and len(parsed) == 3
 
 
 def test_cache_line_rewritten_in_place_is_read_again(tmp_path):

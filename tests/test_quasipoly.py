@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction as F
 
@@ -383,14 +384,96 @@ def test_fit_matches_dense_gauss_jordan(true_periods, data):
     period = fit_periods[0] if len(set(fit_periods)) == 1 and data.draw(st.booleans()) else fit_periods
     expected = naive_fit(samples, degree, period)
     if not isinstance(expected, Exception):
-        assert fit(samples, degree, period) == expected
+        got = fit(samples, degree, period)
+        assert got == expected
+        assert fit(samples, degree, period) is got  # the repeat is looked up
         return
-    with pytest.raises(type(expected)) as exc:
-        fit(samples, degree, period)
+    for _ in range(2):  # a fit that raised is not held: the repeat raises too
+        with pytest.raises(type(expected)) as exc:
+            fit(samples, degree, period)
     if isinstance(expected, InconsistentSamplesError):
         got = exc.value
         assert (got.n, got.expected, got.actual) == (expected.n, expected.expected, expected.actual)
         assert type(got.expected) is F and type(got.actual) is F
+
+
+def counted_eliminations(monkeypatch) -> list:
+    """The arguments of every elimination ``fit`` runs from here on, through
+    a slot of its own that starts empty."""
+    import qqueens.quasipoly as quasipoly
+
+    calls = []
+    eliminate = quasipoly._eliminate.__wrapped__
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(quasipoly, "_eliminate", functools.lru_cache(maxsize=1)(counted))
+    return calls
+
+
+def test_fitted_counts_eliminates_once_per_accepted_fit(monkeypatch):
+    # detect_period's accepted fit and fitted_counts' refit at that period
+    # are one elimination; every fit is still a call of fit
+    import qqueens.quasipoly as quasipoly
+    import qqueens.reports as reports
+    from qqueens.core import PartialQueenSpec, partial_queen
+    from qqueens.formulas import u3_closed
+
+    eliminations = counted_eliminations(monkeypatch)
+    fits = []
+
+    def counted_fit(*args):
+        fits.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(quasipoly, "fit", counted_fit)
+    monkeypatch.setattr(reports, "fit", counted_fit)
+    samples, qp = reports.fitted_counts(partial_queen(PartialQueenSpec(2, 2)), 3, 1, 17)
+    assert qp == u3_closed(2, 2)
+    # period 1 is rejected and period 2 accepted, then refitted
+    assert [args[2] for args in fits] == [1, 2, 2]
+    assert [args[2] for args in eliminations] == [(1,) * 7, (2,) * 7]
+
+
+def test_fit_after_the_samples_change_is_fitted_anew(monkeypatch):
+    eliminations = counted_eliminations(monkeypatch)
+    samples = [(n, n * n) for n in range(1, 6)]
+    assert fit(samples, 2, 1) == QuasiPolynomial.constant_poly(P(0, 0, 1))
+    samples[-1] = (5, 26)
+    with pytest.raises(InconsistentSamplesError):
+        fit(samples, 2, 1)
+    samples[:] = [(n, n * n + 1) for n in range(1, 6)]
+    assert fit(samples, 2, 1) == QuasiPolynomial.constant_poly(P(1, 0, 1))
+    periods = [1, 1, 1]
+    assert fit(samples, 2, periods) == QuasiPolynomial.constant_poly(P(1, 0, 1))
+    periods[0] = 2  # a per-power period list changed in place is a new fit
+    assert fit(samples + [(6, 37)], 2, periods) == QuasiPolynomial.constant_poly(P(1, 0, 1))
+    assert len(eliminations) == 4
+
+
+@pytest.mark.parametrize(
+    "samples, degree, period, error",
+    [
+        ([(1, 1), (2, 4), (3, 9), (4, 16), (5, 99)], 2, 1, InconsistentSamplesError),
+        ([(1, 1), (2, 4), (3, 9)], 2, 1, InsufficientSamplesError),
+        ([(1, 1), (1, 1), (2, 4), (3, 9)], 1, 1, ValueError),
+        ([(n, n) for n in range(1, 9)], 1, (1, 1, 1), ValueError),
+        ([(n, n) for n in range(1, 9)], 1, 0, ValueError),
+        ([(n, n) for n in range(1, 9)], -1, 1, ValueError),
+    ],
+)
+def test_fit_that_raised_raises_again(monkeypatch, samples, degree, period, error):
+    # a raised fit is never held, and leaves the fit held before it in place
+    eliminations = counted_eliminations(monkeypatch)
+    good = [(n, n * n) for n in range(1, 6)]
+    held = fit(good, 2, 1)
+    for _ in range(2):
+        with pytest.raises(error):
+            fit(samples, degree, period)
+    assert fit(good, 2, 1) is held
+    assert eliminations.count((tuple(good), 2, (1, 1, 1))) == 1
 
 
 def test_rejected_fit_leaves_no_cyclic_garbage():
