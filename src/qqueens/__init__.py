@@ -12,8 +12,6 @@ from .core import (
     Move,
     MoveSet,
     PartialQueenSpec,
-    Square,
-    attacks,
     partial_queen,
 )
 from .enumerator import (
@@ -35,7 +33,6 @@ from .quasipoly import (
     QuasiPolynomial,
     coefficient,
     detect_period,
-    eval_at_minus_one,
     evaluate,
     fit,
 )

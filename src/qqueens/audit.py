@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -42,7 +43,7 @@ from .enumerator import (
     count_pattern,
     pattern,
 )
-from .formulas import alpha_closed, beta_closed, falling
+from .formulas import alpha_closed, beta_closed
 from .quasipoly import Polynomial, QuasiPolynomial, evaluate
 
 F = Fraction
@@ -96,7 +97,7 @@ class SubspaceCase:
         """The ways to put the type's kappa pieces on q labelled pieces:
         (q)_kappa ordered choices, each type counted once per its
         ``automorphisms`` relabellings that leave it unchanged."""
-        return falling(q, self.kappa) // self.automorphisms
+        return math.perm(q, self.kappa) // self.automorphisms
 
     def subcases(self, h: int, k: int) -> tuple[Subcase, ...]:
         return _built_subcases(self.subcase_builder, h, k)

@@ -57,10 +57,9 @@ def _record(line: bytes) -> tuple[Key, int]:
     ``KeyError`` or ``TypeError`` if the line is corrupt."""
     obj = json.loads(line.decode("utf-8"))
     pairs = tuple(map(tuple, obj["moves"]))
-    if all(type(x) is int for pair in pairs for x in pair):
-        moves_key = _moves_key(pairs)
-    else:
-        moves_key = MoveSet.from_pairs(obj["moves"]).canonical_key()
+    if not all(type(x) is int for pair in pairs for x in pair):
+        raise ValueError(f"moves {obj['moves']} have a non-integer component")
+    moves_key = _moves_key(pairs)
     q, n, count = obj["q"], obj["n"], obj["count"]
     if type(q) is not int or type(n) is not int:
         raise ValueError(f"q {q!r} and n {n!r} must be integers")
@@ -149,10 +148,10 @@ class CountCache:
         if key in self._entries:
             return
         self._entries[key] = count
-        line = json.dumps(
-            {"moves": [list(cd) for cd in key[0]], "q": q, "n": n, "count": str(count)}
+        # the JSON of the record: a list of int lists prints as JSON does
+        self._pending.append(
+            f'{{"moves": {[list(cd) for cd in key[0]]}, "q": {q}, "n": {n}, "count": "{count}"}}\n'.encode()
         )
-        self._pending.append(line.encode("utf-8") + b"\n")
 
     def flush(self) -> None:
         """Append the records held since the last flush, in one write."""

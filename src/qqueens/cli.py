@@ -36,7 +36,7 @@ from typing import Optional
 from .cache import ENV_VAR, CacheAccessError, CacheConflictError, CountCache
 from .core import ALL_PIECE_SPECS, MoveSet, PartialQueenSpec, partial_queen
 from .enumerator import DEFAULT_BUDGET, BudgetExceededError, sequence
-from .quasipoly import FitError, QuasiPolynomial, eval_at_minus_one, format_fraction
+from .quasipoly import FitError, QuasiPolynomial, evaluate, format_fraction
 from . import formulas as fm
 from .reports import (
     VERIFY_SCOPES,
@@ -175,10 +175,9 @@ def _cache(args: argparse.Namespace) -> Optional[CountCache]:
     return CountCache(path) if path else None
 
 
-def _fit(args: argparse.Namespace) -> tuple[list, QuasiPolynomial]:
+def _fit(args: argparse.Namespace, classes: int) -> tuple[list, QuasiPolynomial]:
     """``fitted_counts`` over ``--n``; by default 2q+2 samples per residue
-    class mod 2, or mod 12 for ``types --moves``."""
-    classes = 12 if args.command == "types" and args.moves is not None else 2
+    class mod ``classes``."""
     n_lo, n_hi = args.n or (1, classes * (2 * args.q + 2))
     return fitted_counts(_moves(args), args.q, n_lo, n_hi,
                          budget=args.budget, cache=_cache(args))
@@ -198,7 +197,7 @@ def cmd_count(args: argparse.Namespace, out) -> int:
 
 
 def cmd_fit(args: argparse.Namespace, out) -> int:
-    samples, qp = _fit(args)
+    samples, qp = _fit(args, 2)
     if args.fmt == "json":
         print(json.dumps(qp.to_json_dict(), sort_keys=True), file=out)
     else:
@@ -241,8 +240,8 @@ def cmd_audit(args: argparse.Namespace, out) -> int:
 
 def cmd_types(args: argparse.Namespace, out) -> int:
     q = args.q
-    _, qp = _fit(args)
-    value = eval_at_minus_one(qp)
+    _, qp = _fit(args, 2 if args.moves is None else 12)
+    value = evaluate(qp, -1)
     rows = [("fitted period", str(qp.period)), ("value at -1", format_fraction(value))]
     ok = True
     if args.moves is not None:

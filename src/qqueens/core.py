@@ -1,4 +1,4 @@
-"""Boards, moves, pieces, and the attack relation.
+"""Moves and pieces.
 
 A rider piece is defined by a finite set of basic moves: nonzero integer
 vectors in lowest terms, pairwise non-parallel.  A piece on square ``a``
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,6 @@ class MoveSet:
     def __len__(self) -> int:
         return len(self.moves)
 
-    def __contains__(self, m: Move) -> bool:
-        return m in self.moves
-
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "MoveSet":
         return cls(tuple(Move.from_vector(c, d) for c, d in pairs))
@@ -119,31 +116,3 @@ def partial_queen(spec: PartialQueenSpec) -> MoveSet:
 ALL_PIECE_SPECS: tuple[PartialQueenSpec, ...] = tuple(
     PartialQueenSpec(h, k) for h in (0, 1, 2) for k in (0, 1, 2) if h + k >= 1
 )
-
-
-class Square(NamedTuple):
-    """A board square with 1-based coordinates."""
-
-    x: int
-    y: int
-
-
-def is_multiple(dx: int, dy: int, m: Move) -> bool:
-    """True when ``(dx, dy)`` equals ``t * (m.c, m.d)`` for some integer t (t=0 allowed)."""
-    if m.c == 0:
-        # canonical vertical move is (0, 1)
-        return dx == 0
-    if dx % m.c != 0:
-        return False
-    return dy == (dx // m.c) * m.d
-
-
-def attacks(moves: MoveSet, a: Square, b: Square) -> bool:
-    """Whether pieces on ``a`` and ``b`` attack each other.
-
-    Coincident squares always attack.
-    """
-    dx, dy = b.x - a.x, b.y - a.y
-    if (dx, dy) == (0, 0):
-        return True
-    return any(is_multiple(dx, dy, m) for m in moves)

@@ -33,13 +33,6 @@ def delta(a: int, b: int) -> int:
     return 1 if a == b else 0
 
 
-def falling(q: int, j: int) -> int:
-    """Falling factorial q(q-1)...(q-j+1) for q >= 0; zero when q < j."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    return math.perm(q, j)
-
-
 def falling_poly(j: int, shift: int = 0) -> Polynomial:
     """The falling factorial (q - shift)_j as a polynomial in q."""
     out = Polynomial.make([1])
@@ -326,10 +319,7 @@ def types3_conjecture(m: int) -> int:
     """Conjectured three-piece type count m(m^2 + 3m - 1)/3 for an m-move rider."""
     if m < 1:
         raise ValueError("need at least one move")
-    num = m * (m * m + 3 * m - 1)
-    if num % 3 != 0:
-        raise ArithmeticError(f"m={m}: {num} not divisible by 3")  # m^3 - m is always
-    return num // 3
+    return m * (m * m + 3 * m - 1) // 3  # exact: m^3 + 3m^2 - m = m^3 - m (mod 3)
 
 
 def _terms_to_quasipoly(const_terms: dict[int, Fraction], alt_terms: dict[int, Fraction]) -> QuasiPolynomial:
@@ -363,26 +353,26 @@ def codim_contribution(h: int, k: int, q: int, nu: int) -> QuasiPolynomial:
     if nu == 0:
         const[2 * q] = F(1, qf)
     elif nu == 1:
-        const[2 * q - 1] = -F(falling(q, 2), qf) * s
-        const[2 * q - 3] = -F(falling(q, 2), qf) * F(k, 6)
+        const[2 * q - 1] = -F(math.perm(q, 2), qf) * s
+        const[2 * q - 3] = -F(math.perm(q, 2), qf) * F(k, 6)
     elif nu == 2:
         const[2 * q - 2] = (
-            F(falling(q, 4), qf) * s * s / 2
-            + F(falling(q, 3), qf) * F(4 * h + 2 * k + 8 * h * k + 12 * dh2 + 5 * dk2, 12)
-            + F(falling(q, 2), qf) * F(h + k - 1, 2)
+            F(math.perm(q, 4), qf) * s * s / 2
+            + F(math.perm(q, 3), qf) * F(4 * h + 2 * k + 8 * h * k + 12 * dh2 + 5 * dk2, 12)
+            + F(math.perm(q, 2), qf) * F(h + k - 1, 2)
         )
         const[2 * q - 4] = (
-            F(falling(q, 4), qf) * F(k * (3 * h + 2 * k), 36)
-            + F(falling(q, 3), qf) * F(k * (2 * h + 1) + 2 * dk2, 6)
+            F(math.perm(q, 4), qf) * F(k * (3 * h + 2 * k), 36)
+            + F(math.perm(q, 3), qf) * F(k * (2 * h + 1) + 2 * dk2, 6)
         )
         # the [1 - (-1)^n] bracket splits into a constant and an alternating part
-        const[2 * q - 6] = F(falling(q, 4), qf) * F(k * k, 72) + F(falling(q, 3), qf) * F(dk2, 8)
-        alt[2 * q - 6] = -F(falling(q, 3), qf) * F(dk2, 8)
+        const[2 * q - 6] = F(math.perm(q, 4), qf) * F(k * k, 72) + F(math.perm(q, 3), qf) * F(dk2, 8)
+        alt[2 * q - 6] = -F(math.perm(q, 3), qf) * F(dk2, 8)
     else:
-        f3 = F(falling(q, 3), qf)
-        f4 = F(falling(q, 4), qf)
-        f5 = F(falling(q, 5), qf)
-        f6 = F(falling(q, 6), qf)
+        f3 = F(math.perm(q, 3), qf)
+        f4 = F(math.perm(q, 4), qf)
+        f5 = F(math.perm(q, 5), qf)
+        f6 = F(math.perm(q, 6), qf)
         w = (
             30 * h * h + 20 * k * k - 8 * k + 257 * h * k
             + 160 * (2 * k + 3) * dh2 + 68 * (3 * h + 2) * dk2

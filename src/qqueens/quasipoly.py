@@ -227,17 +227,10 @@ def evaluate(qp: QuasiPolynomial, n: int) -> Fraction:
     return qp.constituent_for(n)(n)
 
 
-def eval_at_minus_one(qp: QuasiPolynomial) -> Fraction:
-    """Value at n = -1 (constituent p-1); for period <= 2 this equals
-    substituting (-1)^n = -1 in the parity-split form."""
-    return evaluate(qp, -1)
-
-
 @dataclass(frozen=True, slots=True)
 class CoeffDecomposition:
     """One coefficient split as ``constant + alternating * (-1)^n``."""
 
-    power: int
     constant: Fraction
     alternating: Fraction
 
@@ -255,11 +248,7 @@ def coefficient(qp: QuasiPolynomial, power: int) -> CoeffDecomposition:
     if 2 % m:
         raise ValueError(f"the n^{power} coefficient has period {m}, which does not divide 2")
     even, odd = cs[0], cs[1 % m]
-    return CoeffDecomposition(
-        power=power,
-        constant=(even + odd) / 2,
-        alternating=(even - odd) / 2,
-    )
+    return CoeffDecomposition(constant=(even + odd) / 2, alternating=(even - odd) / 2)
 
 
 def lagrange(points: Sequence[tuple[int, Fraction]]) -> Polynomial:

@@ -23,7 +23,6 @@ from .quasipoly import (
     QuasiPolynomial,
     coefficient,
     detect_period,
-    eval_at_minus_one,
     evaluate,
     fit,
     format_fraction,
@@ -63,11 +62,11 @@ def poly_str(poly: Polynomial, var: str = "n") -> str:
     return out
 
 
-def qp_str(qp: QuasiPolynomial, var: str = "n") -> str:
+def qp_str(qp: QuasiPolynomial) -> str:
     if qp.period == 1:
-        return poly_str(qp.constituents[0], var)
+        return poly_str(qp.constituents[0])
     rows = [
-        f"[{var} = {r} mod {qp.period}] {poly_str(c, var)}"
+        f"[n = {r} mod {qp.period}] {poly_str(c)}"
         for r, c in enumerate(qp.constituents)
     ]
     return "; ".join(rows)
@@ -275,7 +274,7 @@ def suite_types(n_max: int, cache=None) -> list[ClaimResult]:
                                (3, n_max, "three-piece value at -1 matches type table")):
             _, qp = fitted_counts(partial_queen(spec), q, 1, n_hi, cache=cache)
             out.append(ClaimResult(f"fitted {claim} ({h},{k})",
-                                   eval_at_minus_one(qp) == fm.expected_types(h, k, q)))
+                                   evaluate(qp, -1) == fm.expected_types(h, k, q)))
     for m, expected in ((1, 1), (2, 6), (3, 17), (4, 36)):
         out.append(ClaimResult(f"three-piece type conjecture value |M|={m}",
                                fm.types3_conjecture(m) == expected))
@@ -372,6 +371,6 @@ def formula_bank_rows(h: int, k: int, q: int) -> list[tuple[str, str]]:
         rows.append(("gamma6 periodic part", format_fraction(fm.gamma6_periodic(h, k, q))))
     rows.append(("two-piece count u(2;n)", poly_str(fm.u2_closed(h, k))))
     rows.append(("three-piece count u(3;n)", qp_str(fm.u3_closed(h, k))))
-    rows.append(("three-piece types (value at -1)", format_fraction(eval_at_minus_one(fm.u3_closed(h, k)))))
+    rows.append(("three-piece types (value at -1)", format_fraction(evaluate(fm.u3_closed(h, k), -1))))
     rows.append(("type-count conjecture at |M|=h+k", str(fm.types3_conjecture(h + k))))
     return rows

@@ -6,9 +6,38 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from qqueens.cache import CacheConflictError
-from qqueens.core import MoveSet, Square, attacks
+from qqueens.core import Move, MoveSet
+
+
+class Square(NamedTuple):
+    """A board square with 1-based coordinates."""
+
+    x: int
+    y: int
+
+
+def is_multiple(dx: int, dy: int, m: Move) -> bool:
+    """True when ``(dx, dy)`` equals ``t * (m.c, m.d)`` for some integer t (t=0 allowed)."""
+    if m.c == 0:
+        # canonical vertical move is (0, 1)
+        return dx == 0
+    if dx % m.c != 0:
+        return False
+    return dy == (dx // m.c) * m.d
+
+
+def attacks(moves: MoveSet, a: Square, b: Square) -> bool:
+    """Whether pieces on ``a`` and ``b`` attack each other.
+
+    Coincident squares always attack.
+    """
+    dx, dy = b.x - a.x, b.y - a.y
+    if (dx, dy) == (0, 0):
+        return True
+    return any(is_multiple(dx, dy, m) for m in moves)
 
 
 def naive_count_unlabelled(moves: MoveSet, q: int, n: int) -> int:
@@ -75,10 +104,11 @@ def naive_cache_load(path) -> dict:
             try:
                 obj = json.loads(line.decode("utf-8"))
                 pairs = tuple(map(tuple, obj["moves"]))
-                exact = all(type(x) is int for pair in pairs for x in pair)
-                moves_key = move_keys.get(pairs) if exact else None
+                if not all(type(x) is int for pair in pairs for x in pair):
+                    raise ValueError(f"moves {obj['moves']} have a non-integer component")
+                moves_key = move_keys.get(pairs)
                 if moves_key is None:
-                    moves_key = move_keys[pairs] = MoveSet.from_pairs(obj["moves"]).canonical_key()
+                    moves_key = move_keys[pairs] = MoveSet.from_pairs(pairs).canonical_key()
                 q, n, count = obj["q"], obj["n"], obj["count"]
                 if type(q) is not int or type(n) is not int:
                     raise ValueError(f"q {q!r} and n {n!r} must be integers")
@@ -104,7 +134,6 @@ def naive_count_pattern(pattern, n: int) -> int:
     Pieces are placed in the order the constraints name them, unconstrained
     ones last, and each constraint is checked once both its pieces are
     placed, so a tuple that breaks one is cut off there."""
-    from qqueens.core import is_multiple
     from qqueens.enumerator import Collinear
 
     squares = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
@@ -141,7 +170,6 @@ def naive_canonical_components(pat):
     of D4 applied to its slopes (each image a validated ``Move``) and every
     degree-ordered relabelling of its own pieces, each component as its
     (k, form) pair, the pairs sorted."""
-    from qqueens.core import Move
     from qqueens.enumerator import D4, Collinear, Equal
 
     def image(g, m):
@@ -185,7 +213,6 @@ def naive_canonical_components(pat):
 def form_pattern(k, form):
     """The pattern on pieces 1..k with the constraints (i, j, c, d) of a
     canonical form, for the naive counter."""
-    from qqueens.core import Move
     from qqueens.enumerator import Collinear, ConstraintPattern
 
     return ConstraintPattern(k, tuple(Collinear(i, j, Move(c, d)) for i, j, c, d in form))

@@ -10,6 +10,8 @@ import math
 import time
 from fractions import Fraction as F
 
+import pytest
+
 from qqueens.audit import (
     assemble_labelled_count,
     audit_case,
@@ -40,14 +42,13 @@ from qqueens.formulas import (
 )
 from qqueens.quasipoly import (
     CoeffDecomposition,
+    InconsistentSamplesError,
     Polynomial,
     QuasiPolynomial,
     coefficient,
     detect_period,
-    eval_at_minus_one,
     evaluate,
     fit,
-    lagrange,
 )
 from qqueens.reports import suite_gamma5_sign
 
@@ -173,10 +174,10 @@ def test_criterion_7_type_counts_at_minus_one():
         moves = partial_queen(PartialQueenSpec(h, k))
         s2 = sequence(moves, 2, 1, 7)
         qp2 = fit(s2, 4, detect_period(s2, 4))
-        ok = ok and eval_at_minus_one(qp2) == h + k
+        ok = ok and evaluate(qp2, -1) == h + k
         s3 = sequence(moves, 3, 1, 17)
         qp3 = fit(s3, 6, detect_period(s3, 6))
-        ok = ok and eval_at_minus_one(qp3) == TABLE3_TYPES[(h, k)]
+        ok = ok and evaluate(qp3, -1) == TABLE3_TYPES[(h, k)]
     ok = ok and [types3_conjecture(m) for m in (1, 2, 3, 4)] == [1, 6, 17, 36]
     _line(7, ok, "fitted values at -1: h+k for two pieces, type table for three, conjecture for |M|<=4")
     assert ok
@@ -272,15 +273,17 @@ def test_criterion_9_four_piece_spot_check_as_stated():
 
 def test_queen_four_piece_period_exceeds_two():
     """No degree-8 polynomial passes through the odd-class values n=1..19,
-    so the counting function's period does not divide 2."""
+    so the counting function's period does not divide 2: the nine values
+    n = 1..17 fix the fit, and its one check, n = 19, fails."""
     queen = partial_queen(PartialQueenSpec(2, 2))
     for n in list(range(1, 15)):
         assert count_unlabelled(queen, 4, n) == QUEEN_Q4_COUNTS[n]
-    odd = [(n, F(QUEEN_Q4_COUNTS[n])) for n in range(1, 20, 2)]
+    odd = [(n, QUEEN_Q4_COUNTS[n]) for n in range(1, 20, 2)]
     assert len(odd) == 10
-    poly = lagrange(odd[:9])
-    assert poly.degree <= 8
-    assert poly(19) != QUEEN_Q4_COUNTS[19]
+    with pytest.raises(InconsistentSamplesError) as failed:
+        fit(odd, 8, 1)
+    assert failed.value.n == 19
+    assert failed.value.actual == QUEEN_Q4_COUNTS[19]
 
 
 def test_four_queen_lower_coefficients_from_pinned_counts():
@@ -294,7 +297,7 @@ def test_four_queen_lower_coefficients_from_pinned_counts():
     """
     qp = fit(sorted(QUEEN_Q4_COUNTS.items()), 8, QUEEN_Q4_PERIODS)
     assert (gamma1(2, 2, 4), gamma2(2, 2, 4)) == (F(-5, 6), F(65, 9))
-    assert coefficient(qp, 5) == CoeffDecomposition(5, gamma3(2, 2, 4), F(0))
-    assert coefficient(qp, 4) == CoeffDecomposition(4, F(817, 8), F(0))
+    assert coefficient(qp, 5) == CoeffDecomposition(gamma3(2, 2, 4), F(0))
+    assert coefficient(qp, 4) == CoeffDecomposition(F(817, 8), F(0))
     assert coefficient(qp, 3).alternating == F(1, 4)  # +h/8 at q=4: the table-route sign
-    assert eval_at_minus_one(qp) == 574
+    assert evaluate(qp, -1) == 574

@@ -324,14 +324,14 @@ def test_codim3_type_route_reconciles_with_printed_total():
     (q)_4 level; pinning the difference validates every kappa >= 4
     multiplicity and every (q)_5/(q)_6 bracket, which the q <= 3 assembly
     cannot exercise."""
-    from qqueens.formulas import delta, falling
+    from qqueens.formulas import delta
 
     q = 6  # all falling factorials through (q)_6 are active
     for h, k in ALL_HK:
         printed = codim_contribution(h, k, q, 3)
         types = _type_route(h, k, q, (3,))
         dh2, dk2 = delta(h, 2), delta(k, 2)
-        f4 = F(falling(q, 4), math.factorial(q))
+        f4 = F(math.perm(q, 4), math.factorial(q))
         const = {2 * q - 3: -f4 * F(120 * dh2 + 32 * dk2, 120), 2 * q - 5: f4 * F(k * (k + 1), 24)}
         alt = {2 * q - 7: -f4 * F(h * dk2, 8)}
         expected = QuasiPolynomial.from_parity_split(

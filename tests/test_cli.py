@@ -1,13 +1,15 @@
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qqueens
 
@@ -15,7 +17,7 @@ from conftest import cyclic_garbage, naive_cache_load
 import qqueens.cache as cache
 from qqueens.cli import main
 from qqueens.cache import ENV_VAR, CacheConflictError, CountCache
-from qqueens.core import MoveSet
+from qqueens.core import Move, MoveSet
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +57,12 @@ def test_count_json_format(capsys):
     assert code == 0
     rows = json.loads(out)
     assert rows == [{"count": "3", "n": "2"}, {"count": "22", "n": "3"}]
+
+
+def test_count_csv_format(capsys):
+    code, out, _ = run_cli(capsys, "count", "--piece", "1,1", "--q", "2", "--n", "2..3", "--format", "csv")
+    assert code == 0
+    assert out == "n,count\n2,3\n3,22\n"
 
 
 def test_count_budget_exceeded_flags_partial(capsys):
@@ -239,6 +247,15 @@ def test_formulas_dump(capsys):
     code, out, _ = run_cli(capsys, "formulas", "--piece", "2,2", "--q", "3", "--format", "latex")
     assert code == 0
     assert "tabular" in out and "gamma2" in out
+    assert "gamma6" not in out  # its row starts at q = 4
+
+
+def test_formulas_q4_prints_the_gamma6_periodic_part(capsys):
+    code, out, _ = run_cli(capsys, "formulas", "--piece", "2,2", "--q", "4", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["quantity", "value"]
+    assert dict(rows[1:])["gamma6 periodic part"] == "-1/8"
 
 
 def test_formulas_requires_piece(capsys):
@@ -531,6 +548,30 @@ def test_cache_loads_after_edits_match_a_fresh_parse(tmp_path_factory, edits):
         check(data)
 
 
+big = st.integers(-(2**70), 2**70)
+
+
+@given(
+    st.lists(st.tuples(big, big).filter(lambda v: math.gcd(*v) == 1), min_size=1, max_size=4,
+             unique_by=lambda v: Move.from_vector(*v)),
+    st.integers(1, 2**70),
+    st.integers(1, 2**70),
+    st.integers(0, 2**200),
+)
+@example([[1, -2], [3, -1]], 2, 3, 2**64 + 1)
+@settings(deadline=None)
+def test_cache_record_line_is_the_json_of_the_record(tmp_path_factory, pairs, q, n, count):
+    # the line put writes is json.dumps of the record, and a load reads it back
+    path = tmp_path_factory.mktemp("cache") / "counts.jsonl"
+    moves = MoveSet.from_pairs(pairs)
+    store = CountCache(path)
+    store.put(moves, q, n, count)
+    store.flush()
+    record = {"moves": [list(cd) for cd in moves.canonical_key()], "q": q, "n": n, "count": str(count)}
+    assert path.read_bytes() == (json.dumps(record) + "\n").encode()
+    assert CountCache(path).get(moves, q, n) == count
+
+
 RECORD = '{{"moves": [[1, 0]], "q": 2, "n": {n}, "count": "{count}"}}\n'
 
 
@@ -688,6 +729,16 @@ def test_verify_rejects_n_max_below_one(n_max):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--scope", "attacklines", "--n-max", n_max])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["fit", "types"])
+def test_fit_and_types_out_of_budget_exit_3(capsys, monkeypatch, command):
+    # no partial rows to flag: the message on stderr and nothing on stdout
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    code, out, err = run_cli(capsys, command, "--piece", "2,2", "--q", "4", "--budget", "10")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("budget exceeded: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

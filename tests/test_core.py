@@ -3,15 +3,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from qqueens.core import (
-    ALL_PIECE_SPECS,
-    Move,
-    MoveSet,
-    PartialQueenSpec,
-    Square,
-    attacks,
-    partial_queen,
-)
+from conftest import Square, attacks
+from qqueens.core import ALL_PIECE_SPECS, Move, MoveSet, PartialQueenSpec, partial_queen
 
 
 def test_move_rejects_zero_vector():

@@ -7,13 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     cyclic_garbage,
     form_pattern,
+    is_multiple,
     naive_board_lines,
     naive_canonical_components,
     naive_count_labelled,
     naive_count_pattern,
     naive_count_unlabelled,
 )
-from qqueens.core import ALL_PIECE_SPECS, Move, MoveSet, PartialQueenSpec, is_multiple, partial_queen
+from qqueens.core import ALL_PIECE_SPECS, Move, MoveSet, PartialQueenSpec, partial_queen
 from qqueens.enumerator import (
     D4,
     AttackTable,

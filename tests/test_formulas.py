@@ -14,7 +14,6 @@ from qqueens.formulas import (
     codim_contribution,
     coincident_triple_contribution,
     delta,
-    falling,
     falling_poly,
     gamma1,
     gamma1_expr,
@@ -38,11 +37,11 @@ ALL_HK = [(s.h, s.k) for s in ALL_PIECE_SPECS]
 
 
 def test_falling_factorial():
-    assert falling(5, 3) == 60
-    assert falling(2, 3) == 0  # vanishes when q < j
-    assert falling(7, 0) == 1
+    assert falling_poly(3)(5) == 60
+    assert falling_poly(3)(2) == 0  # vanishes when q < j
+    assert falling_poly(0)(7) == 1
     assert falling_poly(2)(5) == 20
-    assert falling_poly(2, shift=2)(5) == falling(3, 2)
+    assert falling_poly(2, shift=2)(5) == 3 * 2
 
 
 def test_gamma1_examples():
@@ -186,7 +185,7 @@ def test_u3_special_factorizations():
     rook = u3_closed(2, 0)
     for n in range(0, 9):
         assert evaluate(semirook, n) == math.comb(n, 3) * n**3
-        assert evaluate(rook, n) == F(falling(n, 3) ** 2, 6)
+        assert evaluate(rook, n) == F(math.perm(n, 3) ** 2, 6)
 
 
 def test_u3_closed_vs_oracle():

@@ -22,7 +22,6 @@ from qqueens.quasipoly import (
     QuasiPolynomial,
     coefficient,
     detect_period,
-    eval_at_minus_one,
     evaluate,
     fit,
     format_fraction,
@@ -117,13 +116,13 @@ def test_arithmetic_period_lcm():
 def test_eval_at_minus_one_picks_last_constituent():
     qp = QuasiPolynomial.from_parity_split(P(0, 1), P(3))
     # at n = -1 the odd constituent applies and (-1)^n = -1
-    assert eval_at_minus_one(qp) == -1 - 3
+    assert evaluate(qp, -1) == -1 - 3
 
 
 def test_coefficient_period_one_has_zero_alternating():
     qp = QuasiPolynomial.constant_poly(P(5, 0, 2))
     dec = coefficient(qp, 2)
-    assert dec == CoeffDecomposition(2, F(2), F(0))
+    assert dec == CoeffDecomposition(F(2), F(0))
 
 
 def test_coefficient_rejects_large_period():
@@ -139,8 +138,8 @@ def test_coefficient_reads_each_power_at_its_own_period():
     samples = [(n, evaluate(qp, n)) for n in range(1, 17)]
     fitted = fit(samples, 2, (6, 2, 1))
     assert fitted.period == 6 and fitted == qp
-    assert coefficient(fitted, 2) == CoeffDecomposition(2, F(1, 2), F(0))
-    assert coefficient(fitted, 1) == CoeffDecomposition(1, F(1), F(-2))
+    assert coefficient(fitted, 2) == CoeffDecomposition(F(1, 2), F(0))
+    assert coefficient(fitted, 1) == CoeffDecomposition(F(1), F(-2))
     with pytest.raises(ValueError, match="n\\^0 coefficient has period 6"):
         coefficient(fitted, 0)
 
@@ -499,7 +498,7 @@ def test_detect_period_returns_minimal_consistent_period():
 def test_eval_at_minus_one_matches_parity_substitution():
     qp = QuasiPolynomial.from_parity_split(P(2, 3, 5), P(7, 11))
     constant, alternating = P(2, 3, 5), P(7, 11)
-    assert eval_at_minus_one(qp) == constant(-1) - alternating(-1)
+    assert evaluate(qp, -1) == constant(-1) - alternating(-1)
 
 
 def test_json_round_trip():
