@@ -30,8 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -67,15 +66,24 @@ def _alpha_qp(m: Move) -> QuasiPolynomial:
 
 @dataclass(frozen=True)
 class Subcase:
-    """One orientation class inside a catalog type: its patterns and their combined count.
-
-    Only the label is hashed, so a tuple of subcases is a cheap memo key
-    (see ``_summed_closed_form``); equality still compares every field.
-    """
+    """One orientation class inside a catalog type: its patterns and their combined count."""
 
     label: str
-    patterns: tuple[ConstraintPattern, ...] = field(hash=False)
-    closed_form: QuasiPolynomial = field(hash=False)
+    patterns: tuple[ConstraintPattern, ...]
+    closed_form: QuasiPolynomial
+
+
+class Subcases(tuple):
+    """The subcases of one type for one piece, with the family of their
+    patterns and the sum of their closed forms, each worked out once."""
+
+    @functools.cached_property
+    def patterns(self) -> tuple[ConstraintPattern, ...]:
+        return tuple(p for sc in self for p in sc.patterns)
+
+    @functools.cached_property
+    def closed_form(self) -> QuasiPolynomial:
+        return sum((sc.closed_form for sc in self), _qp([]))
 
 
 SubcaseBuilder = Callable[[int, int], tuple[Subcase, ...]]
@@ -99,29 +107,35 @@ class SubspaceCase:
         ``automorphisms`` relabellings that leave it unchanged."""
         return math.perm(q, self.kappa) // self.automorphisms
 
-    def subcases(self, h: int, k: int) -> tuple[Subcase, ...]:
+    def subcases(self, h: int, k: int) -> Subcases:
         return _built_subcases(self.subcase_builder, h, k)
 
     def applicable(self, h: int, k: int) -> bool:
         return bool(self.subcases(h, k))
 
     def pattern_family(self, h: int, k: int) -> tuple[ConstraintPattern, ...]:
-        return tuple(p for sc in self.subcases(h, k) for p in sc.patterns)
+        return self.subcases(h, k).patterns
 
     def closed_form(self, h: int, k: int) -> QuasiPolynomial:
-        return _summed_closed_form(self.subcases(h, k))
+        return self.subcases(h, k).closed_form
 
 
 @functools.cache
-def _built_subcases(builder: SubcaseBuilder, h: int, k: int) -> tuple[Subcase, ...]:
+def _built_subcases(builder: SubcaseBuilder, h: int, k: int) -> Subcases:
     """Each (builder, h, k) is built once per process; the audit and the
     assembly ask for the same subcases thousands of times."""
-    return builder(h, k)
+    return Subcases(builder(h, k))
 
 
-@functools.cache
-def _summed_closed_form(subcases: tuple[Subcase, ...]) -> QuasiPolynomial:
-    return sum((sc.closed_form for sc in subcases), _qp([]))
+# One object per distinct pattern of the catalog: the pieces' builders make
+# equal patterns apart, and ``count_pattern``'s memo finds a pattern fastest
+# by identity.
+_PATTERNS: dict[ConstraintPattern, ConstraintPattern] = {}
+
+
+def _subcase(label: str, patterns: Sequence[ConstraintPattern], closed_form: QuasiPolynomial) -> Subcase:
+    """A ``Subcase`` holding the catalog's own object for each of ``patterns``."""
+    return Subcase(label, tuple(_PATTERNS.setdefault(p, p) for p in patterns), closed_form)
 
 
 def _slope_label(*ms: Move) -> str:
@@ -154,7 +168,7 @@ def _per_slopes(size: int, classes: Callable[..., Sequence[OrientationClass]]) -
 
     def build(h: int, k: int) -> tuple[Subcase, ...]:
         return tuple(
-            Subcase(*cls)
+            _subcase(*cls)
             for slopes in itertools.combinations(ORTHOGONAL[:h] + DIAGONAL[:k], size)
             for cls in classes(*slopes)
         )
@@ -271,31 +285,39 @@ _build_u4e_3 = _per_slopes(3, _by_diagonals(
 ))
 
 
-def _product(*factors: SubcaseBuilder) -> SubcaseBuilder:
-    """Subspaces on disjoint pieces, one factor subspace on each block: one
-    subcase per choice of a subcase of every factor, with the factors'
-    patterns side by side (each later factor's pieces renumbered after the
-    earlier ones) and the product of their closed forms."""
+def _side_by_side(first: ConstraintPattern, second: ConstraintPattern) -> ConstraintPattern:
+    """Both patterns on disjoint pieces, the second's renumbered after the first's."""
+    off = first.piece_count
+    shifted = tuple(
+        Collinear(c.i + off, c.j + off, c.slope) if type(c) is Collinear else Equal(c.i + off, c.j + off)
+        for c in second.constraints
+    )
+    return ConstraintPattern(off + second.piece_count, first.constraints + shifted)
 
-    def side_by_side(patterns: tuple[ConstraintPattern, ...]) -> ConstraintPattern:
-        constraints: list = []
-        off = 0
-        for p in patterns:
-            constraints += [replace(c, i=c.i + off, j=c.j + off) for c in p.constraints]
-            off += p.piece_count
-        return ConstraintPattern(off, tuple(constraints))
+
+def _product(first: SubcaseBuilder, second: SubcaseBuilder) -> SubcaseBuilder:
+    """Subspaces on disjoint pieces, one factor subspace on each block: one
+    subcase per pair of subcases of the factors, with their patterns side
+    by side and the product of their closed forms.  The factors' subcases
+    are read from ``_built_subcases``, so a factor that is a type of the
+    catalog too is built once; a product of three is a product of a
+    product."""
 
     def build(h: int, k: int) -> tuple[Subcase, ...]:
         return tuple(
-            Subcase(
-                " x ".join(sc.label for sc in choice),
-                tuple(side_by_side(ps) for ps in itertools.product(*(sc.patterns for sc in choice))),
-                functools.reduce(operator.mul, (sc.closed_form for sc in choice)),
+            _subcase(
+                f"{a.label} x {b.label}",
+                tuple(_side_by_side(p, r) for p in a.patterns for r in b.patterns),
+                a.closed_form * b.closed_form,
             )
-            for choice in itertools.product(*(factor(h, k) for factor in factors))
+            for a in _built_subcases(first, h, k)
+            for b in _built_subcases(second, h, k)
         )
 
     return build
+
+
+_build_u4_2 = _product(_build_u2_1, _build_u2_1)
 
 
 def _catalog() -> tuple[SubspaceCase, ...]:
@@ -324,7 +346,7 @@ def _catalog() -> tuple[SubspaceCase, ...]:
             "U4*^2", 4, 2,
             "two independent attacking pairs; family ranges over ordered slope pairs, "
             "multiplicity (q)_4/8 halves the double-counted unordered pair of pairs",
-            lambda h, k: 1, 8, _product(_build_u2_1, _build_u2_1),
+            lambda h, k: 1, 8, _build_u4_2,
         ),
         SubspaceCase(
             "U3a^3", 3, 3,
@@ -386,7 +408,7 @@ def _catalog() -> tuple[SubspaceCase, ...]:
             "U6*^3", 6, 3,
             "three independent attacking pairs; family ranges over ordered slope "
             "triples, multiplicity (q)_6/48 undoes the 3! orderings of the pairs",
-            lambda h, k: -1, 48, _product(_build_u2_1, _build_u2_1, _build_u2_1),
+            lambda h, k: -1, 48, _product(_build_u4_2, _build_u2_1),
         ),
         SubspaceCase(
             "U3^4", 3, 4,

@@ -7,14 +7,15 @@ Grammar, one line per command::
     qqueens verify   [--scope SCOPE] [--n-max INT] [--cache PATH]
     qqueens audit    [--piece H,K] [--n LO..HI]
     qqueens types    (--piece H,K | --moves JSON) [--q INT] [--n LO..HI] [--budget INT] [--cache PATH]
-    qqueens formulas --piece H,K [--q INT]
+    qqueens formulas --piece H,K [--q INT>=2]
 
 Every command also takes ``--format json|csv|latex|text``.  ``--q`` is an
-integer of at least 1, and ``--q``, ``--n`` and ``--piece`` take plain
-digits.  ``verify`` takes ``--n-max`` (at least 1), not ``--n``; ``audit``
-needs an ``--n`` range that reaches 1.  Without ``--n``, ``fit`` and
-``types`` count n = 1..2(2q+2) (``types --moves``: 1..12(2q+2)); the fit
-tries periods 1, 2, ... until one validates or a residue class runs short.
+integer of at least 1 (of at least 2 for ``formulas``), and ``--q``,
+``--n`` and ``--piece`` take plain digits.  ``verify`` takes ``--n-max``
+(at least 1), not ``--n``; ``audit`` needs an ``--n`` range that reaches
+1.  Without ``--n``, ``fit`` and ``types`` count n = 1..2(2q+2)
+(``types --moves``: 1..12(2q+2)); the fit tries periods 1, 2, ... until
+one validates or a residue class runs short.
 Counts and coefficients are printed exactly (integers and fraction
 strings); reports are deterministic given the arguments and cache state.
 Exit status: 0 all checks passed, 1 a check or fit failed (under every
@@ -84,9 +85,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     return int(lo_s), int(hi_s)
 
 
-def _parse_positive(flag: str, text: str) -> int:
-    if not _is_digits(text) or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"bad {flag} {text!r}: need an integer >= 1")
+def _parse_at_least(flag: str, least: int, text: str) -> int:
+    if not _is_digits(text) or int(text) < least:
+        raise argparse.ArgumentTypeError(f"bad {flag} {text!r}: need an integer >= {least}")
     return int(text)
 
 
@@ -102,9 +103,9 @@ def _rider(p: argparse.ArgumentParser) -> None:
                        help='explicit move list, e.g. "[[1,0],[1,2]]"')
 
 
-def _q(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=partial(_parse_positive, "--q"), default=2,
-                   help="number of pieces, at least 1 (default 2)")
+def _q(p: argparse.ArgumentParser, least: int = 1) -> None:
+    p.add_argument("--q", type=partial(_parse_at_least, "--q", least), default=2,
+                   help=f"number of pieces, at least {least} (default 2)")
 
 
 def _n(p: argparse.ArgumentParser, default: Optional[tuple[int, int]]) -> None:
@@ -113,7 +114,7 @@ def _n(p: argparse.ArgumentParser, default: Optional[tuple[int, int]]) -> None:
 
 
 def _budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=partial(_parse_positive, "--budget"), default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=partial(_parse_at_least, "--budget", 1), default=DEFAULT_BUDGET,
                    help="node budget of the enumeration search, per board size (at least 1); "
                         "a node is a placement of 1 to q-1 nonattacking pieces, "
                         "one of them marked as the first")
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = command("verify", cmd_verify, "run a verification suite", _cache_flag)
     p_verify.add_argument("--scope", default="all", choices=VERIFY_SCOPES)
-    p_verify.add_argument("--n-max", type=partial(_parse_positive, "--n-max"), default=None,
+    p_verify.add_argument("--n-max", type=partial(_parse_at_least, "--n-max", 1), default=None,
                           help="board-size ceiling for oracle-backed checks")
 
     command("audit", cmd_audit, "brute-force every catalog case against its closed form",
@@ -158,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("types", cmd_types, "combinatorial-type counts via the value at -1",
             _rider, _q, n_auto, _budget, _cache_flag)
 
-    command("formulas", cmd_formulas, "dump the formula bank for one piece", _piece, _q)
+    # the gamma expressions divide by (q-2)!, so the bank starts at two pieces
+    command("formulas", cmd_formulas, "dump the formula bank for one piece", _piece, partial(_q, least=2))
     return parser
 
 

@@ -61,10 +61,17 @@ relabellings of its pieces and the eight board symmetries applied to its
 slopes, so isomorphic components share one count per n.  A form is plain
 ints, (k, ((i, j, c, d), ...)), worked out once per component shape, so the
 side-by-side products of the audit reuse their factors' forms, and it is all
-the count reads.  A component is folded one piece at a time through sparse
-per-square tables: a constraint carries the table's sums per line to the
-piece at its other end, and a piece on a cycle is fixed on one square at a
-time, which leaves each of its neighbours a single line.
+the count reads.  Each form has one fold plan (``fold.plan``), made the
+first time the form is counted and the same for every n: the order its
+pieces are folded in, which constraint carries each piece into which, and
+which piece of a cycle is fixed.  ``fold.run`` carries it out on dense
+per-square tables.  A carry is one sum per line of the slope (a C-level
+slice sum) and one scatter of those sums onto the other piece's squares;
+the last constraint of a component closes as the dot product of both
+tables' sums per line.  A piece on a cycle is fixed on one square at a
+time, which keeps each neighbour to the line through that square.  Each
+neighbour is split by its lines once, so the sums of one part serve every
+square fixed on its line.
 """
 
 from __future__ import annotations
@@ -76,6 +83,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from . import fold
 from .core import Move, MoveSet
 
 DEFAULT_BUDGET = 10**9
@@ -416,7 +424,19 @@ def line_lengths(slope: Move, n: int) -> list[int]:
     (coincidences allowed in both)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return list(map(len, _board_lines(slope.c, slope.d, n)))
+    c, d = slope.c, slope.d
+    # A line's length is 1 + the fewer of its first square's steps to the
+    # board's edge in x and in y.  The |d| rows that a step back leaves
+    # vertically (the first ones for d > 0, the last for d < 0) start a line
+    # on every square; every other row on its first min(c, n) squares.
+    x_lengths = [1 + (n - 1 - x) // c for x in range(n)] if c else [n + 1] * n
+    y_lengths = [1 + ((n - 1 - y) // d if d > 0 else y // -d if d else n) for y in range(n)]
+    edge = min(abs(d), n)
+    y_full, y_inner = (y_lengths[:edge], y_lengths[edge:]) if d > 0 else (y_lengths[n - edge:], y_lengths[:n - edge])
+    full = itertools.chain.from_iterable(map(min, x_lengths, itertools.repeat(y)) for y in y_full)
+    # the inner rows row by row: one column per line-start square, interleaved
+    inner = itertools.chain.from_iterable(zip(*(map(min, itertools.repeat(x), y_inner) for x in x_lengths[:c])))
+    return [*full, *inner] if d > 0 else [*inner, *full]
 
 
 @dataclass(frozen=True)
@@ -438,10 +458,9 @@ class Equal:
 
 Constraint = Union[Collinear, Equal]
 
-# A Collinear of a canonical component as plain ints (i, j, c, d), i < j, and
-# the component as (k, its edges on pieces 1..k).
-Edge = tuple[int, int, int, int]
-Form = tuple[int, tuple[Edge, ...]]
+# A canonical component as (k, its edges (i, j, c, d) on pieces 1..k; see
+# ``fold.Edge``).
+Form = tuple[int, tuple[fold.Edge, ...]]
 
 
 @dataclass(frozen=True)
@@ -485,7 +504,10 @@ def count_pattern(pat: ConstraintPattern, n: int) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     free, components = canonical_components(pat)
-    return math.prod((_component_count(c, n) for c in components), start=n ** (2 * free))
+    count = n ** (2 * free)
+    for form in components:
+        count *= _component_count(form, n)
+    return count
 
 
 @functools.cache
@@ -526,7 +548,7 @@ def canonical_components(pat: ConstraintPattern) -> tuple[int, tuple[Form, ...]]
 
 
 @functools.cache
-def _shape_form(k: int, shape: tuple[Edge, ...]) -> Form:
+def _shape_form(k: int, shape: tuple[fold.Edge, ...]) -> Form:
     """(k, canonical form) of a component on pieces 1..k with the constraints
     (i, j, c, d) of ``shape``; see ``canonical_components``.  Slopes are
     mapped as plain (c, d) pairs, with no ``Move`` built per image."""
@@ -539,16 +561,11 @@ def _shape_form(k: int, shape: tuple[Edge, ...]) -> Form:
         {p: label for label, p in enumerate(itertools.chain.from_iterable(order), 1)}
         for order in itertools.product(*map(itertools.permutations, groups))
     ]
-    slopes = {(c, d) for _, _, c, d in shape}
-    images = [{slope: _slope_image(g, *slope) for slope in slopes} for g in D4]
-    form = min(
-        tuple(sorted(
-            (label[i], label[j], *image[c, d]) if label[i] < label[j] else (label[j], label[i], *image[c, d])
-            for i, j, c, d in shape
-        ))
-        for image in images
-        for label in labellings
-    )
+    # each constraint's ends under each labelling and its slope under each
+    # symmetry, so that a candidate list only pairs them up
+    ends = [[(min(label[i], label[j]), max(label[i], label[j])) for i, j, _, _ in shape] for label in labellings]
+    images = [[_slope_image(g, c, d) for _, _, c, d in shape] for g in D4]
+    form = min(tuple(sorted(map(operator.add, e, image))) for e in ends for image in images)
     return k, form
 
 
@@ -565,80 +582,25 @@ def _linked(pairs: list[tuple[int, int]]) -> dict[int, set[int]]:
 @functools.cache
 def _component_count(form: Form, n: int) -> int:
     """``count_pattern`` of one canonical component (k, constraints), once per
-    (form, n) in a process.
-
-    Each piece carries a table: for each square it may stand on, the number
-    of ways to place the pieces folded into it so far, given that square.
-    Tables are dicts that hold only the nonzero squares (at the start, every
-    square with weight 1).  Pieces are taken fewest constraints first.  One
-    with no constraint left multiplies the total by the sum of its table.
-    One with a single constraint left carries its table into the other piece:
-    each square gets the table's sum over its line of the slope, and the other
-    piece keeps only the squares that receive something.  One with two or more
-    (only cycles and repeated pairs leave such a piece) is fixed on each square
-    s of its table in turn and carries {s: 1}, which leaves each neighbour one
-    line; the rest is folded the same way.
-    """
+    (form, n) in a process: the form's fold plan (``fold.plan``, one per
+    form) run on the n x n board, where every piece starts with weight 1 on
+    every square (``fold.run``)."""
     k, constraints = form
     lines = {(c, d): _line_index(c, d, n) for _, _, c, d in constraints}
-    everywhere = dict.fromkeys(range(n * n), 1)
-    return _fold(lines, dict.fromkeys(range(1, k + 1), everywhere), list(constraints))
+    return fold.run(fold.plan(k, constraints), [[1] * (n * n)] * (k + 1), lines)
 
 
 @functools.cache
-def _line_index(c: int, d: int, n: int) -> tuple[list[range], list[int]]:
-    """(the board lines of the slope (c, d), the index of the line through each
-    square), built once per (slope, n) in a process.  ``_fold`` only reads them."""
-    board_lines = _board_lines(c, d, n)
+def _line_index(c: int, d: int, n: int) -> fold.LineIndex:
+    """(the board lines of the slope (c, d), each as the ascending range of
+    its squares; the same as slices; the index of the line through each
+    square), built once per (slope, n) in a process.  ``fold.run`` only
+    reads them."""
+    lines = [r if r.step > 0 else r[::-1] for r in _board_lines(c, d, n)]
     line_of = [0] * (n * n)
-    for k, line in enumerate(board_lines):
-        for s in line:
-            line_of[s] = k
-    return board_lines, line_of
-
-
-def _carry(lines: dict, table: dict[int, int], piece: int, con: Edge, tables: dict[int, dict[int, int]]) -> None:
-    """Multiply the table of the piece at the other end of the constraint
-    (i, j, c, d) by ``table`` carried across it; ``lines`` is
-    ``_component_count``'s line index per slope (c, d)."""
-    i, j, c, d = con
-    other = i + j - piece
-    into = tables[other]
-    board_lines, line_of = lines[c, d]
-    sums: dict[int, int] = {}
-    for s, ways in table.items():
-        k = line_of[s]
-        sums[k] = sums.get(k, 0) + ways
-    # walk whichever is shorter: the squares of the lines reached, or the receiving table
-    if sum(len(board_lines[k]) for k in sums) < len(into):
-        tables[other] = {s: into[s] * on_line for k, on_line in sums.items() for s in board_lines[k] if s in into}
-    else:
-        tables[other] = {s: ways * sums[line_of[s]] for s, ways in into.items() if line_of[s] in sums}
-
-
-def _fold(lines: dict, tables: dict[int, dict[int, int]], constraints: list[Edge]) -> int:
-    """The number of ways to place every piece of ``tables`` under ``constraints``
-    (see ``_component_count``)."""
-    total = 1
-    while tables:
-        ends = [p for c in constraints for p in c[:2]]  # each piece once per constraint on it
-        piece = min(tables, key=ends.count)
-        own = [c for c in constraints if piece in c[:2]]
-        constraints = [c for c in constraints if piece not in c[:2]]
-        table = tables.pop(piece)
-        if not own:
-            total *= sum(table.values())
-        elif len(own) == 1:
-            _carry(lines, table, piece, own[0], tables)
-        else:
-            fixed = 0
-            for s, ways in table.items():
-                rest = dict(tables)
-                for c in own:
-                    _carry(lines, {s: 1}, piece, c, rest)
-                fixed += ways * _fold(lines, rest, constraints)
-            return total * fixed
-    return total
+    for k, r in enumerate(lines):
+        line_of[r.start:r.stop:r.step] = [k] * len(r)
+    return lines, [slice(r.start, r.stop, r.step) for r in lines], line_of
 
 
 def sequence(

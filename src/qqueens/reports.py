@@ -72,7 +72,15 @@ def qp_str(qp: QuasiPolynomial) -> str:
     return "; ".join(rows)
 
 
+# The characters that LaTeX reads as markup, each as text mode prints it.
+_LATEX_ESCAPES = str.maketrans({
+    "\\": r"\textbackslash{}", "&": r"\&", "%": r"\%", "$": r"\$", "#": r"\#",
+    "_": r"\_", "{": r"\{", "}": r"\}", "~": r"\textasciitilde{}", "^": r"\textasciicircum{}",
+})
+
+
 def render(headers: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
+    """The table in one format; ``latex`` escapes every header and cell."""
     rows = [[str(x) for x in row] for row in rows]
     if fmt == "json":
         return json.dumps(
@@ -87,11 +95,11 @@ def render(headers: Sequence[str], rows: Sequence[Sequence], fmt: str) -> str:
     if fmt == "latex":
         lines = [
             "\\begin{tabular}{" + "l" * len(headers) + "}",
-            " & ".join(headers) + " \\\\",
+            " & ".join(h.translate(_LATEX_ESCAPES) for h in headers) + " \\\\",
             "\\hline",
         ]
         for row in rows:
-            lines.append(" & ".join(row) + " \\\\")
+            lines.append(" & ".join(cell.translate(_LATEX_ESCAPES) for cell in row) + " \\\\")
         lines.append("\\end{tabular}")
         return "\n".join(lines)
     if fmt == "text":

@@ -164,6 +164,68 @@ def naive_count_pattern(pattern, n: int) -> int:
     return extend(0)
 
 
+def fold_component_count(form, n: int) -> int:
+    """``enumerator._component_count`` as it was before fold plans: each
+    piece's table a dict of its nonzero squares, the piece to fold chosen
+    afresh at every step (fewest constraints left), one with a single
+    constraint left carried into the other piece, one with two or more
+    fixed on each square of its table in turn and the rest folded anew.
+    Lines come from ``naive_board_lines``."""
+    k, constraints = form
+    lines = {}
+    for _, _, c, d in constraints:
+        board_lines = naive_board_lines(Move(c, d), n)
+        line_of = [0] * (n * n)
+        for index, line in enumerate(board_lines):
+            for s in line:
+                line_of[s] = index
+        lines[c, d] = board_lines, line_of
+    everywhere = dict.fromkeys(range(n * n), 1)
+    return _fold(lines, dict.fromkeys(range(1, k + 1), everywhere), list(constraints))
+
+
+def _carry(lines, table, piece, con, tables) -> None:
+    """Multiply the table of the piece at the other end of the constraint
+    (i, j, c, d) by ``table`` carried across it."""
+    i, j, c, d = con
+    other = i + j - piece
+    into = tables[other]
+    board_lines, line_of = lines[c, d]
+    sums = {}
+    for s, ways in table.items():
+        k = line_of[s]
+        sums[k] = sums.get(k, 0) + ways
+    # walk whichever is shorter: the squares of the lines reached, or the receiving table
+    if sum(len(board_lines[k]) for k in sums) < len(into):
+        tables[other] = {s: into[s] * on_line for k, on_line in sums.items() for s in board_lines[k] if s in into}
+    else:
+        tables[other] = {s: ways * sums[line_of[s]] for s, ways in into.items() if line_of[s] in sums}
+
+
+def _fold(lines, tables, constraints) -> int:
+    """The number of ways to place every piece of ``tables`` under ``constraints``."""
+    total = 1
+    while tables:
+        ends = [p for c in constraints for p in c[:2]]  # each piece once per constraint on it
+        piece = min(tables, key=ends.count)
+        own = [c for c in constraints if piece in c[:2]]
+        constraints = [c for c in constraints if piece not in c[:2]]
+        table = tables.pop(piece)
+        if not own:
+            total *= sum(table.values())
+        elif len(own) == 1:
+            _carry(lines, table, piece, own[0], tables)
+        else:
+            fixed = 0
+            for s, ways in table.items():
+                rest = dict(tables)
+                for c in own:
+                    _carry(lines, {s: 1}, piece, c, rest)
+                fixed += ways * _fold(lines, rest, constraints)
+            return total * fixed
+    return total
+
+
 def naive_canonical_components(pat):
     """``enumerator.canonical_components`` as first written: Equal contracted,
     then each component's least sorted (i, j, c, d) list over every element

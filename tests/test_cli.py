@@ -250,6 +250,50 @@ def test_formulas_dump(capsys):
     assert "gamma6" not in out  # its row starts at q = 4
 
 
+def test_formulas_latex_escapes_every_caret(capsys):
+    # q^2 and n^4 in text mode would stop LaTeX with "Missing $ inserted"
+    code, out, _ = run_cli(capsys, "formulas", "--piece", "2,2", "--q", "3", "--format", "latex")
+    assert code == 0
+    assert "q\\textasciicircum{}2" in out and "n\\textasciicircum{}4" in out
+    assert "^" not in out.replace("\\textasciicircum{}", "")
+
+
+LATEX_SPECIALS = {
+    "\\": "\\textbackslash{}", "&": "\\&", "%": "\\%", "$": "\\$", "#": "\\#",
+    "_": "\\_", "{": "\\{", "}": "\\}", "~": "\\textasciitilde{}", "^": "\\textasciicircum{}",
+}
+
+
+@pytest.mark.parametrize("char", list(LATEX_SPECIALS))
+def test_render_latex_escapes_each_special_character(char):
+    from qqueens.reports import render
+
+    out = render((f"head{char}", "plain"), [(f"a{char}b", 7)], "latex")
+    header, cells = out.splitlines()[1], out.splitlines()[3]
+    assert header == f"head{LATEX_SPECIALS[char]} & plain \\\\"
+    assert cells == f"a{LATEX_SPECIALS[char]}b & 7 \\\\"
+
+
+def test_render_other_formats_keep_special_characters():
+    from qqueens.reports import render
+
+    text = "".join(LATEX_SPECIALS)
+    assert render(("h",), [(text,)], "text").splitlines()[1].rstrip() == text
+    assert list(csv.reader(io.StringIO(render(("h",), [(text,)], "csv")))) == [["h"], [text]]
+    assert json.loads(render(("h",), [(text,)], "json")) == [{"h": text}]
+
+
+@pytest.mark.parametrize("q", ["0", "1"])
+def test_formulas_rejects_q_below_two(capsys, q):
+    # the gamma expressions divide by (q-2)!; the bound is checked when the flags are read
+    with pytest.raises(SystemExit) as exc:
+        main(["formulas", "--piece", "2,2", "--q", q])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --q: bad --q '{q}': need an integer >= 2\n")
+
+
 def test_formulas_q4_prints_the_gamma6_periodic_part(capsys):
     code, out, _ = run_cli(capsys, "formulas", "--piece", "2,2", "--q", "4", "--format", "csv")
     assert code == 0

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     cyclic_garbage,
+    fold_component_count,
     form_pattern,
     is_multiple,
     naive_board_lines,
@@ -15,6 +16,7 @@ from conftest import (
     naive_count_unlabelled,
 )
 from qqueens.core import ALL_PIECE_SPECS, Move, MoveSet, PartialQueenSpec, partial_queen
+from qqueens.fold import plan
 from qqueens.enumerator import (
     D4,
     AttackTable,
@@ -770,6 +772,65 @@ def test_component_counts_build_one_line_index_per_slope_and_size(monkeypatch):
         for p in pats:
             count_pattern(p, n)
     assert built and len(built) == len(set(built))
+
+
+def test_catalog_forms_fold_as_the_dict_fold():
+    # the catalog's 23 trees and 2 triangles, on boards whose lines reach 12 squares
+    forms = sorted({form for p in _catalog_patterns() for form in canonical_components(p)[1]})
+    assert len(forms) == 25
+    _component_count.cache_clear()
+    for form in forms:
+        for n in range(13):
+            assert _component_count(form, n) == fold_component_count(form, n), (form, n)
+
+
+H, V, DU, DD, KNIGHT = Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1), Move(1, 2)
+
+
+@given(constraint_patterns(), st.integers(0, 8))
+@example(pattern(4, Collinear(1, 2, H), Collinear(2, 3, DU), Collinear(3, 4, V), Collinear(1, 4, DD)), 8)  # 4-cycle
+@example(pattern(4, Collinear(1, 2, H), Collinear(1, 3, V), Collinear(1, 4, DU),
+                 Collinear(2, 3, DD), Collinear(2, 4, KNIGHT), Collinear(3, 4, H)), 8)  # K4
+@example(pattern(3, Collinear(1, 2, H), Collinear(1, 2, V), Collinear(2, 3, KNIGHT)), 8)  # repeated pair
+@example(pattern(4, Equal(1, 3), Collinear(1, 2, DU), Collinear(2, 3, DD), Collinear(3, 4, H)), 8)  # contracted
+# a triangle with a piece hanging off it, folded in before the fix, so the
+# fixed piece's neighbours do not weigh every square alike
+@example(pattern(4, Collinear(1, 2, H), Collinear(2, 3, V), Collinear(1, 3, DU), Collinear(3, 4, KNIGHT)), 7)
+# a triangle with two sides of one slope: the close sums a neighbour's part along its own line
+@example(pattern(3, Collinear(1, 2, DU), Collinear(2, 3, DU), Collinear(1, 3, H)), 6)
+# two triangles on one piece: after the first fix a leaf carries into a neighbour's part
+@example(pattern(5, Collinear(1, 2, H), Collinear(2, 3, V), Collinear(1, 3, DU),
+                 Collinear(3, 4, DD), Collinear(4, 5, H), Collinear(3, 5, KNIGHT)), 6)
+@settings(max_examples=60, deadline=None)
+def test_count_pattern_matches_the_dict_fold(pat, n):
+    free, components = canonical_components(pat)
+    expected = math.prod((fold_component_count(form, n) for form in components), start=n ** (2 * free))
+    assert count_pattern(pat, n) == expected
+
+
+def test_fold_plans_carry_close_and_fix():
+    # a path carries its first leaf into the middle piece and closes on the
+    # second; a triangle fixes one piece and closes its other two, each kept
+    # to a line through the fixed square
+    path = canonical_components(pattern(3, Collinear(1, 2, H), Collinear(2, 3, V)))[1][0]
+    assert plan(*path) == (("carry", 1, 3, 0, 1), ("close", 2, 3, 1, 0))
+    triangle = canonical_components(pattern(3, Collinear(1, 2, H), Collinear(2, 3, V), Collinear(1, 3, DD)))[1][0]
+    assert plan(*triangle) == (("fix", 1, ((2, ((0, 1),)), (3, ((1, -1),))), (("close", 2, 3, 1, 0),)),)
+    # a repeated pair keeps the other piece to both lines, the fixed square itself
+    pair = canonical_components(pattern(2, Collinear(1, 2, H), Collinear(1, 2, V)))[1][0]
+    assert plan(*pair) == (("fix", 1, ((2, ((0, 1), (1, 0))),), (("sum", 2),)),)
+
+
+SMALL_SLOPES = sorted(
+    {Move.from_vector(c, d) for c in range(-3, 4) for d in range(-3, 4) if math.gcd(c, d) == 1},
+    key=lambda m: (m.c, m.d),
+)
+
+
+@pytest.mark.parametrize("slope", SMALL_SLOPES, ids=lambda m: f"{m.c},{m.d}")
+def test_line_lengths_follow_the_naive_walk(slope):
+    for n in range(31):
+        assert line_lengths(slope, n) == [len(line) for line in naive_board_lines(slope, n)], n
 
 
 def test_equal_chain_is_one_free_piece():
