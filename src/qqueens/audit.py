@@ -446,7 +446,7 @@ def audit_case(case: SubspaceCase, h: int, k: int, n: int) -> AuditResult:
         raise InapplicableCaseError(f"{case.name} has no subspaces for (h, k) = {(h, k)}")
     brute = sum(count_pattern(p, n) for p in case.pattern_family(h, k))
     closed = evaluate(case.closed_form(h, k), n)
-    return AuditResult(case.name, h, k, n, brute, closed, F(brute) == closed)
+    return AuditResult(case.name, h, k, n, brute, closed, closed == brute)
 
 
 def assemble_labelled_count(h: int, k: int, q: int, n: int) -> int:

@@ -52,10 +52,10 @@ identities.
 For q >= 5, squares between the first piece and the last three are taken in
 increasing index order and pruned with per-square attack bitsets.
 
-``count_pattern`` counts the ordered tuples of squares that meet a
-constraint pattern.  Pieces that must share a square are contracted into
-one, and the count is the product of the counts of the connected components
-of the ``Collinear`` graph left, n^2 for a piece under no constraint.  Each
+``count_pattern`` counts the ordered tuples of squares that meet a pattern.
+Pieces that must share a square (an ``Equal``, or two slopes on one pair)
+are contracted into one, and the count is the product of the counts of the
+components of the ``Collinear`` graph left, n^2 per unconstrained piece.  Each
 component is counted in a canonical form, the least constraint list over the
 relabellings of its pieces and the eight board symmetries applied to its
 slopes, so isomorphic components share one count per n.  A form is plain
@@ -515,9 +515,10 @@ def canonical_components(pat: ConstraintPattern) -> tuple[int, tuple[Form, ...]]
     """(the pieces under no constraint, the canonical form of each connected
     component of the constraint graph), worked out once per pattern.
 
-    ``Equal`` is contracted first: each piece stands for the least piece it
-    must share a square with, and a ``Collinear`` whose ends merge is dropped
-    (a square is collinear with itself along every slope).
+    Pieces that must share a square are contracted first, each into the least
+    of them: those an ``Equal`` joins and, until none is left, pairs on two
+    distinct slopes (such lines meet in one square at most).  A ``Collinear``
+    whose ends merge holds on any square and is dropped: forms are simple.
 
     A component on k pieces has as canonical form the least of its sorted,
     duplicate-free constraint lists, each constraint read as (i, j, c, d),
@@ -529,20 +530,24 @@ def canonical_components(pat: ConstraintPattern) -> tuple[int, tuple[Form, ...]]
     worked out once per shape (``_shape_form``).  Each component is given as
     (k, form), and the components are listed in sorted order.
     """
-    same = _linked([(c.i, c.j) for c in pat.constraints if isinstance(c, Equal)])
-    least = {p: min(same.get(p, (p,))) for p in range(1, pat.piece_count + 1)}
-    edges = set()  # (i, j, c, d) per Collinear left, i < j
-    for con in pat.constraints:
-        if isinstance(con, Collinear):
-            i, j = sorted((least[con.i], least[con.j]))
-            if i < j:
-                edges.add((i, j, con.slope.c, con.slope.d))
-    component_of = _linked([(i, j) for i, j, _, _ in edges])
+    equal = [(c.i, c.j) for c in pat.constraints if isinstance(c, Equal)]
+    merged = -1
+    while merged < len(equal):  # until a pass finds no pair on two slopes
+        merged = len(equal)
+        same = _linked(equal)
+        least = {p: min(same.get(p, (p,))) for p in range(1, pat.piece_count + 1)}
+        slope_of = {}  # per pair i < j of pieces left, the slope of its Collinears
+        for con in pat.constraints:
+            if isinstance(con, Collinear):
+                i, j = sorted((least[con.i], least[con.j]))
+                if i < j and slope_of.setdefault((i, j), con.slope) != con.slope:
+                    equal.append((i, j))
+    component_of = _linked(list(slope_of))
     forms = []
     for component in {frozenset(pieces) for pieces in component_of.values()}:
         rank = {p: r for r, p in enumerate(sorted(component), 1)}
         forms.append(_shape_form(len(component), tuple(sorted(
-            (rank[i], rank[j], c, d) for i, j, c, d in edges if i in component
+            (rank[i], rank[j], m.c, m.d) for (i, j), m in slope_of.items() if i in component
         ))))
     return len(set(least.values())) - len(component_of), tuple(sorted(forms))
 

@@ -8,7 +8,7 @@ it so far, given that square.  ``plan`` works out once per form the order the
 pieces are folded in and what happens to each; ``run`` carries the plan out
 on the tables of one board, given that board's line index of each slope
 (``enumerator._line_index``): the board lines as ascending ranges and as
-slices, and the line through each square.
+slices, and the line through each square.  A form is a simple graph.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ def _steps(pieces: list[int], edges: list[Edge]) -> tuple:
     is multiplied by the sum of its table.  One with a single constraint
     (i, j, c, d) left is ``("close", p, o, c, d)`` when that constraint is
     the last one on the other piece o too, which is then done as well, and
-    ``("carry", p, o, c, d)`` otherwise.  One with two or more left (only
-    cycles and repeated pairs leave such a piece) is the last step,
-    ``("fix", p, ((o, slopes), ...), rest)``: p is fixed on each square in
-    turn, each neighbour o keeps the squares that share a line of each of
-    its ``slopes`` with it, and ``rest`` folds the pieces left.
+    ``("carry", p, o, c, d)`` otherwise.  One with two or more left (only a
+    cycle leaves such a piece) is the last step,
+    ``("fix", p, ((o, (c, d)), ...), rest)``: p is fixed on each square in
+    turn, each neighbour o keeps its squares on the line of slope (c, d)
+    through that square, and ``rest`` folds the pieces left.
     """
     steps: list[tuple] = []
     while pieces:
@@ -53,10 +53,7 @@ def _steps(pieces: list[int], edges: list[Edge]) -> tuple:
         own = [e for e in edges if piece in e[:2]]
         edges = [e for e in edges if piece not in e[:2]]
         if len(own) > 1:
-            slopes: dict[int, list[tuple[int, int]]] = {}
-            for i, j, c, d in own:
-                slopes.setdefault(i + j - piece, []).append((c, d))
-            neighbours = tuple((o, tuple(s)) for o, s in slopes.items())
+            neighbours = tuple((i + j - piece, (c, d)) for i, j, c, d in own)
             return (*steps, ("fix", piece, neighbours, _steps(pieces, edges)))
         if not own:
             steps.append(("sum", piece))
@@ -119,13 +116,13 @@ def run(steps: tuple, tables: list[Table], lines: dict[tuple[int, int], LineInde
             total *= sum(map(operator.mul, *ends))
         else:
             _, p, neighbours, rest = step
-            splits = [(o, *_split(tables[o], [lines[slope] for slope in slopes])) for o, slopes in neighbours]
+            splits = [(o, lines[slope][2], _split(tables[o], lines[slope])) for o, slope in neighbours]
             fixed = 0
             for s, ways in _entries(tables[p]):
                 if ways:
                     kept = tables.copy()
-                    for o, keys, parts in splits:
-                        kept[o] = parts.get(keys[s])
+                    for o, line_of, parts in splits:
+                        kept[o] = parts.get(line_of[s])
                         if kept[o] is None:
                             break
                     else:
@@ -157,19 +154,16 @@ def _scatter(table: Table, sums: list[int], index: LineIndex) -> Table:
     return _Part(table.squares, list(map(operator.mul, table.weights, on_lines)))
 
 
-def _split(table: Table, indexes: list[LineIndex]) -> tuple[Sequence, dict]:
-    """(per square, its key: its line in the one index of ``indexes``, else
-    the tuple of its lines in each; per key, ``table`` kept to the squares
-    with that key, as a ``_Part``).  A key with no nonzero square may be
-    left out."""
-    if len(indexes) == 1 and type(table) is list:
-        board_lines, slices, line_of = indexes[0]
-        return line_of, dict(enumerate(map(_Part, board_lines, map(table.__getitem__, slices))))
-    keys = indexes[0][2] if len(indexes) == 1 else list(zip(*(line_of for *_, line_of in indexes)))
-    grouped: dict = {}
+def _split(table: Table, index: LineIndex) -> dict[int, _Part]:
+    """Per line of the index, ``table`` kept to that line's squares, as a
+    ``_Part``.  A line with no nonzero square may be left out."""
+    board_lines, slices, line_of = index
+    if type(table) is list:
+        return dict(enumerate(map(_Part, board_lines, map(table.__getitem__, slices))))
+    grouped: dict[int, tuple[list[int], list[int]]] = {}
     for s, ways in _entries(table):
         if ways:
-            squares, weights = grouped.setdefault(keys[s], ([], []))
+            squares, weights = grouped.setdefault(line_of[s], ([], []))
             squares.append(s)
             weights.append(ways)
-    return keys, {key: _Part(*part) for key, part in grouped.items()}
+    return {line: _Part(*part) for line, part in grouped.items()}

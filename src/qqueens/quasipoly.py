@@ -207,12 +207,13 @@ class QuasiPolynomial:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "QuasiPolynomial":
-        constituents = tuple(
-            Polynomial.make(Fraction(c) for c in coeffs) for coeffs in obj["constituents"]
-        )
+        constituents = [Polynomial.make(map(Fraction, coeffs)) for coeffs in obj["constituents"]]
         if int(obj["period"]) != len(constituents):
             raise ValueError(f"period {obj['period']} does not match {len(constituents)} constituents")
-        return cls.make(constituents)
+        qp = cls.make(constituents)
+        if int(obj["degree"]) != qp.degree:
+            raise ValueError(f"degree {obj['degree']} does not match constituents of degree {qp.degree}")
+        return qp
 
 
 def format_fraction(x: Fraction, den: int = 1) -> str:

@@ -228,8 +228,10 @@ def _fold(lines, tables, constraints) -> int:
 
 def naive_canonical_components(pat):
     """``enumerator.canonical_components`` as first written: Equal contracted,
-    then each component's least sorted (i, j, c, d) list over every element
-    of D4 applied to its slopes (each image a validated ``Move``) and every
+    and a pair collinear on two slopes made Equal, one pair at a time with
+    the contraction started again, until no pair is on two slopes; then each
+    component's least sorted (i, j, c, d) list over every element of D4
+    applied to its slopes (each image a validated ``Move``) and every
     degree-ordered relabelling of its own pieces, each component as its
     (k, form) pair, the pairs sorted."""
     from qqueens.enumerator import D4, Collinear, Equal
@@ -246,10 +248,18 @@ def naive_canonical_components(pat):
                 out[p] = merged
         return out
 
-    same = linked([c for c in pat.constraints if isinstance(c, Equal)])
-    least = {p: min(same.get(p, (p,))) for p in range(1, pat.piece_count + 1)}
-    mapped = ((c, sorted((least[c.i], least[c.j]))) for c in pat.constraints if isinstance(c, Collinear))
-    constraints = list(dict.fromkeys(Collinear(i, j, c.slope) for c, (i, j) in mapped if i < j))
+    given = list(pat.constraints)
+    while True:
+        same = linked([c for c in given if isinstance(c, Equal)])
+        least = {p: min(same.get(p, (p,))) for p in range(1, pat.piece_count + 1)}
+        mapped = ((c, sorted((least[c.i], least[c.j]))) for c in given if isinstance(c, Collinear))
+        constraints = list(dict.fromkeys(Collinear(i, j, c.slope) for c, (i, j) in mapped if i < j))
+        two_slopes = [
+            (a.i, a.j) for a in constraints for b in constraints if (a.i, a.j) == (b.i, b.j) and a.slope != b.slope
+        ]
+        if not two_slopes:
+            break
+        given.append(Equal(*two_slopes[0]))
     component_of = linked(constraints)
     forms = []
     for component in {frozenset(pieces) for pieces in component_of.values()}:

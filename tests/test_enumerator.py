@@ -507,11 +507,14 @@ def test_count_pattern_cycles_and_repeated_pairs():
         pattern(2, Collinear(1, 2, h), Collinear(1, 2, v)),
         # one pair both equal and collinear
         pattern(3, Equal(1, 2), Collinear(1, 2, du), Collinear(2, 3, knight)),
+        # a cascade: 1 and 2 merge, which puts 3 on two slopes to the merged piece
+        pattern(3, Collinear(1, 2, h), Collinear(1, 2, v), Collinear(2, 3, du), Collinear(1, 3, dd)),
     ]
     for pat in pats:
         for n in range(5):
             assert count_pattern(pat, n) == naive_count_pattern(pat, n)
     assert count_pattern(pats[2], 7) == 49
+    assert canonical_components(pats[4]) == (1, ())
 
 
 def test_count_pattern_leaves_no_cyclic_garbage():
@@ -791,7 +794,7 @@ H, V, DU, DD, KNIGHT = Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1), Move(1, 
 @example(pattern(4, Collinear(1, 2, H), Collinear(2, 3, DU), Collinear(3, 4, V), Collinear(1, 4, DD)), 8)  # 4-cycle
 @example(pattern(4, Collinear(1, 2, H), Collinear(1, 3, V), Collinear(1, 4, DU),
                  Collinear(2, 3, DD), Collinear(2, 4, KNIGHT), Collinear(3, 4, H)), 8)  # K4
-@example(pattern(3, Collinear(1, 2, H), Collinear(1, 2, V), Collinear(2, 3, KNIGHT)), 8)  # repeated pair
+@example(pattern(3, Collinear(1, 2, H), Collinear(1, 2, V), Collinear(2, 3, KNIGHT)), 8)  # a pair on two slopes
 @example(pattern(4, Equal(1, 3), Collinear(1, 2, DU), Collinear(2, 3, DD), Collinear(3, 4, H)), 8)  # contracted
 # a triangle with a piece hanging off it, folded in before the fix, so the
 # fixed piece's neighbours do not weigh every square alike
@@ -808,6 +811,26 @@ def test_count_pattern_matches_the_dict_fold(pat, n):
     assert count_pattern(pat, n) == expected
 
 
+# Patterns with pairs on two slopes, for the dict fold on their edges as given.
+REPEATED_PAIRS = [
+    pattern(2, Collinear(1, 2, H), Collinear(1, 2, V)),
+    pattern(3, Collinear(1, 2, H), Collinear(1, 2, V), Collinear(2, 3, KNIGHT)),
+    pattern(3, Collinear(1, 2, H), Collinear(1, 2, V), Collinear(2, 3, DU), Collinear(1, 3, DD)),  # a cascade
+    pattern(4, Collinear(1, 2, DU), Collinear(1, 2, DD), Collinear(2, 3, H), Collinear(3, 4, KNIGHT)),  # pair and path
+    # a pair on a triangle whose other sides share a slope: after the merge they are one constraint
+    pattern(3, Collinear(1, 2, H), Collinear(1, 2, V), Collinear(2, 3, DU), Collinear(1, 3, DU)),
+]
+
+
+@pytest.mark.parametrize("pat", REPEATED_PAIRS, ids=range(len(REPEATED_PAIRS)))
+def test_contracted_pairs_count_as_the_dict_fold_of_the_uncontracted_edges(pat):
+    # the dict fold fixes a piece of a repeated pair on each square in turn;
+    # count_pattern merges the pair first, and the two must agree
+    edges = [(c.i, c.j, c.slope.c, c.slope.d) for c in pat.constraints]
+    for n in range(9):
+        assert count_pattern(pat, n) == fold_component_count((pat.piece_count, edges), n), n
+
+
 def test_fold_plans_carry_close_and_fix():
     # a path carries its first leaf into the middle piece and closes on the
     # second; a triangle fixes one piece and closes its other two, each kept
@@ -815,10 +838,9 @@ def test_fold_plans_carry_close_and_fix():
     path = canonical_components(pattern(3, Collinear(1, 2, H), Collinear(2, 3, V)))[1][0]
     assert plan(*path) == (("carry", 1, 3, 0, 1), ("close", 2, 3, 1, 0))
     triangle = canonical_components(pattern(3, Collinear(1, 2, H), Collinear(2, 3, V), Collinear(1, 3, DD)))[1][0]
-    assert plan(*triangle) == (("fix", 1, ((2, ((0, 1),)), (3, ((1, -1),))), (("close", 2, 3, 1, 0),)),)
-    # a repeated pair keeps the other piece to both lines, the fixed square itself
-    pair = canonical_components(pattern(2, Collinear(1, 2, H), Collinear(1, 2, V)))[1][0]
-    assert plan(*pair) == (("fix", 1, ((2, ((0, 1), (1, 0))),), (("sum", 2),)),)
+    assert plan(*triangle) == (("fix", 1, ((2, (0, 1)), (3, (1, -1))), (("close", 2, 3, 1, 0),)),)
+    # a pair on two slopes shares one square, so it is one free piece and has no plan
+    assert canonical_components(pattern(2, Collinear(1, 2, H), Collinear(1, 2, V))) == (1, ())
 
 
 SMALL_SLOPES = sorted(
@@ -851,6 +873,7 @@ def test_canonical_components_hold_no_equal(pat):
             i, j, c, d = con
             assert 1 <= i < j <= k
             Move(c, d)  # raises unless (c, d) is a canonical move
+        assert len({con[:2] for con in form}) == len(form)  # one constraint per pair of pieces at most
 
 
 def test_single_move_symmetry_horizontal_vs_vertical():

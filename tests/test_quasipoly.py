@@ -509,6 +509,14 @@ def test_json_round_trip():
     assert QuasiPolynomial.from_json_dict(obj) == qp
     with pytest.raises(ValueError, match="period 3 does not match 2 constituents"):
         QuasiPolynomial.from_json_dict({**obj, "period": 3})
+    assert obj["degree"] == 2
+    with pytest.raises(ValueError, match="degree 3 does not match constituents of degree 2"):
+        QuasiPolynomial.from_json_dict({**obj, "degree": 3})
+    zero = QuasiPolynomial.constant_poly(P())
+    assert zero.to_json_dict() == {"period": 1, "degree": -1, "constituents": [[]]}
+    assert QuasiPolynomial.from_json_dict(zero.to_json_dict()) == zero
+    with pytest.raises(ValueError, match="degree 0 does not match constituents of degree -1"):
+        QuasiPolynomial.from_json_dict({**zero.to_json_dict(), "degree": 0})
 
 
 def test_format_fraction():
@@ -527,7 +535,7 @@ def test_repeated_cycle_builds_the_minimal_object(cycle, k):
     repeated = QuasiPolynomial.make(cycle * k)
     assert repeated.period == qp.period and len(cycle) % qp.period == 0
     assert repeated == qp and hash(repeated) == hash(qp)
-    obj = {"period": len(cycle) * k, "constituents": [
+    obj = {"period": len(cycle) * k, "degree": qp.degree, "constituents": [
         [format_fraction(c) for c in coefficients_of(poly)] for poly in cycle * k
     ]}
     assert QuasiPolynomial.from_json_dict(obj) == qp
