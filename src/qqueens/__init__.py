@@ -1,7 +1,9 @@
 """Exact counting of nonattacking rider placements on square boards.
 
-The package has three layers: an exhaustive-enumeration oracle
-(:mod:`qqueens.enumerator`), exact quasipolynomial arithmetic and fitting
+The package has an exhaustive-enumeration oracle
+(:mod:`qqueens.enumerator`) with the fold plans that count its constraint
+patterns (:mod:`qqueens.fold`), a cache of its counts on disk
+(:mod:`qqueens.cache`), exact quasipolynomial arithmetic and fitting
 (:mod:`qqueens.quasipoly`), and a bank of closed-form counting formulas
 (:mod:`qqueens.formulas`) together with the subspace catalog that certifies
 them against the oracle (:mod:`qqueens.audit`).
@@ -22,7 +24,6 @@ from .enumerator import (
     Equal,
     count_pattern,
     count_unlabelled,
-    line_lengths,
     sequence,
 )
 from .quasipoly import (

@@ -25,8 +25,9 @@ identities.
   collinear triples, span a box |c| l wide and |d| l high, which has
   (n - l |c|)(n - l |d|) places; so do the copies of a primitive triangle
   w wide and h high at scale l, with w and h for |c| and |d|.  So E,
-  sum_L C(c_L, 3) and T are read off the power sums of l (``_box_sums``)
-  and walk no line.  X sums e_s(v) e_s'(v) over the pairs of slopes s, s'
+  sum_L C(c_L, 3) and T are read off the power sums of l (``box_sums``)
+  and walk no line.  The attack-line claims of ``reports`` read the same
+  per-slope sums.  X sums e_s(v) e_s'(v) over the pairs of slopes s, s'
   and the squares v, where the excess e_s(v) is the length of v's line of
   slope s minus 1, and sum_v e_s(v) = 2 E_s.  An orthogonal slope has
   excess o = n - 1 on every square, so a pair of two adds N o^2 and a pair
@@ -339,7 +340,7 @@ def _pairs_and_triples(moves: MoveSet, q: int, n: int, budget: int) -> int:
     attacking = collinear = orthogonal = 0
     oblique = []  # (c, d, E_s, sum_v e_s(v)^2) per oblique slope with a line of two squares
     for m in moves:
-        pairs_s, triples_s = _box_sums(m.c, abs(m.d), n)
+        pairs_s, triples_s = box_sums(m.c, abs(m.d), n)
         attacking += pairs_s
         collinear += triples_s
         if not (m.c and m.d):
@@ -361,7 +362,7 @@ def _pairs_and_triples(moves: MoveSet, q: int, n: int, budget: int) -> int:
     return math.comb(size, 3) - attacking * (size - 2) + 2 * collinear + cross - _skew_triangles(moves, n)
 
 
-def _box_sums(w: int, h: int, n: int) -> tuple[int, int]:
+def box_sums(w: int, h: int, n: int) -> tuple[int, int]:
     """(sum_l (n - l w)(n - l h), sum_l (l - 1)(n - l w)(n - l h)) over
     l = 1..(n - 1) // max(w, h), read off the power sums of l, l^2 and l^3:
     the copies on the n x n board of a box w wide and h high scaled by l,
@@ -393,8 +394,8 @@ def _excess(c: int, d: int, n: int) -> list[int]:
 
 def _skew_triangles(moves: MoveSet, n: int) -> int:
     """T on the full n x n board: each primitive triangle, w wide and h high,
-    has (n - l w)(n - l h) copies at scale l = 1, 2, ... (``_box_sums``)."""
-    return sum(_box_sums(w, h, n)[0] for *_, w, h in _primitive_triangles(moves.canonical_key()))
+    has (n - l w)(n - l h) copies at scale l = 1, 2, ... (``box_sums``)."""
+    return sum(box_sums(w, h, n)[0] for *_, w, h in _primitive_triangles(moves.canonical_key()))
 
 
 def _subsets(allowed: int, k: int, masks: tuple[int, ...], leaf, charge, weight: int) -> int:
@@ -414,29 +415,6 @@ def _subsets(allowed: int, k: int, masks: tuple[int, ...], leaf, charge, weight:
         if rest:
             total += _subsets(rest, k - 1, masks, leaf, charge, weight)
     return total
-
-
-def line_lengths(slope: Move, n: int) -> list[int]:
-    """The lengths of the maximal lines of one slope on the n x n board, single
-    squares included, in the order ``_board_lines`` lists them.  Their sum of
-    squares counts the ordered pairs of squares that attack each other along
-    the slope, and their sum of cubes the ordered collinear triples
-    (coincidences allowed in both)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    c, d = slope.c, slope.d
-    # A line's length is 1 + the fewer of its first square's steps to the
-    # board's edge in x and in y.  The |d| rows that a step back leaves
-    # vertically (the first ones for d > 0, the last for d < 0) start a line
-    # on every square; every other row on its first min(c, n) squares.
-    x_lengths = [1 + (n - 1 - x) // c for x in range(n)] if c else [n + 1] * n
-    y_lengths = [1 + ((n - 1 - y) // d if d > 0 else y // -d if d else n) for y in range(n)]
-    edge = min(abs(d), n)
-    y_full, y_inner = (y_lengths[:edge], y_lengths[edge:]) if d > 0 else (y_lengths[n - edge:], y_lengths[:n - edge])
-    full = itertools.chain.from_iterable(map(min, x_lengths, itertools.repeat(y)) for y in y_full)
-    # the inner rows row by row: one column per line-start square, interleaved
-    inner = itertools.chain.from_iterable(zip(*(map(min, itertools.repeat(x), y_inner) for x in x_lengths[:c])))
-    return [*full, *inner] if d > 0 else [*inner, *full]
 
 
 @dataclass(frozen=True)

@@ -94,15 +94,13 @@ class Polynomial:
         return Fraction(self.nums[power], self.den) if 0 <= power < len(self.nums) else Fraction(0)
 
     def __call__(self, x) -> Fraction:
-        """The value at an int or ``Fraction`` x = p/q by Horner's rule in
-        integers: the sum of nums[k] p^k q^(d-k) over den * q^d, made a
-        ``Fraction`` once at the end."""
-        p, q = x.numerator, x.denominator
-        acc, q_power = 0, 1
+        """The value at x by Horner's rule on the numerators, over ``den``:
+        integer arithmetic at an int x, ``Fraction`` arithmetic at a
+        ``Fraction``."""
+        acc = 0
         for a in reversed(self.nums):
-            acc = acc * p + a * q_power
-            q_power *= q
-        return Fraction(acc * q, self.den * q_power)
+            acc = acc * x + a
+        return Fraction(acc, self.den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         """The sum over the lcm of the two denominators."""
@@ -207,11 +205,19 @@ class QuasiPolynomial:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "QuasiPolynomial":
+        """The inverse of ``to_json_dict``: ``period`` and ``degree`` must be
+        ints and each coefficient a string, which ``Fraction`` parses exactly;
+        anything else raises ``ValueError``."""
+        if not (type(obj["period"]) is int and type(obj["degree"]) is int):
+            raise ValueError(f"period {obj['period']!r} and degree {obj['degree']!r} must be ints")
+        for coeffs in obj["constituents"]:
+            if not (type(coeffs) is list and all(type(v) is str for v in coeffs)):
+                raise ValueError(f"constituent {coeffs!r} is not a list of coefficient strings")
         constituents = [Polynomial.make(map(Fraction, coeffs)) for coeffs in obj["constituents"]]
-        if int(obj["period"]) != len(constituents):
+        if obj["period"] != len(constituents):
             raise ValueError(f"period {obj['period']} does not match {len(constituents)} constituents")
         qp = cls.make(constituents)
-        if int(obj["degree"]) != qp.degree:
+        if obj["degree"] != qp.degree:
             raise ValueError(f"degree {obj['degree']} does not match constituents of degree {qp.degree}")
         return qp
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .core import ALL_PIECE_SPECS, MoveSet, PartialQueenSpec, partial_queen
-from .enumerator import DEFAULT_BUDGET, line_lengths, sequence
+from .enumerator import DEFAULT_BUDGET, box_sums, sequence
 from .quasipoly import (
     Polynomial,
     QuasiPolynomial,
@@ -130,16 +130,18 @@ def fitted_counts(
 
 def suite_attacklines(n_max: int) -> list[ClaimResult]:
     """Closed forms for attacking pairs and collinear triples along each slope:
-    the sums of squared and of cubed line lengths."""
+    the sums of squared and of cubed line lengths, n^2 + 2E and
+    n^2 + 6E + 6T with E = sum C(l, 2) and T = sum C(l, 3) over the slope's
+    lines of length l, both from ``box_sums``."""
     out = []
     for slope in fm.SUPPORTED_SLOPES:
         a_poly = fm.alpha_closed(slope)
         b_qp = fm.beta_closed(slope)
         ok_a = ok_b = True
         for n in range(n_max + 1):
-            lengths = line_lengths(slope, n)
-            ok_a = ok_a and sum(length**2 for length in lengths) == a_poly(n)
-            ok_b = ok_b and sum(length**3 for length in lengths) == evaluate(b_qp, n)
+            pairs, triples = box_sums(slope.c, abs(slope.d), n)
+            ok_a = ok_a and a_poly(n) == n * n + 2 * pairs
+            ok_b = ok_b and evaluate(b_qp, n) == n * n + 6 * pairs + 6 * triples
         label = f"{slope.d}/{slope.c}"
         out.append(ClaimResult(f"attack-pair closed form, slope {label}, n<=%d" % n_max, ok_a))
         out.append(ClaimResult(f"collinear-triple closed form, slope {label}, n<=%d" % n_max, ok_b))

@@ -767,6 +767,31 @@ def test_verify_all_gives_each_suite_its_own_scope_ceiling(monkeypatch, n_max):
     assert len(calls) == len(reports.SUITES) == 7
 
 
+@pytest.mark.parametrize("form, row", [("alpha_closed", "attack-pair"), ("beta_closed", "collinear-triple")],
+                         ids=["alpha", "beta"])
+@pytest.mark.parametrize("slope", [Move(1, 0), Move(0, 1), Move(1, 1), Move(1, -1)], ids=lambda m: f"{m.c},{m.d}")
+def test_attack_line_claim_fails_on_a_wrong_printed_form(monkeypatch, form, row, slope):
+    # one slope's printed form off by one fails that slope's row and no other
+    import qqueens.formulas as fm
+    import qqueens.reports as reports
+    from qqueens.quasipoly import Polynomial, QuasiPolynomial
+
+    closed = getattr(fm, form)
+    one = Polynomial.make([1])
+
+    def off_by_one(s):
+        value = closed(s)
+        if s != slope:
+            return value
+        return value + one if form == "alpha_closed" else value + QuasiPolynomial.constant_poly(one)
+
+    monkeypatch.setattr(fm, form, off_by_one)
+    results = reports.suite_attacklines(8)
+    failed = [r.name for r in results if not r.passed]
+    assert failed == [f"{row} closed form, slope {slope.d}/{slope.c}, n<=8"]
+    assert len(results) == 8
+
+
 @pytest.mark.parametrize("n_max", ["0", "-1"])
 def test_verify_rejects_n_max_below_one(n_max):
     # a ceiling below 1 leaves no board size to check

@@ -25,17 +25,16 @@ from qqueens.enumerator import (
     ConstraintPattern,
     Equal,
     _board_lines,
-    _box_sums,
     _component_count,
     _excess,
     _line_index,
     _line_mask,
     _skew_triangles,
     _triangle_shapes,
+    box_sums,
     canonical_components,
     count_pattern,
     count_unlabelled,
-    line_lengths,
     pattern,
     sequence,
     symmetry_group,
@@ -251,10 +250,10 @@ ANY_SLOPE = (
 @example(Move(1, 0), 0)
 @settings(deadline=None)
 def test_per_slope_line_sums_match_the_line_lengths(slope, n):
-    lengths = line_lengths(slope, n)
+    lengths = [len(line) for line in naive_board_lines(slope, n)]
     pairs = sum(math.comb(length, 2) for length in lengths)
     triples = sum(math.comb(length, 3) for length in lengths)
-    assert _box_sums(slope.c, abs(slope.d), n) == (pairs, triples)
+    assert box_sums(slope.c, abs(slope.d), n) == (pairs, triples)
 
 
 @given(ANY_SLOPE.filter(lambda m: m.c and m.d), st.integers(0, 30))
@@ -363,21 +362,22 @@ def test_budget_error_carries_progress():
 def power_sum(slope: Move, n: int, power: int) -> int:
     """Sum of the given power of the slope's line lengths: attacking pairs for
     power 2, collinear triples for power 3."""
-    return sum(length**power for length in line_lengths(slope, n))
+    return sum(len(line) ** power for line in naive_board_lines(slope, n))
 
 
 def test_line_lengths_examples():
-    assert sorted(line_lengths(Move(1, 1), 3)) == [1, 1, 2, 2, 3]
-    assert line_lengths(Move(1, 0), 0) == []
-    with pytest.raises(ValueError):
-        line_lengths(Move(1, 0), -1)
+    # the lengths of the board lines and the per-slope sums (C(l, 2), C(l, 3)) over them
+    assert sorted(map(len, _board_lines(1, 1, 3))) == [1, 1, 2, 2, 3]
+    assert box_sums(1, 1, 3) == (5, 1)
+    assert _board_lines(1, 0, 0) == []
+    assert box_sums(1, 0, 0) == (0, 0)
 
 
 @pytest.mark.parametrize("slope", [Move(1, 2), Move(2, -1), Move(1, 3), Move(3, -2)])
 def test_rider_line_lengths_match_naive_pair_count(slope):
     # the lines tile the board, and a line of length l holds l^2 ordered pairs
     for n in range(10):
-        lengths = line_lengths(slope, n)
+        lengths = [len(line) for line in naive_board_lines(slope, n)]
         squares = [(x, y) for x in range(n) for y in range(n)]
         pairs = sum(is_multiple(bx - ax, by - ay, slope) for ax, ay in squares for bx, by in squares)
         assert sum(lengths) == n * n
@@ -851,8 +851,12 @@ SMALL_SLOPES = sorted(
 
 @pytest.mark.parametrize("slope", SMALL_SLOPES, ids=lambda m: f"{m.c},{m.d}")
 def test_line_lengths_follow_the_naive_walk(slope):
+    # both derivations of the line lengths: the board lines and the per-slope sums
     for n in range(31):
-        assert line_lengths(slope, n) == [len(line) for line in naive_board_lines(slope, n)], n
+        lengths = [len(line) for line in naive_board_lines(slope, n)]
+        assert [len(line) for line in _board_lines(slope.c, slope.d, n)] == lengths, n
+        sums = (sum(math.comb(length, 2) for length in lengths), sum(math.comb(length, 3) for length in lengths))
+        assert box_sums(slope.c, abs(slope.d), n) == sums, n
 
 
 def test_equal_chain_is_one_free_piece():

@@ -517,6 +517,15 @@ def test_json_round_trip():
     assert QuasiPolynomial.from_json_dict(zero.to_json_dict()) == zero
     with pytest.raises(ValueError, match="degree 0 does not match constituents of degree -1"):
         QuasiPolynomial.from_json_dict({**zero.to_json_dict(), "degree": 0})
+    # period and degree are exact ints, each coefficient the string to_json_dict writes
+    even = obj["constituents"][0]
+    for bad in ({"period": 2.9}, {"period": 2.0}, {"period": True}, {"period": "2"},
+                {"degree": 1.5}, {"degree": 2.0}, {"degree": "2"},
+                {"constituents": [even, ["1/4", "0", 0.1]]},
+                {"constituents": [even, ["1/4", "0", 1]]},
+                {"constituents": [even, "1/4"]}):
+        with pytest.raises(ValueError):
+            QuasiPolynomial.from_json_dict({**obj, **bad})
 
 
 def test_format_fraction():
