@@ -51,7 +51,10 @@ identities.
   moves.
 
 For q >= 5, squares between the first piece and the last three are taken in
-increasing index order and pruned with per-square attack bitsets.
+increasing index order and pruned with per-square attack bitsets.  The
+search counts placements and nothing else: the nodes a count of q pieces
+takes, sum_{j<q} j * u(j; n), are known from the lower counts before it
+starts, so ``count_unlabelled`` refuses a count over budget up front.
 
 ``count_pattern`` counts the ordered tuples of squares that meet a pattern.
 Pieces that must share a square (an ``Equal``, or two slopes on one pair)
@@ -82,7 +85,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from . import fold
 from .core import Move, MoveSet
@@ -91,21 +94,23 @@ DEFAULT_BUDGET = 10**9
 
 
 class BudgetExceededError(Exception):
-    """A search visited more nodes than its budget allows.
+    """A count needs more nodes than its budget allows.
 
     The budget applies to each board size on its own (one call of
     ``count_unlabelled``), never to a run over several sizes.  A node is a
     partial placement the search stands for: a nonattacking set of 1 to q - 1
     pieces with one of them marked as the first, so counting q pieces on the
-    n x n board takes sum_{j<q} j * u(j; n) nodes.  ``completed`` holds the
-    (n, count) samples ``sequence`` finished before the budget ran out.
+    n x n board takes sum_{j<q} j * u(j; n) nodes, whatever the algorithm.
+    ``nodes`` is that sum up to the first j at which it passes the budget.
+    ``completed`` holds the (n, count) samples ``sequence`` finished before
+    the budget ran out.
     """
 
     def __init__(self, nodes: int, budget: int, completed: tuple[tuple[int, int], ...] = ()):
         self.nodes = nodes
         self.budget = budget
         self.completed = completed
-        detail = f"visited {nodes} partial placements (budget {budget} per board size)"
+        detail = f"needs at least {nodes} partial placements (budget {budget} per board size)"
         if completed:
             detail += f"; last completed board size n={completed[-1][0]}"
         super().__init__(detail)
@@ -247,13 +252,14 @@ def _triangle_shapes(moves: MoveSet, n: int) -> list[tuple[int, int, int, int, i
 def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of q-subsets of distinct squares of the n x n board, pairwise nonattacking.
 
-    q = 2 and q = 3 are arithmetic (``_pairs_and_triples``).  For q >= 4 the
-    first piece runs over one square per board-symmetry orbit, any middle
-    pieces run in increasing index order, and one leaf evaluation counts the
-    last three (the module docstring gives both routes).
+    Counts u(1) = n^2, u(2), u(3), ... in turn, each only once the one before
+    is in: u(2) and u(3) are arithmetic (``_pairs_and_triples``), u(4) and up
+    come from the orbit search (``_searched``; the module docstring gives
+    both routes).
 
-    Raises ``BudgetExceededError`` once the search passes ``budget`` nodes
-    (see there for what a node is).
+    Before each count it raises ``BudgetExceededError`` if the nodes of the
+    counts so far, sum_j j * u(j; n), pass ``budget`` (see there for what a
+    node is), so a count over budget is refused before its search begins.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -261,10 +267,21 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
         raise ValueError("n must be >= 0")
     if n == 0:
         return 0
-    if q == 1:
-        return n * n
-    if q <= 3:
-        return _pairs_and_triples(moves, q, n, budget)
+    nodes = 0
+    counts = itertools.chain((n * n,), _pairs_and_triples(moves, n), _searched(moves, n))
+    for j, count in enumerate(counts, 1):
+        if j == q:
+            return count
+        nodes += j * count
+        if nodes > budget:
+            raise BudgetExceededError(nodes, budget)
+
+
+def _searched(moves: MoveSet, n: int) -> Iterator[int]:
+    """u(4; n), u(5; n), ... for n >= 1, each searched only when asked for, on
+    one attack table: the first piece runs over one square per board-symmetry
+    orbit, any middle pieces run in increasing index order (``_subsets``),
+    and one leaf evaluation counts the last three."""
     size = n * n
     full = (1 << size) - 1
     table = AttackTable.build(moves, n)
@@ -287,30 +304,15 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
     # the leaf do not wrap from one row to the next
     rows = ((1 << size) - 1) // ((1 << n) - 1)  # bit 0 of every row
     steps = [(o1, o2, ((1 << n - w) - 1 << lo) * rows) for o1, o2, lo, w, _ in _triangle_shapes(moves, n)]
-    nodes = 0
-    weight = 1  # size of the first square's orbit: every node found stands for this many
-
-    def charge(count: int) -> None:
-        nonlocal nodes
-        nodes += count
-        if nodes > budget:
-            raise BudgetExceededError(nodes, budget)
 
     def leaf(allowed: int) -> int:
-        """Nonattacking triples of ``allowed``, by line occupancy.
-
-        Charges ``weight`` nodes per square of ``allowed`` and per
-        nonattacking pair in it: the nodes a piece-by-piece search would
-        visit placing pieces into ``allowed``.
-        """
+        """Nonattacking triples of ``allowed``, by line occupancy."""
         count = allowed.bit_count()
-        if count < 2:
-            charge(weight * count)
+        if count < 3:
             return 0
         low = (allowed & -allowed).bit_length() - 1
         on_lines = list(map(int.bit_count, map(allowed.__and__, lines[start[low]:])))
         attacking = sum(map(c2.__getitem__, on_lines))
-        charge(weight * (count + count * (count - 1) // 2 - attacking))
         # wedges = sum_v C(deg v, 2) = 3 sum_L C(c_L, 3) + X, over the attack
         # masks of the squares of ``allowed``, picked by its binary digits
         members = itertools.compress(masks, map("1".__eq__, bin(allowed)[:1:-1]))
@@ -320,22 +322,20 @@ def count_unlabelled(moves: MoveSet, q: int, n: int, budget: int = DEFAULT_BUDGE
         skew = sum((allowed & allowed >> o1 & allowed >> o2 & mask).bit_count() for o1, o2, mask in steps)
         return math.comb(count, 3) - attacking * (count - 2) + wedges - collinear - skew
 
-    total = 0
-    for s, weight in _orbits(symmetry_group(moves), n):
-        charge(weight)
-        total += weight * _subsets(full & ~masks[s], q - 1, masks, leaf, charge, weight)
-    if total % q:
-        raise RuntimeError(
-            f"orbit-weighted sum {total} for q={q}, n={n} is not divisible by q"
-        )
-    return total // q
+    orbits = _orbits(symmetry_group(moves), n)
+    for q in itertools.count(4):
+        total = sum(weight * _subsets(full & ~masks[s], q - 1, masks, leaf) for s, weight in orbits)
+        if total % q:
+            raise RuntimeError(
+                f"orbit-weighted sum {total} for q={q}, n={n} is not divisible by q"
+            )
+        yield total // q
 
 
-def _pairs_and_triples(moves: MoveSet, q: int, n: int, budget: int) -> int:
-    """``count_unlabelled`` for q = 2 or 3 and n >= 1, by the module
-    docstring's closed forms on the full board.  Charges N = n^2 nodes, and
-    for q = 3 two more per nonattacking pair (one per choice of its first
-    piece), on every call and before any table is built."""
+def _pairs_and_triples(moves: MoveSet, n: int) -> Iterator[int]:
+    """u(2; n), then u(3; n), for n >= 1, by the module docstring's closed
+    forms on the full board.  Each slope's box sums are read once for both,
+    and the excess tables are built only once u(3) is asked for."""
     size = n * n
     attacking = collinear = orthogonal = 0
     oblique = []  # (c, d, E_s, sum_v e_s(v)^2) per oblique slope with a line of two squares
@@ -347,19 +347,14 @@ def _pairs_and_triples(moves: MoveSet, q: int, n: int, budget: int) -> int:
             orthogonal += 1
         elif pairs_s:
             oblique.append((m.c, m.d, pairs_s, 6 * triples_s + 2 * pairs_s))
-    pairs = size * (size - 1) // 2 - attacking
-    nodes = size + 2 * pairs if q == 3 else size
-    if nodes > budget:
-        raise BudgetExceededError(nodes, budget)
-    if q == 2:
-        return pairs
+    yield size * (size - 1) // 2 - attacking
     o = n - 1
     cross = orthogonal * (orthogonal - 1) // 2 * size * o * o + 2 * orthogonal * o * sum(e for _, _, e, _ in oblique)
     if len(oblique) > 1:
         tables = [_excess(c, d, n) for c, d, _, _ in oblique]
         r = list(functools.reduce(functools.partial(map, operator.add), tables))
         cross += (sum(map(operator.mul, r, r)) - sum(own for *_, own in oblique)) // 2
-    return math.comb(size, 3) - attacking * (size - 2) + 2 * collinear + cross - _skew_triangles(moves, n)
+    yield math.comb(size, 3) - attacking * (size - 2) + 2 * collinear + cross - _skew_triangles(moves, n)
 
 
 def box_sums(w: int, h: int, n: int) -> tuple[int, int]:
@@ -398,11 +393,11 @@ def _skew_triangles(moves: MoveSet, n: int) -> int:
     return sum(box_sums(w, h, n)[0] for *_, w, h in _primitive_triangles(moves.canonical_key()))
 
 
-def _subsets(allowed: int, k: int, masks: tuple[int, ...], leaf, charge, weight: int) -> int:
+def _subsets(allowed: int, k: int, masks: tuple[int, ...], leaf) -> int:
     """Nonattacking k-subsets of ``allowed`` (k >= 3), lowest square first:
-    ``count_unlabelled``'s middle pieces, with its attack ``masks``, ``leaf``
-    and ``charge``, and ``weight`` nodes per square placed.  Squares are taken
-    lowest first, so those left in ``m`` all lie above the one placed."""
+    ``_searched``'s middle pieces, with its attack ``masks`` and ``leaf``.
+    Squares are taken lowest first, so those left in ``m`` all lie above the
+    one placed."""
     if k == 3:
         return leaf(allowed)
     total = 0
@@ -410,10 +405,9 @@ def _subsets(allowed: int, k: int, masks: tuple[int, ...], leaf, charge, weight:
     while m:
         lsb = m & -m
         m ^= lsb
-        charge(weight)
         rest = m & ~masks[lsb.bit_length() - 1]
         if rest:
-            total += _subsets(rest, k - 1, masks, leaf, charge, weight)
+            total += _subsets(rest, k - 1, masks, leaf)
     return total
 
 

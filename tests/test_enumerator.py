@@ -30,6 +30,7 @@ from qqueens.enumerator import (
     _line_index,
     _line_mask,
     _skew_triangles,
+    _subsets,
     _triangle_shapes,
     box_sums,
     canonical_components,
@@ -160,7 +161,7 @@ def test_middle_piece_search_matches_naive_oracle(rider, q, n, count):
 
 
 def _no_attack_table(moves, n):
-    raise AssertionError("q <= 3 must not build an attack table")
+    raise AssertionError("this count must not build an attack table")
 
 
 def _no_line_walk(c, d, n):
@@ -198,6 +199,40 @@ def test_two_and_three_piece_budget_is_the_search_nodes(moves, q, n):
     with pytest.raises(BudgetExceededError) as exc:
         count_unlabelled(rider, q, n, budget=nodes - 1)
     assert (exc.value.nodes, exc.value.budget) == (nodes, nodes - 1)
+
+
+def _no_search_for(q):
+    """``_subsets``, raising if asked for the q - 1 pieces after the first of
+    a count of q: the search for u(q; n)."""
+
+    def guarded(allowed, k, *rest):
+        assert k < q - 1, f"the search for u({q}; n) started"
+        return _subsets(allowed, k, *rest)
+
+    return guarded
+
+
+@given(
+    st.lists(st.sampled_from(CANONICAL_MOVES), min_size=1, max_size=5, unique=True),
+    st.sampled_from([(4, n) for n in range(1, 6)] + [(5, n) for n in range(1, 5)]),
+)
+@settings(deadline=None, max_examples=40)
+def test_over_budget_count_is_refused_before_its_search(moves, q_n):
+    # sum_{j<q} j u(j; n) nodes are known from the lower counts, so a count of
+    # q >= 4 pieces over budget is refused before u(q)'s search begins: for
+    # q = 4 before any attack table is built (q = 5 needs one for u(4))
+    q, n = q_n
+    rider = MoveSet(tuple(moves))
+    nodes = sum(j * naive_count_unlabelled(rider, j, n) for j in range(1, q))
+    assert count_unlabelled(rider, q, n, budget=nodes) == naive_count_unlabelled(rider, q, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("qqueens.enumerator._subsets", _no_search_for(q))
+        if q == 4:
+            patch.setattr(AttackTable, "build", _no_attack_table)
+        with pytest.raises(BudgetExceededError) as exc:
+            count_unlabelled(rider, q, n, budget=nodes - 1)
+    assert (exc.value.nodes, exc.value.budget) == (nodes, nodes - 1)
+    assert f"needs at least {nodes} partial placements" in str(exc.value)
 
 
 @given(
