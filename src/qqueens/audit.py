@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import DIAGONAL, ORTHOGONAL, Move
+from .core import DIAGONAL, Move, PartialQueenSpec, partial_queen
 from .enumerator import (
     Collinear,
     ConstraintPattern,
@@ -162,14 +162,14 @@ OrientationClass = tuple[str, tuple[ConstraintPattern, ...], QuasiPolynomial]
 
 def _per_slopes(size: int, classes: Callable[..., Sequence[OrientationClass]]) -> SubcaseBuilder:
     """One subcase per orientation class of each set of ``size`` distinct
-    slopes of the piece: ``classes(*slopes)``, orthogonal slopes first, gives
-    the set's classes as (label, patterns, printed closed form).  A piece
-    with too few slopes of a kind has no set that needs them."""
+    slopes of the piece's ``partial_queen`` moves (orthogonal first):
+    ``classes(*slopes)`` gives the set's classes as (label, patterns, printed
+    closed form).  A piece with too few slopes of a kind has no such set."""
 
     def build(h: int, k: int) -> tuple[Subcase, ...]:
         return tuple(
             _subcase(*cls)
-            for slopes in itertools.combinations(ORTHOGONAL[:h] + DIAGONAL[:k], size)
+            for slopes in itertools.combinations(partial_queen(PartialQueenSpec(h, k)).moves, size)
             for cls in classes(*slopes)
         )
 

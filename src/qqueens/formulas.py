@@ -12,7 +12,7 @@ Where two printed routes exist for the same quantity, both are implemented
 and their agreement is a test, not an assumption.  For gamma3 the expanded
 coefficient display and the coefficient table genuinely disagree (two delta
 terms differ); the table route is the one consistent with brute-force
-counts, so it backs :func:`gamma3`, and the expanded display is kept
+counts, so ``gamma_expr`` reads it, and the expanded display is kept
 verbatim as :func:`gamma3_expr_expanded` for the documented reconciliation.
 """
 
@@ -91,20 +91,16 @@ TABLE1_GAMMA3: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {
 }
 
 
-def gamma1_expr(h: int, k: int) -> GammaExpr:
+def gamma_expr(h: int, k: int, i: int) -> GammaExpr:
+    """gamma_i for i = 1, 2, 3 in the printed normal form: gamma1 is
+    -(3h+2k)/6, gamma2 and gamma3 are the coefficient table's entries."""
     PartialQueenSpec(h, k)
-    return GammaExpr(1, Polynomial.make([-(3 * h + 2 * k)]), 6)
-
-
-def gamma1(h: int, k: int, q: int) -> Fraction:
-    return gamma1_expr(h, k).value(q)
-
-
-def gamma2_expr(h: int, k: int) -> GammaExpr:
-    """gamma2 in the coefficient table's printed normal form."""
-    PartialQueenSpec(h, k)
-    coeffs, den = TABLE1_GAMMA2[(h, k)]
-    return GammaExpr(2, Polynomial.make(coeffs), den)
+    if i == 1:
+        return GammaExpr(1, Polynomial.make([-(3 * h + 2 * k)]), 6)
+    if i not in (2, 3):
+        raise ValueError(f"gamma{i} is not printed; the index i must be 1, 2 or 3")
+    coeffs, den = (TABLE1_GAMMA2, TABLE1_GAMMA3)[i - 2][(h, k)]
+    return GammaExpr(i, Polynomial.make(coeffs), den)
 
 
 def gamma2_expr_expanded(h: int, k: int) -> GammaExpr:
@@ -120,21 +116,10 @@ def gamma2_expr_expanded(h: int, k: int) -> GammaExpr:
     return GammaExpr(2, brace, 2)
 
 
-def gamma2(h: int, k: int, q: int) -> Fraction:
-    return gamma2_expr(h, k).value(q)
-
-
-def gamma3_expr(h: int, k: int) -> GammaExpr:
-    """gamma3 in the coefficient table's printed normal form (the oracle-consistent route)."""
-    PartialQueenSpec(h, k)
-    coeffs, den = TABLE1_GAMMA3[(h, k)]
-    return GammaExpr(3, Polynomial.make(coeffs), den)
-
-
 def gamma3_expr_expanded(h: int, k: int) -> GammaExpr:
     """gamma3 assembled from the expanded coefficient display, exactly as printed.
 
-    Known not to equal :func:`gamma3_expr` for every (h, k): the printed
+    Known not to equal ``gamma_expr(h, k, 3)`` for every (h, k): the printed
     display carries doubled delta terms in its linear bracket and shifted
     delta constants in its quadratic bracket.  Tests pin the exact
     difference and the brute-force arbitration.
@@ -165,10 +150,6 @@ def gamma3_expr_expanded(h: int, k: int) -> GammaExpr:
         + Polynomial.make([k])
     )
     return GammaExpr(3, brace.scale(-1), 6)
-
-
-def gamma3(h: int, k: int, q: int) -> Fraction:
-    return gamma3_expr(h, k).value(q)
 
 
 def gamma_leading_term(h: int, k: int, i: int) -> Fraction:

@@ -172,15 +172,15 @@ def suite_tables(n_max: int, cache=None) -> list[ClaimResult]:
         out.append(
             ClaimResult(
                 f"gamma2 two-route agreement ({h},{k})",
-                fm.gamma2_expr(h, k).same_value(fm.gamma2_expr_expanded(h, k)),
+                fm.gamma_expr(h, k, 2).same_value(fm.gamma2_expr_expanded(h, k)),
             )
         )
         for i in (1, 2, 3):
-            expr = (fm.gamma1_expr, fm.gamma2_expr, fm.gamma3_expr)[i - 1](h, k)
             out.append(
                 ClaimResult(
                     f"gamma{i} leading q-coefficient ({h},{k})",
-                    expr.leading_q_coefficient() == fm.gamma_leading_term(h, k, i),
+                    fm.gamma_expr(h, k, i).leading_q_coefficient()
+                    == fm.gamma_leading_term(h, k, i),
                 )
             )
         out.append(
@@ -207,9 +207,8 @@ def suite_coeffs() -> list[ClaimResult]:
         u2 = fm.u2_closed(h, k)
         u3 = fm.u3_closed(h, k)
         for q, qp in ((2, QuasiPolynomial.constant_poly(u2)), (3, u3)):
-            gammas = (fm.gamma1(h, k, q), fm.gamma2(h, k, q), fm.gamma3(h, k, q))
             ok = all(
-                coefficient(qp, 2 * q - i).constant == gammas[i - 1]
+                coefficient(qp, 2 * q - i).constant == fm.gamma_expr(h, k, i).value(q)
                 and coefficient(qp, 2 * q - i).alternating == 0
                 for i in (1, 2, 3)
             )
@@ -226,10 +225,7 @@ def suite_coeffs() -> list[ClaimResult]:
         )
         # the coincident triple sits at n^2, below every gamma_i read here
         for i in (0, 1, 2, 3):
-            if i == 0:
-                expected = Fraction(1, 6)
-            else:
-                expected = (fm.gamma1, fm.gamma2, fm.gamma3)[i - 1](h, k, 3)
+            expected = fm.gamma_expr(h, k, i).value(3) if i else Fraction(1, 6)
             out.append(
                 ClaimResult(
                     f"assembled gamma{i} at q=3 ({h},{k})",
@@ -358,8 +354,8 @@ def formula_bank_rows(h: int, k: int, q: int) -> list[tuple[str, str]]:
     """Every formula-bank output for one (h, k, q), for diffing against
     published tables by eye."""
     rows: list[tuple[str, str]] = []
-    for i, expr_fn in ((1, fm.gamma1_expr), (2, fm.gamma2_expr), (3, fm.gamma3_expr)):
-        expr = expr_fn(h, k)
+    for i in (1, 2, 3):
+        expr = fm.gamma_expr(h, k, i)
         rows.append(
             (
                 f"gamma{i} expression",

@@ -26,13 +26,8 @@ from qqueens.formulas import (
     codim_contribution,
     coincident_triple_contribution,
     delta,
-    gamma1,
-    gamma1_expr,
-    gamma2,
-    gamma2_expr,
     gamma2_expr_expanded,
-    gamma3,
-    gamma3_expr,
+    gamma_expr,
     gamma5_periodic,
     gamma_leading_term,
     table2_row,
@@ -142,22 +137,22 @@ def test_criterion_6_coefficient_consistency_symbolic():
         # the coefficient-table normal forms, held verbatim
         coeffs2, den2 = TABLE1_GAMMA2[(h, k)]
         coeffs3, den3 = TABLE1_GAMMA3[(h, k)]
-        ok = ok and gamma2_expr(h, k).numerator == Polynomial.make(coeffs2)
-        ok = ok and gamma2_expr(h, k).denominator_constant == den2
-        ok = ok and gamma3_expr(h, k).numerator == Polynomial.make(coeffs3)
-        ok = ok and gamma3_expr(h, k).denominator_constant == den3
+        ok = ok and gamma_expr(h, k, 2).numerator == Polynomial.make(coeffs2)
+        ok = ok and gamma_expr(h, k, 2).denominator_constant == den2
+        ok = ok and gamma_expr(h, k, 3).numerator == Polynomial.make(coeffs3)
+        ok = ok and gamma_expr(h, k, 3).denominator_constant == den3
         # the expanded display reproduces the gamma2 table entries exactly
-        ok = ok and gamma2_expr(h, k).same_value(gamma2_expr_expanded(h, k))
+        ok = ok and gamma_expr(h, k, 2).same_value(gamma2_expr_expanded(h, k))
         # leading q-coefficients in the stated closed normal form
-        for i, expr in ((1, gamma1_expr(h, k)), (2, gamma2_expr(h, k)), (3, gamma3_expr(h, k))):
-            ok = ok and expr.leading_q_coefficient() == gamma_leading_term(h, k, i)
+        for i in (1, 2, 3):
+            ok = ok and gamma_expr(h, k, i).leading_q_coefficient() == gamma_leading_term(h, k, i)
         # the gammas are the actual coefficients of the closed counting forms
         u2qp = QuasiPolynomial.constant_poly(u2_closed(h, k))
         u3qp = u3_closed(h, k)
         for q, qp in ((2, u2qp), (3, u3qp)):
-            for i, fn in ((1, gamma1), (2, gamma2), (3, gamma3)):
+            for i in (1, 2, 3):
                 dec = coefficient(qp, 2 * q - i)
-                ok = ok and dec.constant == fn(h, k, q) and dec.alternating == 0
+                ok = ok and dec.constant == gamma_expr(h, k, i).value(q) and dec.alternating == 0
         # codimension contributions reassemble the three-piece form at q=3
         total = codim_contribution(h, k, 3, 0)
         for nu in (1, 2, 3):
@@ -255,7 +250,7 @@ def test_criterion_9_four_piece_spot_check_as_stated():
     qp = fit(sorted(counts.items()), 8, QUEEN_Q4_PERIODS)
     elapsed = time.time() - t0
     top = {k: coefficient(qp, k) for k in (8, 7, 6)}
-    expected = {8: F(1, 24), 7: gamma1(2, 2, 4), 6: gamma2(2, 2, 4)}
+    expected = {8: F(1, 24), 7: gamma_expr(2, 2, 1).value(4), 6: gamma_expr(2, 2, 2).value(4)}
     surplus = len(counts) - sum(QUEEN_Q4_PERIODS)
     pinned = all(counts[n] == QUEEN_Q4_COUNTS[n] for n in counts)
     ok = (pinned and surplus >= 2 and elapsed < 1800.0
@@ -296,8 +291,8 @@ def test_four_queen_lower_coefficients_from_pinned_counts():
     matching the arbitration report), and the value at -1 is 574.
     """
     qp = fit(sorted(QUEEN_Q4_COUNTS.items()), 8, QUEEN_Q4_PERIODS)
-    assert (gamma1(2, 2, 4), gamma2(2, 2, 4)) == (F(-5, 6), F(65, 9))
-    assert coefficient(qp, 5) == CoeffDecomposition(gamma3(2, 2, 4), F(0))
+    assert (gamma_expr(2, 2, 1).value(4), gamma_expr(2, 2, 2).value(4)) == (F(-5, 6), F(65, 9))
+    assert coefficient(qp, 5) == CoeffDecomposition(gamma_expr(2, 2, 3).value(4), F(0))
     assert coefficient(qp, 4) == CoeffDecomposition(F(817, 8), F(0))
     assert coefficient(qp, 3).alternating == F(1, 4)  # +h/8 at q=4: the table-route sign
     assert evaluate(qp, -1) == 574

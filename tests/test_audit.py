@@ -15,9 +15,7 @@ from qqueens.core import ALL_PIECE_SPECS, PartialQueenSpec, partial_queen
 from qqueens.enumerator import Equal, count_pattern, count_unlabelled
 from qqueens.formulas import (
     codim_contribution,
-    gamma1,
-    gamma2,
-    gamma3,
+    gamma_expr,
     table2_row,
     u2_closed,
     u3_closed,
@@ -292,15 +290,15 @@ def test_gamma_from_audit_examples():
     dec0 = gamma_from_audit(2, 1, 3, 0)
     assert dec0.constant == F(1, 6)
     dec1 = gamma_from_audit(2, 2, 2, 1)
-    assert dec1.constant == gamma1(2, 2, 2) == F(-5, 3)
+    assert dec1.constant == gamma_expr(2, 2, 1).value(2) == F(-5, 3)
 
 
 def test_gamma_from_audit_matches_gammas_at_small_q():
     for h, k in ALL_HK:
         for q in (2, 3):
-            for i, fn in ((1, gamma1), (2, gamma2), (3, gamma3)):
+            for i in (1, 2, 3):
                 dec = gamma_from_audit(h, k, q, i)
-                assert dec.constant == fn(h, k, q), (h, k, q, i)
+                assert dec.constant == gamma_expr(h, k, i).value(q), (h, k, q, i)
                 assert dec.alternating == 0
 
 

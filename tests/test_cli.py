@@ -250,6 +250,59 @@ def test_formulas_dump(capsys):
     assert "gamma6" not in out  # its row starts at q = 4
 
 
+QUEEN_FORMULAS_Q4 = """\
+quantity,value
+gamma1 expression,(-10) / (6 (q-2)!)
+gamma1 at q=4,-5/6
+gamma2 expression,(100*q^2 - 134*q - 24) / (72 (q-2)!)
+gamma2 at q=4,65/9
+gamma3 expression,(-1250*q^4 + 3775*q^3 - 1999*q^2 - 190*q - 2364) / (1620 (q-2)!)
+gamma3 at q=4,-1051/30
+gamma3 expanded-display route at q=4,-577/15
+gamma1 leading q-term,-5/3
+gamma2 leading q-term,25/18
+gamma3 leading q-term,-125/162
+gamma5 periodic part,-1/4
+gamma6 periodic part,-1/8
+two-piece count u(2;n),1/2*n^4 - 5/3*n^3 + 3/2*n^2 - 1/3*n
+three-piece count u(3;n),[n = 0 mod 2] 1/6*n^6 - 5/3*n^5 + 79/12*n^4 - 25/2*n^3 + 11*n^2 - 10/3*n; \
+[n = 1 mod 2] 1/6*n^6 - 5/3*n^5 + 79/12*n^4 - 25/2*n^3 + 11*n^2 - 23/6*n + 1/4
+three-piece types (value at -1),36
+type-count conjecture at |M|=h+k,36
+"""
+
+PIECE_1_2_FORMULAS_Q4 = """\
+quantity,value
+gamma1 expression,(-7) / (6 (q-2)!)
+gamma1 at q=4,-7/12
+gamma2 expression,(49*q^2 - 71*q + 18) / (72 (q-2)!)
+gamma2 at q=4,259/72
+gamma3 expression,(-1715*q^4 + 5740*q^3 - 6799*q^2 + 3470*q - 384) / (6480 (q-2)!)
+gamma3 at q=4,-773/60
+gamma3 expanded-display route at q=4,-407/30
+gamma1 leading q-term,-7/6
+gamma2 leading q-term,49/72
+gamma3 leading q-term,-343/1296
+gamma5 periodic part,-1/8
+gamma6 periodic part,-1/8
+two-piece count u(2;n),1/2*n^4 - 7/6*n^3 + n^2 - 1/3*n
+three-piece count u(3;n),[n = 0 mod 2] 1/6*n^6 - 7/6*n^5 + 41/12*n^4 - 65/12*n^3 + 14/3*n^2 - 5/3*n; \
+[n = 1 mod 2] 1/6*n^6 - 7/6*n^5 + 41/12*n^4 - 65/12*n^3 + 14/3*n^2 - 23/12*n + 1/4
+three-piece types (value at -1),17
+type-count conjecture at |M|=h+k,17
+"""
+
+
+@pytest.mark.parametrize("piece, expected", [("2,2", QUEEN_FORMULAS_Q4), ("1,2", PIECE_1_2_FORMULAS_Q4)])
+def test_formulas_csv_dump_is_pinned(capsys, piece, expected):
+    # the whole dump, row for row: the queen's gamma1..gamma3 at q = 4 are the
+    # values criterion 9's live fit confirms, and each expression row keeps
+    # the coefficient table's printed normal form
+    code, out, _ = run_cli(capsys, "formulas", "--piece", piece, "--q", "4", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == expected.splitlines()
+
+
 def test_formulas_latex_escapes_every_caret(capsys):
     # q^2 and n^4 in text mode would stop LaTeX with "Missing $ inserted"
     code, out, _ = run_cli(capsys, "formulas", "--piece", "2,2", "--q", "3", "--format", "latex")
