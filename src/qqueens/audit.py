@@ -30,11 +30,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import DIAGONAL, Move, PartialQueenSpec, partial_queen
+from .core import DIAGONAL, Move, PartialQueenSpec, Record, partial_queen, set_field
 from .enumerator import (
     Collinear,
     ConstraintPattern,
@@ -64,13 +63,18 @@ def _alpha_qp(m: Move) -> QuasiPolynomial:
     return QuasiPolynomial.constant_poly(alpha_closed(m))
 
 
-@dataclass(frozen=True)
-class Subcase:
+class Subcase(Record):
     """One orientation class inside a catalog type: its patterns and their combined count."""
 
+    _fields = ("label", "patterns", "closed_form")
     label: str
     patterns: tuple[ConstraintPattern, ...]
     closed_form: QuasiPolynomial
+
+    def __init__(self, label: str, patterns: tuple[ConstraintPattern, ...], closed_form: QuasiPolynomial) -> None:
+        set_field(self, "label", label)
+        set_field(self, "patterns", patterns)
+        set_field(self, "closed_form", closed_form)
 
 
 class Subcases(tuple):
@@ -89,10 +93,10 @@ class Subcases(tuple):
 SubcaseBuilder = Callable[[int, int], tuple[Subcase, ...]]
 
 
-@dataclass(frozen=True)
-class SubspaceCase:
+class SubspaceCase(Record):
     """One intersection-subspace type of the catalog."""
 
+    _fields = ("name", "kappa", "codim", "doc", "moebius", "automorphisms", "subcase_builder")
     name: str
     kappa: int
     codim: int
@@ -100,6 +104,24 @@ class SubspaceCase:
     moebius: Callable[[int, int], int]
     automorphisms: int
     subcase_builder: SubcaseBuilder
+
+    def __init__(
+        self,
+        name: str,
+        kappa: int,
+        codim: int,
+        doc: str,
+        moebius: Callable[[int, int], int],
+        automorphisms: int,
+        subcase_builder: SubcaseBuilder,
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "kappa", kappa)
+        set_field(self, "codim", codim)
+        set_field(self, "doc", doc)
+        set_field(self, "moebius", moebius)
+        set_field(self, "automorphisms", automorphisms)
+        set_field(self, "subcase_builder", subcase_builder)
 
     def multiplicity(self, q: int) -> int:
         """The ways to put the type's kappa pieces on q labelled pieces:
@@ -427,8 +449,8 @@ def case_catalog() -> tuple[SubspaceCase, ...]:
     return _CATALOG
 
 
-@dataclass(frozen=True)
-class AuditResult:
+class AuditResult(Record):
+    _fields = ("case", "h", "k", "n", "brute", "closed", "match")
     case: str
     h: int
     k: int
@@ -436,6 +458,15 @@ class AuditResult:
     brute: int
     closed: Fraction
     match: bool
+
+    def __init__(self, case: str, h: int, k: int, n: int, brute: int, closed: Fraction, match: bool) -> None:
+        set_field(self, "case", case)
+        set_field(self, "h", h)
+        set_field(self, "k", k)
+        set_field(self, "n", n)
+        set_field(self, "brute", brute)
+        set_field(self, "closed", closed)
+        set_field(self, "match", match)
 
 
 def audit_case(case: SubspaceCase, h: int, k: int, n: int) -> AuditResult:

@@ -70,7 +70,7 @@ def _parse_piece(text: str) -> PartialQueenSpec:
 def _parse_moves(text: str) -> MoveSet:
     try:
         return MoveSet.from_json(text)
-    except (ValueError, TypeError, KeyError) as err:
+    except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad --moves {text!r}: {err}")
 
 

@@ -84,11 +84,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from . import fold
-from .core import Move, MoveSet
+from .core import Move, MoveSet, Record, set_field
 
 DEFAULT_BUDGET = 10**9
 
@@ -116,8 +115,7 @@ class BudgetExceededError(Exception):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class AttackTable:
+class AttackTable(Record):
     """The attack lines of the n x n board and, per square, the bitset of the
     squares it attacks (itself included).  Square (x, y) has bit (y-1)*n + (x-1).
 
@@ -125,8 +123,13 @@ class AttackTable:
     ``masks[i]`` is square i together with the union of the lines through it.
     """
 
+    _fields = ("masks", "lines")
     masks: tuple[int, ...]
     lines: tuple[int, ...]
+
+    def __init__(self, masks: tuple[int, ...], lines: tuple[int, ...]) -> None:
+        set_field(self, "masks", masks)
+        set_field(self, "lines", lines)
 
     @classmethod
     def build(cls, moves: MoveSet, n: int) -> "AttackTable":
@@ -411,21 +414,30 @@ def _subsets(allowed: int, k: int, masks: tuple[int, ...], leaf) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Collinear:
+class Collinear(Record):
     """Pieces i and j lie on a common line of the given slope (possibly coincident)."""
 
+    _fields = ("i", "j", "slope")
     i: int
     j: int
     slope: Move
 
+    def __init__(self, i: int, j: int, slope: Move) -> None:
+        set_field(self, "i", i)
+        set_field(self, "j", j)
+        set_field(self, "slope", slope)
 
-@dataclass(frozen=True)
-class Equal:
+
+class Equal(Record):
     """Pieces i and j occupy the same square."""
 
+    _fields = ("i", "j")
     i: int
     j: int
+
+    def __init__(self, i: int, j: int) -> None:
+        set_field(self, "i", i)
+        set_field(self, "j", j)
 
 
 Constraint = Union[Collinear, Equal]
@@ -435,23 +447,24 @@ Constraint = Union[Collinear, Equal]
 Form = tuple[int, tuple[fold.Edge, ...]]
 
 
-@dataclass(frozen=True)
-class ConstraintPattern:
+class ConstraintPattern(Record):
     """A placement pattern on ``piece_count`` pieces; counting it means counting
     ordered tuples of squares (repetition allowed) meeting every constraint.
-    Its hash is worked out once, when it is built."""
+    Its hash is worked out once, when it is built; it is no field."""
 
+    _fields = ("piece_count", "constraints")
     piece_count: int
     constraints: tuple[Constraint, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.constraints:
+    def __init__(self, piece_count: int, constraints: tuple[Constraint, ...]) -> None:
+        if not constraints:
             raise ValueError("pattern needs at least one constraint")
-        for c in self.constraints:
-            if not (1 <= c.i < c.j <= self.piece_count):
+        for c in constraints:
+            if not (1 <= c.i < c.j <= piece_count):
                 raise ValueError(f"constraint indices {(c.i, c.j)} out of range")
-        object.__setattr__(self, "_hash", hash((self.piece_count, self.constraints)))
+        set_field(self, "piece_count", piece_count)
+        set_field(self, "constraints", constraints)
+        set_field(self, "_hash", hash((piece_count, constraints)))
 
     def __hash__(self) -> int:
         return self._hash

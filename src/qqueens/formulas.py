@@ -19,10 +19,9 @@ verbatim as :func:`gamma3_expr_expanded` for the documented reconciliation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DIAGONAL, ORTHOGONAL, Move, PartialQueenSpec
+from .core import DIAGONAL, ORTHOGONAL, Move, PartialQueenSpec, Record, set_field
 from .quasipoly import Polynomial, QuasiPolynomial
 
 F = Fraction
@@ -41,13 +40,18 @@ def falling_poly(j: int, shift: int = 0) -> Polynomial:
     return out
 
 
-@dataclass(frozen=True)
-class GammaExpr:
+class GammaExpr(Record):
     """A coefficient gamma_i in normal form numerator(q) / (denom * (q - 2)!)."""
 
+    _fields = ("index", "numerator", "denominator_constant")
     index: int
     numerator: Polynomial
     denominator_constant: int
+
+    def __init__(self, index: int, numerator: Polynomial, denominator_constant: int) -> None:
+        set_field(self, "index", index)
+        set_field(self, "numerator", numerator)
+        set_field(self, "denominator_constant", denominator_constant)
 
     def value(self, q: int) -> Fraction:
         if q < 2:

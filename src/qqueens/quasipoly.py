@@ -17,9 +17,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .core import Record, set_field
 
 
 class FitError(Exception):
@@ -42,20 +43,22 @@ class InconsistentSamplesError(FitError):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Polynomial:
+class Polynomial(Record):
     """The coefficient of x^k is nums[k] / den.  The representation is
     canonical: den >= 1, the pair is in lowest terms and there is no
     trailing zero (the zero polynomial is ((), 1)), so equality and hashing
     are structural.  ``make`` builds one from int or ``Fraction``
     coefficients, and ``coefficient`` hands each out as a ``Fraction``."""
 
+    __slots__ = _fields = ("nums", "den")
     nums: tuple[int, ...]
-    den: int = 1
+    den: int
 
-    def __post_init__(self) -> None:
-        if self.den < 1 or (self.nums and not self.nums[-1]) or math.gcd(self.den, *self.nums) != 1:
-            raise ValueError(f"{self.nums} over {self.den} is not canonical; use Polynomial.make")
+    def __init__(self, nums: tuple[int, ...], den: int = 1) -> None:
+        if den < 1 or (nums and not nums[-1]) or math.gcd(den, *nums) != 1:
+            raise ValueError(f"{nums} over {den} is not canonical; use Polynomial.make")
+        set_field(self, "nums", nums)
+        set_field(self, "den", den)
 
     @classmethod
     def _reduced(cls, nums: list[int], den: int) -> "Polynomial":
@@ -138,28 +141,29 @@ def _minimal_period(cycle: Sequence) -> int:
     return next((d for d in range(1, size + 1) if size % d == 0 and cycle[d:] == cycle[:-d]), size)
 
 
-@dataclass(frozen=True, slots=True)
-class QuasiPolynomial:
+class QuasiPolynomial(Record):
     """A cycle of constituents at its minimal period; constituent r applies
     when n = r mod period.  One function has one representation, so equality
     and hashing are structural."""
 
+    __slots__ = _fields = ("constituents",)
     constituents: tuple[Polynomial, ...]
 
-    def __post_init__(self) -> None:
-        if not self.constituents or _minimal_period(self.constituents) != self.period:
+    def __init__(self, constituents: tuple[Polynomial, ...]) -> None:
+        if not constituents or _minimal_period(constituents) != len(constituents):
             raise ValueError("need a nonempty cycle at its minimal period; use QuasiPolynomial.make")
+        set_field(self, "constituents", constituents)
 
     @classmethod
     def make(cls, constituents: Iterable[Polynomial]) -> "QuasiPolynomial":
         """The quasipolynomial of the cycle, cut to one repetition.  A cycle
         cut at its minimal period is minimal, so it is stored without the
-        scan of ``__post_init__``."""
+        scan of ``__init__``."""
         cycle = tuple(constituents)
         if not cycle:
             raise ValueError("need a nonempty cycle")
         qp = object.__new__(cls)
-        object.__setattr__(qp, "constituents", cycle[:_minimal_period(cycle)])
+        set_field(qp, "constituents", cycle[:_minimal_period(cycle)])
         return qp
 
     @classmethod
@@ -234,12 +238,16 @@ def evaluate(qp: QuasiPolynomial, n: int) -> Fraction:
     return qp.constituent_for(n)(n)
 
 
-@dataclass(frozen=True, slots=True)
-class CoeffDecomposition:
+class CoeffDecomposition(Record):
     """One coefficient split as ``constant + alternating * (-1)^n``."""
 
+    __slots__ = _fields = ("constant", "alternating")
     constant: Fraction
     alternating: Fraction
+
+    def __init__(self, constant: Fraction, alternating: Fraction) -> None:
+        set_field(self, "constant", constant)
+        set_field(self, "alternating", alternating)
 
 
 def coefficient(qp: QuasiPolynomial, power: int) -> CoeffDecomposition:

@@ -12,11 +12,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import ALL_PIECE_SPECS, MoveSet, PartialQueenSpec, partial_queen
+from .core import ALL_PIECE_SPECS, MoveSet, PartialQueenSpec, Record, partial_queen, set_field
 from .enumerator import DEFAULT_BUDGET, box_sums, sequence
 from .quasipoly import (
     Polynomial,
@@ -31,12 +30,18 @@ from . import audit as audit_mod
 from . import formulas as fm
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(Record):
+    _fields = ("name", "passed", "detail", "notes")
     name: str
     passed: bool
-    detail: str = ""
-    notes: tuple[str, ...] = ()  # lines the text report prints after the table
+    detail: str
+    notes: tuple[str, ...]  # lines the text report prints after the table
+
+    def __init__(self, name: str, passed: bool, detail: str = "", notes: tuple[str, ...] = ()) -> None:
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "detail", detail)
+        set_field(self, "notes", notes)
 
 
 def poly_str(poly: Polynomial, var: str = "n") -> str:

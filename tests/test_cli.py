@@ -52,6 +52,19 @@ def test_count_rejects_moves_that_are_not_integers(moves):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "moves, entry",
+    [("[[1]]", "[1]"), ("[[1,0,5]]", "[1, 0, 5]"), ("[10]", "10"), ('{"a":1}', "{'a': 1}"), ('"10"', "'10'")],
+)
+def test_count_rejects_moves_that_are_not_pairs(capsys, moves, entry):
+    # the message names the entry that is no [c, d] pair, not how unpacking it failed
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--moves", moves, "--q", "2", "--n", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.endswith(f"moves must be a list of [c, d] pairs; {entry} is not one")
+
+
 def test_count_json_format(capsys):
     code, out, _ = run_cli(capsys, "count", "--piece", "1,1", "--q", "2", "--n", "2..3", "--format", "json")
     assert code == 0
@@ -478,6 +491,9 @@ def test_cache_path_that_cannot_be_written_exits_2(tmp_path, capsys):
         '{"moves": [[true, 0]], "q": 2, "n": 3, "count": "999"}',
         '{"moves": [[false, -1]], "q": 2, "n": 3, "count": "999"}',
         '{"moves": [["1", "0"]], "q": 2, "n": 3, "count": "999"}',
+        '{"moves": [[1]], "q": 2, "n": 3, "count": "999"}',
+        '{"moves": [[1, 0, 5]], "q": 2, "n": 3, "count": "999"}',
+        '{"moves": [10], "q": 2, "n": 3, "count": "999"}',
         '{"moves": [[1, 0]], "q": 2, "n": true, "count": "999"}',
         '{"moves": [[1, 0]], "q": 2, "n": "3", "count": "999"}',
         '{"moves": [[1, 0]], "q": 2, "n": 3, "count": 999}',
@@ -934,6 +950,15 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait() == 1
     assert err == b""
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # importing them is a fifth of the start-up that every command pays
+    src = str(Path(qqueens.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, qqueens.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,38 @@ from hypothesis import given, strategies as st
 
 from conftest import Square, attacks
 from qqueens.core import ALL_PIECE_SPECS, Move, MoveSet, PartialQueenSpec, partial_queen
+from qqueens.enumerator import Collinear, ConstraintPattern, Equal
+from qqueens.reports import ClaimResult
+
+
+def test_records_are_immutable_and_equal_only_within_their_class():
+    assert Move(1, 2) == Move(1, 2) and hash(Move(1, 2)) == hash(Move(1, 2))
+    assert Move(1, 2) != Move(2, 1)
+    assert Move(1, 0) != (1, 0) and (1, 0) != Move(1, 0)
+    assert Equal(1, 2) != Move(1, 2)
+    pat = ConstraintPattern(3, (Equal(1, 2), Collinear(2, 3, Move(1, 1))))
+    assert pat == ConstraintPattern(3, (Equal(1, 2), Collinear(2, 3, Move(1, 1))))
+    assert hash(pat) == hash(ConstraintPattern(3, (Equal(1, 2), Collinear(2, 3, Move(1, 1)))))
+    assert pat != ConstraintPattern(4, pat.constraints)
+    for record, name in [(Move(1, 0), "c"), (pat, "piece_count"), (PartialQueenSpec(1, 1), "h")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 2)
+    assert repr(Move(1, 0)) == "Move(c=1, d=0)"
+    assert repr(Collinear(1, 2, Move(1, -1))) == "Collinear(i=1, j=2, slope=Move(c=1, d=-1))"
+    assert repr(ClaimResult("x", True)) == "ClaimResult(name='x', passed=True, detail='', notes=())"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Move(2, 0), r"move vector \(2, 0\) is not in lowest terms"),
+        (lambda: MoveSet(()), "move set must be nonempty"),
+        (lambda: PartialQueenSpec(3, 0), "h and k must each be 0, 1, or 2"),
+    ],
+)
+def test_record_checks_raise_value_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_move_rejects_zero_vector():

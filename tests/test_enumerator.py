@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -685,7 +684,10 @@ def mapped(pat: ConstraintPattern, g: tuple[int, int, int, int]) -> ConstraintPa
 def side_by_side(first: ConstraintPattern, second: ConstraintPattern) -> ConstraintPattern:
     """Both patterns on disjoint pieces, the second's numbered after the first's."""
     off = first.piece_count
-    shifted = tuple(replace(c, i=c.i + off, j=c.j + off) for c in second.constraints)
+    shifted = tuple(
+        Collinear(c.i + off, c.j + off, c.slope) if isinstance(c, Collinear) else Equal(c.i + off, c.j + off)
+        for c in second.constraints
+    )
     return ConstraintPattern(off + second.piece_count, first.constraints + shifted)
 
 
@@ -791,7 +793,7 @@ def test_canonical_components_match_first_written_algorithm(pat, other, gap):
     # side by side with a copy of itself and with another pattern, the later
     # pieces numbered after ``gap`` unconstrained ones, so each component
     # recurs under other piece numbers
-    spaced = replace(pat, piece_count=pat.piece_count + gap)
+    spaced = ConstraintPattern(pat.piece_count + gap, pat.constraints)
     pats = [pat, side_by_side(spaced, pat), side_by_side(spaced, other), side_by_side(other, spaced)]
     results = [canonical_components(p) for p in pats]
     assert results == [naive_canonical_components(p) for p in pats]
